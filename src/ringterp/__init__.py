@@ -12,6 +12,8 @@ structures, and `cli` exposes the whole pipeline as a command line
 tool.
 """
 
+__version__ = "0.1.0"
+
 from .encoder import (
     MembershipStatus, SpeciesEncoding, adaptive_precision, encode_run,
     encode_silent, encode_stabilized, membership_profile, quotient_status,
@@ -42,8 +44,6 @@ from .translate import (
     expand_defined, nat_core_formula, nat_predicate, sentinel_formula,
     translate,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "Add", "And", "Apart", "Bottom", "ChoiceSeq", "ConjunctReport",

@@ -15,10 +15,10 @@ precision insufficiency, inconsistent structure), 2 on a usage error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import sys
 from typing import Mapping, Optional, Sequence
 
+from . import __version__
 from .encoder import (
     MembershipStatus, SpeciesEncoding, adaptive_precision, encode_run,
     quotient_status,
@@ -36,24 +36,19 @@ from .sexpr import ParseError, format_formula, parse_formula
 from .selftest import format_table, run_all
 from .syntax import Language, SortError
 from .translate import (
-    Expansion, Orientation, TranslationConfig, TranslationError,
+    ORIENTATION_NAMES, Expansion, TranslationConfig, TranslationError,
     nat_core_formula, nat_predicate, translate,
 )
 
 TOOL_NAME = "ringterp"
-TOOL_VERSION = "0.1.0"
-TOOL = f"{TOOL_NAME} {TOOL_VERSION}"
+TOOL = f"{TOOL_NAME} {__version__}"
 
+# OSError covers input files that cannot be read and --out paths that
+# cannot be written.
 _DOMAIN_ERRORS = (
     ParseError, SortError, TranslationError, TraceError, StructureError,
-    EvalError, PrecisionError, InsufficientHorizon, ValueError,
+    EvalError, PrecisionError, InsufficientHorizon, ValueError, OSError,
 )
-
-_ORIENTATION_FLAGS = {
-    "as-written": Orientation.AS_WRITTEN,
-    "normalized": Orientation.QUOTIENT_NORMALIZED,
-    "quotient-normalized": Orientation.QUOTIENT_NORMALIZED,
-}
 
 
 def _read(path: str) -> str:
@@ -83,7 +78,7 @@ def _finish(args: argparse.Namespace, subcommand: str, body: str,
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
-    orientation = _ORIENTATION_FLAGS[args.orientation]
+    orientation = ORIENTATION_NAMES[args.orientation]
     flags = {
         "--mode": args.mode,
         "--orientation": orientation.value,
@@ -104,20 +99,11 @@ def _cmd_translate(args: argparse.Namespace) -> int:
     return _finish(args, "translate", body, flags, {"in": text.encode()})
 
 
-def _run_one(packed: tuple[ChoiceSeq, Schedule, int, int]) -> str:
-    alpha, schedule, horizon, seed = packed
-    return format_trace(simulate(alpha, schedule, horizon, seed))
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    seeds = [args.seed + i for i in range(args.seeds)]
-    jobs = [(args.alpha, args.schedule, args.horizon, seed) for seed in seeds]
-    if args.jobs > 1 and len(jobs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(args.jobs) as pool:
-            traces = list(pool.map(_run_one, jobs))
-    else:
-        traces = [_run_one(job) for job in jobs]
-    body = "".join(traces)
+    body = "".join(
+        format_trace(simulate(args.alpha, args.schedule, args.horizon, seed))
+        for seed in range(args.seed, args.seed + args.seeds)
+    )
     flags = {
         "--alpha": args.alpha.canonical_spec(),
         "--schedule": args.schedule.canonical_spec(),
@@ -217,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("translate", help="translate a source formula")
     p.add_argument("--mode", choices=["macro", "full"], default="macro",
                    help="keep defined quantifiers or expand them")
-    p.add_argument("--orientation", choices=sorted(_ORIENTATION_FLAGS),
+    p.add_argument("--orientation", choices=sorted(ORIENTATION_NAMES),
                    default="as-written",
                    help="membership atom orientation")
     p.add_argument("--in", default="-", help="formula file or - for stdin")
@@ -239,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seeds", type=int, default=1,
                    help="number of consecutive seeds to run")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers for seed ensembles")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_simulate)
 

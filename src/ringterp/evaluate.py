@@ -30,7 +30,7 @@ and answer for every candidate.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .encoder import MembershipStatus, SpeciesEncoding, encode_silent, \
     encode_stabilized, quotient_status
@@ -42,7 +42,7 @@ from .syntax import (
     Sort, SpeciesConst, SpeciesEq, SpeciesRef, SpeciesVar, Succ, Term, Var,
     check_formula, species_binder_index, term_var_names,
 )
-from .translate import Orientation
+from .translate import ORIENTATION_NAMES, Orientation
 
 
 class EvalError(ValueError):
@@ -108,11 +108,7 @@ class FiniteStructure:
             reals.extend([enc.u, enc.v])
         self.real_domain = tuple(reals)
 
-        self._add_cache: dict[tuple[int, int], tuple] = {}
-        self._mul_cache: dict[tuple[int, int], tuple] = {}
-        self._scalar_cache: dict[tuple[int, int], tuple] = {}
-        self._eq_cache: dict[tuple[int, int], tuple] = {}
-        self._lt_cache: dict[tuple[int, int], tuple] = {}
+        self._memo: dict[tuple, tuple] = {}
         self._family: Optional[tuple[frozenset[int], ...]] = None
         self._verify()
 
@@ -169,58 +165,35 @@ class FiniteStructure:
             self._nat_gens[value] = got
         return got
 
-    def cached_add(self, a: RealGen, b: RealGen) -> RealGen:
-        key = (id(a), id(b))
-        hit = self._add_cache.get(key)
-        if hit is None:
-            hit = (a, b, add(a, b))
-            self._add_cache[key] = hit
-        return hit[2]
+    def memo(self, op: Callable, a: Union[int, RealGen], b: RealGen,
+             *extra: object) -> object:
+        """op(a, b, *extra), computed once per operation and operands.
 
-    def cached_mul(self, a: RealGen, b: RealGen) -> RealGen:
-        key = (id(a), id(b))
-        hit = self._mul_cache.get(key)
+        Generators are keyed by object identity: every generator reaching
+        here is either a domain generator or the memoized result of an
+        operation, so identities are stable for the structure's lifetime
+        (each entry keeps its operands alive).  A natural scalar is keyed
+        by value; extra (the precision) is fixed per structure.
+        """
+        key = (op, a if isinstance(a, int) else id(a), id(b))
+        hit = self._memo.get(key)
         if hit is None:
-            hit = (a, b, mul(a, b))
-            self._mul_cache[key] = hit
+            hit = (a, b, op(a, b, *extra))
+            self._memo[key] = hit
         return hit[2]
-
-    def cached_scalar(self, n: int, g: RealGen) -> RealGen:
-        key = (n, id(g))
-        hit = self._scalar_cache.get(key)
-        if hit is None:
-            hit = (g, nat_scalar(n, g))
-            self._scalar_cache[key] = hit
-        return hit[1]
 
     def eq_witness(self, a: RealGen, b: RealGen) -> bool:
-        """eq_at at the structure's precision, memoized per generator pair.
-
-        The cache is keyed by object identity; every generator reaching
-        an atom is either a domain generator or the cached result of a
-        cached operation, so identities are stable for the structure's
-        lifetime (the cache values keep the operands alive).
-        """
-        key = (id(a), id(b))
-        hit = self._eq_cache.get(key)
-        if hit is None:
-            hit = (a, b, eq_at(a, b, self.precision))
-            self._eq_cache[key] = hit
-        return hit[2]
+        """eq_at at the structure's precision, memoized per generator pair."""
+        return self.memo(eq_at, a, b, self.precision)
 
     def lt_witness(self, a: RealGen, b: RealGen) -> bool:
-        """lt_at at the structure's precision, memoized like eq_witness."""
-        key = (id(a), id(b))
-        hit = self._lt_cache.get(key)
-        if hit is None:
-            hit = (a, b, lt_at(a, b, self.precision))
-            self._lt_cache[key] = hit
-        return hit[2]
+        """lt_at at the structure's precision, memoized per generator pair."""
+        return self.memo(lt_at, a, b, self.precision)
 
     def relation_holds(self, n: int, scaled: RealGen, other: RealGen) -> bool:
         """Decide n * scaled = other by bounded witness, aborting when
         neither equality nor apartness is witnessed."""
-        left = self.cached_scalar(n, scaled)
+        left = self.memo(nat_scalar, n, scaled)
         if self.eq_witness(left, other):
             return True
         if self.lt_witness(left, other) or self.lt_witness(other, left):
@@ -373,11 +346,11 @@ def _target_term(t: Term, s: FiniteStructure,
             raise EvalError(f"structure does not define constant {t.name!r}")
         return s.const_gens[t.name]
     if isinstance(t, Add):
-        return s.cached_add(_target_term(t.left, s, env),
-                            _target_term(t.right, s, env))
+        return s.memo(add, _target_term(t.left, s, env),
+                      _target_term(t.right, s, env))
     if isinstance(t, Mul):
-        return s.cached_mul(_target_term(t.left, s, env),
-                            _target_term(t.right, s, env))
+        return s.memo(mul, _target_term(t.left, s, env),
+                      _target_term(t.right, s, env))
     raise EvalError(f"not a target term: {t!r}")
 
 
@@ -442,12 +415,6 @@ def _eval_target(f: Formula, s: FiniteStructure,
 
 STRUCTURE_HEADER = "# ringterp structure v1"
 
-_ORIENTATIONS = {
-    "as-written": Orientation.AS_WRITTEN,
-    "quotient-normalized": Orientation.QUOTIENT_NORMALIZED,
-    "normalized": Orientation.QUOTIENT_NORMALIZED,
-}
-
 
 def format_structure(s: FiniteStructure) -> str:
     lines = [STRUCTURE_HEADER]
@@ -503,9 +470,9 @@ def parse_structure(text: str, sentinel_true: bool = False) -> FiniteStructure:
                 else:
                     raise StructureError(f"bad species line {line!r}")
             elif key == "orientation":
-                if value not in _ORIENTATIONS:
+                if value not in ORIENTATION_NAMES:
                     raise StructureError(f"unknown orientation {value!r}")
-                orientation = _ORIENTATIONS[value]
+                orientation = ORIENTATION_NAMES[value]
             elif key == "precision":
                 fields = dict(part.split("=", 1) for part in value.split())
                 precision = Precision(k=int(fields.pop("k")),

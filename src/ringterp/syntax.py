@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 
 class Sort(enum.Enum):
@@ -255,6 +256,87 @@ def neg(f: Formula) -> Formula:
 
 
 # ---------------------------------------------------------------------------
+# Generic traversal
+#
+# Structural passes are written against one child map, the children /
+# rebuild pair of Uniplate (Mitchell and Runciman, "Uniform boilerplate
+# and list processing", 2007): a pass handles the nodes it cares about
+# and hands every other node to children and rebuild.  Every node class
+# is a frozen dataclass whose data fields (names, sorts, numerals,
+# quantifier kinds) precede its children (terms, species references,
+# subformulas).  The per-class accessors are read off the fields once,
+# here, and not on every call: the passes run on every translation.
+
+Node = Union[Term, SpeciesRef, Formula]
+
+_QUANTIFIERS = (Exists, Forall, DefinedQuant)
+
+
+def _getter(names: list[str]) -> Callable[[Node], tuple]:
+    """Function returning the named fields of a node as a tuple."""
+    if not names:
+        return lambda node: ()
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        return lambda node: (get(node),)
+    return attrgetter(*names)
+
+
+def _shapes() -> tuple[dict, dict, frozenset]:
+    """Per node class, the getters of its children and of its data; and
+    the formula classes without subformulas."""
+    kids_of: dict[type, Callable[[Node], tuple[Node, ...]]] = {}
+    data_of: dict[type, Callable[[Node], tuple]] = {}
+    atoms: set[type] = set()
+    for base in (Term, SpeciesRef, Formula):
+        for cls in base.__subclasses__():
+            names = [f.name for f in fields(cls)]
+            types = [f.type for f in fields(cls)]
+            kids = [name for name, t in zip(names, types)
+                    if t in ("Term", "SpeciesRef", "Formula")]
+            split = len(names) - len(kids)
+            if names[split:] != kids:
+                raise TypeError(
+                    f"{cls.__name__}: data fields must precede children")
+            kids_of[cls] = _getter(kids)
+            data_of[cls] = _getter(names[:split])
+            if base is Formula and "Formula" not in types:
+                atoms.add(cls)
+    return kids_of, data_of, frozenset(atoms)
+
+
+# ATOMS: the formula classes where passes over formula structure stop.
+_CHILDREN, _DATA, ATOMS = _shapes()
+
+
+def children(node: Node) -> tuple[Node, ...]:
+    """The terms, species references and subformulas directly below
+    node, in field order."""
+    try:
+        get = _CHILDREN[type(node)]
+    except KeyError:
+        raise SortError(f"not a term or formula: {node!r}") from None
+    return get(node)
+
+
+def rebuild(node: Node, kids: Sequence[Node]) -> Node:
+    """node with its children replaced by kids, given in the order of
+    children(node); node itself when every child is the same object, so
+    passes share the subtrees they leave alone."""
+    cls = type(node)
+    for old, new in zip(_CHILDREN[cls](node), kids):
+        if old is not new:
+            return cls(*_DATA[cls](node), *kids)
+    return node
+
+
+def _bound_sort(q: Formula) -> Sort:
+    """Sort of the variable a quantifier binds; defined quantifiers bind
+    reals."""
+    return Sort.REAL if type(q) is DefinedQuant else q.sort
+
+
+# ---------------------------------------------------------------------------
 # Well-sortedness
 
 
@@ -390,44 +472,21 @@ def free_vars(f: Formula) -> FreeVars:
     species: set[int] = set()
     real: set[str] = set()
 
-    def add_term(t: Term, bound: frozenset[str]) -> None:
-        if isinstance(t, Var):
-            if t.name not in bound:
-                (nat if t.sort is Sort.NAT else real).add(t.name)
-        elif isinstance(t, (Add, Mul, Pair)):
-            add_term(t.left, bound)
-            add_term(t.right, bound)
-        elif isinstance(t, Succ):
-            add_term(t.arg, bound)
-
-    def add_ref(ref: SpeciesRef, bound_species: frozenset[int]) -> None:
-        if isinstance(ref, SpeciesVar) and ref.index not in bound_species:
-            species.add(ref.index)
-
-    def walk(f: Formula, bound: frozenset[str], bspec: frozenset[int]) -> None:
-        if isinstance(f, Bottom):
-            return
-        if isinstance(f, (Eq, Lt, Apart)):
-            add_term(f.left, bound)
-            add_term(f.right, bound)
-        elif isinstance(f, In):
-            add_term(f.element, bound)
-            add_ref(f.species, bspec)
-        elif isinstance(f, SpeciesEq):
-            add_ref(f.left, bspec)
-            add_ref(f.right, bspec)
-        elif isinstance(f, (And, Or, Implies)):
-            walk(f.left, bound, bspec)
-            walk(f.right, bound, bspec)
-        elif isinstance(f, (Exists, Forall)):
-            if f.sort is Sort.SPECIES:
-                walk(f.body, bound, bspec | {species_binder_index(f.var)})
+    def walk(node: Node, bound: frozenset[str], bspec: frozenset[int]) -> None:
+        if isinstance(node, Var):
+            if node.name not in bound:
+                (nat if node.sort is Sort.NAT else real).add(node.name)
+        elif isinstance(node, SpeciesVar):
+            if node.index not in bspec:
+                species.add(node.index)
+        elif isinstance(node, _QUANTIFIERS):
+            if _bound_sort(node) is Sort.SPECIES:
+                walk(node.body, bound, bspec | {species_binder_index(node.var)})
             else:
-                walk(f.body, bound | {f.var}, bspec)
-        elif isinstance(f, DefinedQuant):
-            walk(f.body, bound | {f.var}, bspec)
+                walk(node.body, bound | {node.var}, bspec)
         else:
-            raise SortError(f"not a formula: {f!r}")
+            for child in children(node):
+                walk(child, bound, bspec)
 
     walk(f, frozenset(), frozenset())
     return FreeVars(frozenset(nat), frozenset(species), frozenset(real))
@@ -438,43 +497,19 @@ def is_closed(f: Formula) -> bool:
     return not (fv.nat or fv.species or fv.real)
 
 
-def _collect(f: Formula, on_term: Callable[[Term], None],
-             on_ref: Callable[[SpeciesRef], None],
-             on_binder: Callable[[str, Sort], None]) -> None:
-    """Visit every term, species reference and binder of f."""
-    if isinstance(f, (Eq, Lt, Apart)):
-        on_term(f.left)
-        on_term(f.right)
-    elif isinstance(f, In):
-        on_term(f.element)
-        on_ref(f.species)
-    elif isinstance(f, SpeciesEq):
-        on_ref(f.left)
-        on_ref(f.right)
-    elif isinstance(f, (And, Or, Implies)):
-        _collect(f.left, on_term, on_ref, on_binder)
-        _collect(f.right, on_term, on_ref, on_binder)
-    elif isinstance(f, (Exists, Forall)):
-        on_binder(f.var, f.sort)
-        _collect(f.body, on_term, on_ref, on_binder)
-    elif isinstance(f, DefinedQuant):
-        on_binder(f.var, Sort.REAL)
-        _collect(f.body, on_term, on_ref, on_binder)
-
-
 def all_var_names(f: Formula) -> frozenset[str]:
     """Every term-variable name occurring in f, free or bound, plus all
     non-species binder names."""
     names: set[str] = set()
-
-    def on_term(t: Term) -> None:
-        names.update(term_var_names(t))
-
-    def on_binder(var: str, sort: Sort) -> None:
-        if sort is not Sort.SPECIES:
-            names.add(var)
-
-    _collect(f, on_term, lambda ref: None, on_binder)
+    stack: list[Node] = [f]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            names.add(node.name)
+        elif (isinstance(node, _QUANTIFIERS)
+              and _bound_sort(node) is not Sort.SPECIES):
+            names.add(node.var)
+        stack.extend(children(node))
     return frozenset(names)
 
 
@@ -484,34 +519,20 @@ def species_indices(f: Formula) -> tuple[frozenset[int], frozenset[int]]:
     var_idx: set[int] = set()
     const_idx: set[int] = set()
 
-    def on_ref(ref: SpeciesRef) -> None:
-        if isinstance(ref, SpeciesVar):
-            var_idx.add(ref.index)
-        else:
-            const_idx.add(ref.index)
+    def walk(node: Node) -> None:
+        if isinstance(node, SpeciesVar):
+            var_idx.add(node.index)
+        elif isinstance(node, SpeciesConst):
+            const_idx.add(node.index)
+        elif not isinstance(node, Term):  # terms hold no species
+            if (isinstance(node, _QUANTIFIERS)
+                    and _bound_sort(node) is Sort.SPECIES):
+                var_idx.add(species_binder_index(node.var))
+            for child in children(node):
+                walk(child)
 
-    def on_binder(var: str, sort: Sort) -> None:
-        if sort is Sort.SPECIES:
-            var_idx.add(species_binder_index(var))
-
-    _collect(f, lambda t: None, on_ref, on_binder)
+    walk(f)
     return frozenset(var_idx), frozenset(const_idx)
-
-
-def real_constants(f: Formula) -> frozenset[str]:
-    names: set[str] = set()
-
-    def on_term(t: Term) -> None:
-        if isinstance(t, RealConst):
-            names.add(t.name)
-        elif isinstance(t, (Add, Mul, Pair)):
-            on_term(t.left)
-            on_term(t.right)
-        elif isinstance(t, Succ):
-            on_term(t.arg)
-
-    _collect(f, on_term, lambda ref: None, lambda v, s: None)
-    return frozenset(names)
 
 
 def fresh_name(base: str, forbidden: Iterable[str]) -> str:
@@ -532,18 +553,8 @@ def fresh_name(base: str, forbidden: Iterable[str]) -> str:
 def substitute_term(t: Term, name: str, replacement: Term) -> Term:
     if isinstance(t, Var):
         return replacement if t.name == name else t
-    if isinstance(t, Add):
-        return Add(substitute_term(t.left, name, replacement),
-                   substitute_term(t.right, name, replacement))
-    if isinstance(t, Mul):
-        return Mul(substitute_term(t.left, name, replacement),
-                   substitute_term(t.right, name, replacement))
-    if isinstance(t, Pair):
-        return Pair(substitute_term(t.left, name, replacement),
-                    substitute_term(t.right, name, replacement))
-    if isinstance(t, Succ):
-        return Succ(substitute_term(t.arg, name, replacement))
-    return t
+    return rebuild(t, [substitute_term(c, name, replacement)
+                       for c in children(t)])
 
 
 def substitute(f: Formula, name: str, sort: Sort, replacement: Term) -> Formula:
@@ -557,52 +568,23 @@ def substitute(f: Formula, name: str, sort: Sort, replacement: Term) -> Formula:
         )
     repl_names = term_var_names(replacement)
 
-    def sub_t(t: Term) -> Term:
-        return substitute_term(t, name, replacement)
-
-    def walk(f: Formula) -> Formula:
-        if isinstance(f, Bottom):
-            return f
-        if isinstance(f, Eq):
-            return Eq(sub_t(f.left), sub_t(f.right))
-        if isinstance(f, Lt):
-            return Lt(sub_t(f.left), sub_t(f.right))
-        if isinstance(f, Apart):
-            return Apart(sub_t(f.left), sub_t(f.right))
-        if isinstance(f, In):
-            return In(sub_t(f.element), f.species)
-        if isinstance(f, SpeciesEq):
-            return f
-        if isinstance(f, And):
-            return And(walk(f.left), walk(f.right))
-        if isinstance(f, Or):
-            return Or(walk(f.left), walk(f.right))
-        if isinstance(f, Implies):
-            return Implies(walk(f.left), walk(f.right))
-        if isinstance(f, (Exists, Forall, DefinedQuant)):
-            binder_sort = Sort.REAL if isinstance(f, DefinedQuant) else f.sort
-            if binder_sort is Sort.SPECIES:
-                return _rebuild_quant(f, f.var, walk(f.body))
-            if f.var == name:
-                return f
-            if f.var in repl_names:
-                forbidden = repl_names | all_var_names(f.body) | {name}
-                new = fresh_name(f.var, forbidden)
-                body = substitute(f.body, f.var, binder_sort, Var(new, binder_sort))
-                return _rebuild_quant(f, new, walk(body))
-            return _rebuild_quant(f, f.var, walk(f.body))
-        raise SortError(f"not a formula: {f!r}")
+    def walk(node: Node) -> Node:
+        if isinstance(node, Term):
+            return substitute_term(node, name, replacement)
+        if isinstance(node, _QUANTIFIERS):
+            binder_sort = _bound_sort(node)
+            if binder_sort is not Sort.SPECIES:
+                if node.var == name:
+                    return node
+                if node.var in repl_names:
+                    forbidden = repl_names | all_var_names(node.body) | {name}
+                    new = fresh_name(node.var, forbidden)
+                    body = substitute(node.body, node.var, binder_sort,
+                                      Var(new, binder_sort))
+                    return replace(node, var=new, body=walk(body))
+        return rebuild(node, [walk(child) for child in children(node)])
 
     return walk(f)
-
-
-def _rebuild_quant(f: Formula, var: str, body: Formula) -> Formula:
-    if isinstance(f, Exists):
-        return Exists(var, f.sort, body)
-    if isinstance(f, Forall):
-        return Forall(var, f.sort, body)
-    assert isinstance(f, DefinedQuant)
-    return DefinedQuant(f.kind, var, body)
 
 
 # ---------------------------------------------------------------------------
@@ -613,97 +595,53 @@ def normalize_apart(f: Formula) -> Formula:
     """Unfold every apartness atom into its definition (or (< a b) (< b a))."""
     if isinstance(f, Apart):
         return Or(Lt(f.left, f.right), Lt(f.right, f.left))
-    if isinstance(f, And):
-        return And(normalize_apart(f.left), normalize_apart(f.right))
-    if isinstance(f, Or):
-        return Or(normalize_apart(f.left), normalize_apart(f.right))
-    if isinstance(f, Implies):
-        return Implies(normalize_apart(f.left), normalize_apart(f.right))
-    if isinstance(f, Exists):
-        return Exists(f.var, f.sort, normalize_apart(f.body))
-    if isinstance(f, Forall):
-        return Forall(f.var, f.sort, normalize_apart(f.body))
-    if isinstance(f, DefinedQuant):
-        return DefinedQuant(f.kind, f.var, normalize_apart(f.body))
-    return f
-
-
-def contains_defined_quant(f: Formula, kinds: Optional[frozenset] = None) -> bool:
-    if isinstance(f, DefinedQuant):
-        if kinds is None or f.kind in kinds:
-            return True
-        return contains_defined_quant(f.body, kinds)
-    if isinstance(f, (And, Or, Implies)):
-        return (contains_defined_quant(f.left, kinds)
-                or contains_defined_quant(f.right, kinds))
-    if isinstance(f, (Exists, Forall)):
-        return contains_defined_quant(f.body, kinds)
-    return False
+    if type(f) in ATOMS:
+        return f
+    return rebuild(f, [normalize_apart(c) for c in children(f)])
 
 
 def alpha_equal(f: Formula, g: Formula) -> bool:
     """Structural equality up to renaming of bound variables."""
 
-    def terms(a: Term, b: Term, ma: dict, mb: dict) -> bool:
-        if type(a) is not type(b):
+    # ma and mb map the bound term-variable names (str) and species
+    # indices (int) of each side to the depth of their binder.
+    def walk(a: Node, b: Node, ma: dict, mb: dict, depth: int) -> bool:
+        cls = type(a)
+        if cls is not type(b):
             return False
-        if isinstance(a, Var):
+        if cls is Var:
             ka, kb = ma.get(a.name), mb.get(b.name)
             if ka is None and kb is None:
                 return a.name == b.name and a.sort is b.sort
             return ka is not None and ka == kb and a.sort is b.sort
-        if isinstance(a, NatConst):
-            return a.value == b.value
-        if isinstance(a, RealConst):
-            return a.name == b.name
-        if isinstance(a, Succ):
-            return terms(a.arg, b.arg, ma, mb)
-        return terms(a.left, b.left, ma, mb) and terms(a.right, b.right, ma, mb)
-
-    def refs(a: SpeciesRef, b: SpeciesRef, sa: dict, sb: dict) -> bool:
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, SpeciesVar):
-            ka, kb = sa.get(a.index), sb.get(b.index)
+        if cls is SpeciesVar:
+            ka, kb = ma.get(a.index), mb.get(b.index)
             if ka is None and kb is None:
                 return a.index == b.index
             return ka is not None and ka == kb
-        return a.index == b.index
-
-    def walk(f: Formula, g: Formula, ma: dict, mb: dict,
-             sa: dict, sb: dict, depth: int) -> bool:
-        if type(f) is not type(g):
-            return False
-        if isinstance(f, Bottom):
-            return True
-        if isinstance(f, (Eq, Lt, Apart)):
-            return (terms(f.left, g.left, ma, mb)
-                    and terms(f.right, g.right, ma, mb))
-        if isinstance(f, In):
-            return (terms(f.element, g.element, ma, mb)
-                    and refs(f.species, g.species, sa, sb))
-        if isinstance(f, SpeciesEq):
-            return (refs(f.left, g.left, sa, sb)
-                    and refs(f.right, g.right, sa, sb))
-        if isinstance(f, (And, Or, Implies)):
-            return (walk(f.left, g.left, ma, mb, sa, sb, depth)
-                    and walk(f.right, g.right, ma, mb, sa, sb, depth))
-        if isinstance(f, (Exists, Forall)):
-            if f.sort is not g.sort:
+        if cls in _QUANTIFIERS:
+            sort = _bound_sort(a)
+            if sort is not _bound_sort(b) or (
+                    cls is DefinedQuant and a.kind is not b.kind):
                 return False
-            if f.sort is Sort.SPECIES:
-                sa2 = {**sa, species_binder_index(f.var): depth}
-                sb2 = {**sb, species_binder_index(g.var): depth}
-                return walk(f.body, g.body, ma, mb, sa2, sb2, depth + 1)
-            ma2 = {**ma, f.var: depth}
-            mb2 = {**mb, g.var: depth}
-            return walk(f.body, g.body, ma2, mb2, sa, sb, depth + 1)
-        if isinstance(f, DefinedQuant):
-            if f.kind is not g.kind:
+            if sort is Sort.SPECIES:
+                ma = {**ma, species_binder_index(a.var): depth}
+                mb = {**mb, species_binder_index(b.var): depth}
+            else:
+                ma = {**ma, a.var: depth}
+                mb = {**mb, b.var: depth}
+            return walk(a.body, b.body, ma, mb, depth + 1)
+        # Besides quantifiers, only leaves carry data (names, numerals,
+        # indices), so a leaf compares by ==, any other node by children.
+        kids = children(a)
+        if not kids:
+            return a == b
+        for x, y in zip(kids, children(b)):
+            if not walk(x, y, ma, mb, depth):
                 return False
-            ma2 = {**ma, f.var: depth}
-            mb2 = {**mb, g.var: depth}
-            return walk(f.body, g.body, ma2, mb2, sa, sb, depth + 1)
-        return False
+        return True
 
-    return walk(f, g, {}, {}, {}, {}, 0)
+    # Structurally equal formulas are alpha-equal, and dataclass equality
+    # settles that common case (a print/parse round trip) faster than
+    # the walk.
+    return f == g or walk(f, g, {}, {}, 0)

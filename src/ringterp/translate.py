@@ -32,16 +32,16 @@ compound of the translations byte for byte.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional
 
 from .pairing import pair
 from .syntax import (
-    Add, And, Apart, BOT, Bottom, DefinedQuant, Eq, Exists, Forall, Formula,
-    Implies, In, Language, Lt, Mul, NatConst, ONE, Or, Pair, QuantKind,
-    RealConst, Sort, SpeciesConst, SpeciesEq, SpeciesRef, SpeciesVar, Succ,
-    Term, Var, ZERO, all_var_names, check_formula, fresh_name, neg,
-    normalize_apart, species_binder_index, species_binder_name,
+    ATOMS, Add, And, Apart, Bottom, DefinedQuant, Eq, Exists, Forall, Formula,
+    Implies, In, Language, Lt, Mul, NatConst, Node, ONE, Or, Pair, QuantKind,
+    RealConst, Sort, SpeciesEq, SpeciesRef, SpeciesVar, Succ, Term, Var,
+    ZERO, all_var_names, check_formula, children, fresh_name, neg,
+    normalize_apart, rebuild, species_binder_index, species_binder_name,
     species_indices,
 )
 
@@ -58,6 +58,15 @@ class Expansion(enum.Enum):
 class Orientation(enum.Enum):
     AS_WRITTEN = "as-written"
     QUOTIENT_NORMALIZED = "quotient-normalized"
+
+
+# Names an orientation may be given by, on the command line and in
+# structure files; "normalized" is short for "quotient-normalized".
+ORIENTATION_NAMES = {
+    "as-written": Orientation.AS_WRITTEN,
+    "normalized": Orientation.QUOTIENT_NORMALIZED,
+    "quotient-normalized": Orientation.QUOTIENT_NORMALIZED,
+}
 
 
 @dataclass(frozen=True)
@@ -190,54 +199,35 @@ def nat_predicate(var: str = "x", forbidden: Iterable[str] = ()) -> Formula:
 # Shadow renaming for species binders
 
 
-def _apply_env(ref: SpeciesRef, env: Mapping[int, int]) -> SpeciesRef:
-    if isinstance(ref, SpeciesVar):
-        return SpeciesVar(env.get(ref.index, ref.index))
-    return ref
-
-
-def _rename_shadowed_species(f: Formula, env: Mapping[int, int],
-                             in_scope: frozenset[int]) -> Formula:
+def _rename_shadowed_species(f: Node, env: Mapping[int, int],
+                             in_scope: frozenset[int]) -> Node:
     """Give nested rebindings of a species index a fresh index.
 
     The choice of fresh index looks only at the binder's scope path and
     its own body, never at sibling subformulas, so renaming commutes
     with the connectives.
     """
-    if isinstance(f, (Bottom, Eq, Lt, Apart)):
-        return f
-    if isinstance(f, In):
-        return In(f.element, _apply_env(f.species, env))
-    if isinstance(f, SpeciesEq):
-        return SpeciesEq(_apply_env(f.left, env), _apply_env(f.right, env))
-    if isinstance(f, And):
-        return And(_rename_shadowed_species(f.left, env, in_scope),
-                   _rename_shadowed_species(f.right, env, in_scope))
-    if isinstance(f, Or):
-        return Or(_rename_shadowed_species(f.left, env, in_scope),
-                  _rename_shadowed_species(f.right, env, in_scope))
-    if isinstance(f, Implies):
-        return Implies(_rename_shadowed_species(f.left, env, in_scope),
-                       _rename_shadowed_species(f.right, env, in_scope))
-    if isinstance(f, (Exists, Forall)):
-        make = Exists if isinstance(f, Exists) else Forall
-        if f.sort is not Sort.SPECIES:
-            body = _rename_shadowed_species(f.body, env, in_scope)
-            return make(f.var, f.sort, body)
-        index = species_binder_index(f.var)
-        if index in in_scope:
-            used = set(in_scope) | {index}
-            body_vars, body_consts = species_indices(f.body)
-            used |= body_vars | body_consts
-            new = 0
-            while new in used:
-                new += 1
-        else:
-            new = index
-        env2 = {**env, index: new}
-        body = _rename_shadowed_species(f.body, env2, in_scope | {new})
-        return make(species_binder_name(new), Sort.SPECIES, body)
-    raise TranslationError(f"cannot rename species in {f!r}")
+    if isinstance(f, SpeciesVar):
+        index = env.get(f.index, f.index)
+        return f if index == f.index else SpeciesVar(index)
+    if not (isinstance(f, (Exists, Forall)) and f.sort is Sort.SPECIES):
+        # Terms hold no species references, so they are not visited.
+        return rebuild(f, [c if isinstance(c, Term)
+                           else _rename_shadowed_species(c, env, in_scope)
+                           for c in children(f)])
+    index = species_binder_index(f.var)
+    if index in in_scope:
+        used = set(in_scope) | {index}
+        body_vars, body_consts = species_indices(f.body)
+        used |= body_vars | body_consts
+        new = 0
+        while new in used:
+            new += 1
+    else:
+        new = index
+    env2 = {**env, index: new}
+    body = _rename_shadowed_species(f.body, env2, in_scope | {new})
+    return replace(f, var=species_binder_name(new), body=body)
 
 
 # ---------------------------------------------------------------------------
@@ -366,30 +356,19 @@ def expand_defined(f: Formula, sentinel: str = "y") -> Formula:
     The predicate's internal names avoid only the bound variable and the
     sentinel; its binders enclose nothing but the predicate itself.
     """
-    if isinstance(f, DefinedQuant):
-        body = expand_defined(f.body, sentinel)
-        if f.kind is QuantKind.EXISTS_REAL:
-            return Exists(f.var, Sort.REAL, body)
-        if f.kind is QuantKind.FORALL_REAL:
-            return Forall(f.var, Sort.REAL, body)
-        psi = nat_predicate(f.var, forbidden=(sentinel,))
-        if f.kind is QuantKind.EXISTS_NAT:
-            return Exists(f.var, Sort.REAL, And(psi, body))
-        return Forall(f.var, Sort.REAL, Implies(psi, body))
-    if isinstance(f, And):
-        return And(expand_defined(f.left, sentinel),
-                   expand_defined(f.right, sentinel))
-    if isinstance(f, Or):
-        return Or(expand_defined(f.left, sentinel),
-                  expand_defined(f.right, sentinel))
-    if isinstance(f, Implies):
-        return Implies(expand_defined(f.left, sentinel),
-                       expand_defined(f.right, sentinel))
-    if isinstance(f, Exists):
-        return Exists(f.var, f.sort, expand_defined(f.body, sentinel))
-    if isinstance(f, Forall):
-        return Forall(f.var, f.sort, expand_defined(f.body, sentinel))
-    return f
+    if type(f) in ATOMS:
+        return f
+    if not isinstance(f, DefinedQuant):
+        return rebuild(f, [expand_defined(c, sentinel) for c in children(f)])
+    body = expand_defined(f.body, sentinel)
+    if f.kind is QuantKind.EXISTS_REAL:
+        return Exists(f.var, Sort.REAL, body)
+    if f.kind is QuantKind.FORALL_REAL:
+        return Forall(f.var, Sort.REAL, body)
+    psi = nat_predicate(f.var, forbidden=(sentinel,))
+    if f.kind is QuantKind.EXISTS_NAT:
+        return Exists(f.var, Sort.REAL, And(psi, body))
+    return Forall(f.var, Sort.REAL, Implies(psi, body))
 
 
 def translate(f: Formula, vm: Optional[VarMap] = None,

@@ -1,7 +1,9 @@
 """End-to-end tests of the command line interface."""
 
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +68,16 @@ class TestTranslate:
         assert proc.stdout == ""
         assert body_of(out.read_text()) == SENTINEL
 
+    def test_unusable_paths_are_domain_errors(self, tmp_path):
+        missing = tmp_path / "missing.sexp"
+        unwritable = tmp_path / "no-such-dir" / "f.out"
+        for args in (("--in", str(missing)), ("--out", str(unwritable))):
+            proc = run_cli("translate", *args, stdin="(bot)\n")
+            assert proc.returncode == 1
+            assert proc.stderr.startswith("ringterp: error: ")
+            assert proc.stderr.count("\n") == 1
+            assert "Traceback" not in proc.stderr
+
     def test_malformed_formula_is_a_domain_error(self):
         proc = run_cli("translate", stdin="(frob)\n")
         assert proc.returncode == 1
@@ -104,6 +116,11 @@ class TestSimulate:
 
     def test_bad_alpha_spec_is_a_usage_error(self):
         proc = run_cli("simulate", "--schedule", "never", "--alpha", "wibble")
+        assert proc.returncode == 2
+
+    def test_there_is_no_jobs_option(self):
+        proc = run_cli("simulate", "--schedule", "phi:2", "--seeds", "2",
+                       "--jobs", "2")
         assert proc.returncode == 2
 
 
@@ -240,8 +257,22 @@ class TestMisc:
         assert proc.returncode == 2
 
     def test_console_script_matches_module_invocation(self):
-        script = subprocess.run(["ringterp", "translate"],
+        command = ["ringterp"]
+        if shutil.which("ringterp") is None:
+            # Not installed: run the entry point pyproject.toml declares
+            # the way the generated console-script wrapper does.
+            import tomllib
+
+            pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+            with pyproject.open("rb") as handle:
+                target = tomllib.load(handle)["project"]["scripts"]["ringterp"]
+            module_name, func = target.split(":")
+            command = [sys.executable, "-c",
+                       f"import sys; from {module_name} import {func}; "
+                       f"sys.exit({func}())"]
+        script = subprocess.run([*command, "translate"],
                                 input="(bot)\n", capture_output=True,
-                                text=True)
+                                text=True, timeout=300)
         module = run_cli("translate", stdin="(bot)\n")
+        assert script.returncode == module.returncode == 0
         assert script.stdout == module.stdout

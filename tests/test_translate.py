@@ -1,5 +1,7 @@
 """Tests for the ring translation of two-sorted formulas."""
 
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -236,3 +238,20 @@ def test_translation_is_deterministic(seed):
     a = translate(fs[0], config=FULL)
     b = translate(fs[0], config=FULL)
     assert a == b
+
+
+def test_corpus_translations_print_byte_for_byte_as_pinned():
+    """3,200 translations (four corpus seeds, 200 formulas each, every
+    orientation and expansion) hashed in that order; a change of any
+    byte of any of them changes the digest."""
+    digest = hashlib.sha256()
+    for seed in (20240814, 1, 2, 3):
+        for f in corpus_formulas(200, seed=seed):
+            for orientation in Orientation:
+                for expansion in Expansion:
+                    config = TranslationConfig(expansion, orientation)
+                    digest.update((printed(translate(f, config=config))
+                                   + "\n").encode())
+    assert digest.hexdigest() == (
+        "6c6f1cc87959449b273990916c478bcd50c6ba680873481f8510274b72e504bb"
+    )

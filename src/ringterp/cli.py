@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, NoReturn, Optional, Sequence, TypeVar
 
 from . import __version__
 from .encoder import (
@@ -27,7 +27,7 @@ from .evaluate import (
     EvalError, PrecisionError, StructureError, eval_formula, parse_structure,
 )
 from .kripke import (
-    ChoiceSeq, Schedule, TraceError, format_trace, parse_alpha_spec,
+    ChoiceSeq, TraceError, format_trace, parse_alpha_spec,
     parse_schedule_spec, parse_trace, simulate,
 )
 from .manifest import render_manifest
@@ -39,6 +39,8 @@ from .translate import (
     ORIENTATION_NAMES, Expansion, TranslationConfig, TranslationError,
     nat_core_formula, nat_predicate, translate,
 )
+
+T = TypeVar("T")
 
 TOOL_NAME = "ringterp"
 TOOL = f"{TOOL_NAME} {__version__}"
@@ -176,20 +178,28 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 # Parser
 
 
-def _alpha(text: str) -> ChoiceSeq:
-    return parse_alpha_spec(text)
+def _spec_type(parse: Callable[[str], T]) -> Callable[[str], T]:
+    """argparse type from a spec parser: its ValueError becomes the
+    usage error, so the exit-2 line states the parser's reason."""
+
+    def convert(text: str) -> T:
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
-def _schedule(text: str) -> Schedule:
-    return parse_schedule_spec(text)
+class _Parser(argparse.ArgumentParser):
+    """Usage errors take one stderr line; -h still prints the usage."""
 
-
-_alpha.__name__ = "alpha spec"
-_schedule.__name__ = "schedule spec"
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog=TOOL_NAME,
         description=(
             "translate two-sorted arithmetic into ordered-ring formulas, "
@@ -216,9 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_translate)
 
     p = sub.add_parser("simulate", help="run the choice-sequence simulator")
-    p.add_argument("--schedule", type=_schedule, required=True,
+    p.add_argument("--schedule", type=_spec_type(parse_schedule_spec),
+                   required=True,
                    help="never, phi:<t> or notphi:<t>")
-    p.add_argument("--alpha", type=_alpha,
+    p.add_argument("--alpha", type=_spec_type(parse_alpha_spec),
                    default=ChoiceSeq.one(),
                    help="evidence stream spec (default: total)")
     p.add_argument("--horizon", type=int, default=64)

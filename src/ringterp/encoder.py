@@ -123,14 +123,26 @@ def quotient_status(enc: SpeciesEncoding, n: int,
 
 
 def adaptive_precision(enc: SpeciesEncoding, k: int = 16) -> Precision:
-    """Precision whose horizon clears the encoding's silent stages.
+    """Precision whose horizon clears the encoding's silent stages and
+    whose digits resolve the encoding's own gap.
 
     The generators of an encoding that fired at moment m report 0 before
     stage m, so witness windows must start at stage m or later; a
     horizon of m + 48 leaves room for them.
+
+    For the singleton {value}, a candidate n != value misses the
+    relation by |n * v - u| = |value - n| / (m * value) >= 1 / (m * value),
+    so agreement to k digits confirms a non-member once
+    2^k < m * value.  k is therefore raised to bits(m * value) + 2,
+    where even the nearest non-member stays 4 * 2^-k apart.  Silent
+    encodings keep the k asked for, and so does every singleton with
+    bits(m * value) + 2 <= k (for k = 16: m * value < 2^14).
     """
-    start = 0 if enc.stabilized is None else enc.stabilized[0]
-    return Precision(k=k, horizon=start + 48)
+    if enc.stabilized is None:
+        return Precision(k=k, horizon=48)
+    moment, value = enc.stabilized
+    return Precision(k=max(k, (moment * value).bit_length() + 2),
+                     horizon=moment + 48)
 
 
 def membership_profile(enc: SpeciesEncoding, n_max: int,

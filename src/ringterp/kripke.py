@@ -15,7 +15,15 @@ The evidence streams used here are eventually periodic (a finite prefix
 followed by a repeating pattern), which makes membership and totality
 of A genuinely decidable: pair(p, k) modulo the pattern length is
 periodic in each argument with period twice the pattern length, so a
-finite scan settles the existential.
+finite scan settles the existential.  Each stream answers membership
+from a witness index built once, on first use: one pass over the set
+bits of the prefix, unpairing each into its (stage, candidate) pair,
+gives every candidate witnessed inside the prefix its least stage;
+any other candidate is settled by at most 2 * len(default) stages of
+the repeating pattern.  A membership query therefore costs
+O(len(default)) after an O(len(prefix)) set-up, and a run, its conjunct
+check and its trace round trip are linear in the horizon.  Streams
+spell out at most MAX_STREAM_BITS bits.
 
 check_conjuncts classifies a finished run against the five clauses that
 the jump discipline is meant to satisfy, reporting each as holds,
@@ -30,9 +38,11 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from math import isqrt
 from typing import Iterable, Optional
 
-from .pairing import pair
+from .pairing import pair, unpair
 
 
 class TraceError(ValueError):
@@ -41,6 +51,40 @@ class TraceError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Evidence streams
+
+# Bits a stream may spell out, prefix and default pattern together.  A
+# members: spec asks for pair(p, k) + 1 prefix bits, which grows with
+# the square of k; the limit turns a huge candidate into an error
+# instead of an allocation of gigabytes.
+MAX_STREAM_BITS = 2**22
+
+_BITS = frozenset((0, 1))
+_BIT_CHARS = frozenset("01")
+_BITS_TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+_TEXT_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _check_stream_size(bits: int, what: str) -> None:
+    if bits > MAX_STREAM_BITS:
+        raise ValueError(
+            f"{what} needs {bits} stream bits, more than the limit of "
+            f"{MAX_STREAM_BITS}"
+        )
+
+
+def _bit_bytes(bits: tuple[int, ...]) -> bytes:
+    try:
+        return bytes(bits)
+    except TypeError:  # accepted bits that are not ints, such as 1.0
+        return bytes(map(int, bits))
+
+
+def _least_root(n: int) -> int:
+    """Least s >= 0 with s * (s + 1) / 2 >= n."""
+    if n <= 0:
+        return 0
+    s = (isqrt(8 * n + 1) - 1) // 2
+    return s if s * (s + 1) // 2 == n else s + 1
 
 
 @dataclass(frozen=True)
@@ -54,9 +98,15 @@ class ChoiceSeq:
     def __post_init__(self) -> None:
         if not self.default:
             raise ValueError("default pattern must be nonempty")
-        for bit in self.prefix + self.default:
-            if bit not in (0, 1):
-                raise ValueError(f"stream bits must be 0 or 1, got {bit!r}")
+        _check_stream_size(len(self.prefix) + len(self.default), "the stream")
+        bits = self.prefix + self.default
+        try:
+            ok = _BITS.issuperset(bits)
+        except TypeError:  # an unhashable entry is no bit either
+            ok = False
+        if not ok:
+            bit = next(b for b in bits if b not in (0, 1))
+            raise ValueError(f"stream bits must be 0 or 1, got {bit!r}")
 
     @classmethod
     def zero(cls) -> "ChoiceSeq":
@@ -90,7 +140,11 @@ class ChoiceSeq:
             positions.append(pair(p, k))
         if not positions:
             return cls.zero()
-        prefix = [0] * (max(positions) + 1)
+        last = max(positions)
+        k, p = pairs[positions.index(last)]
+        # The prefix up to the last witness plus the one-bit default.
+        _check_stream_size(last + 2, f"candidate {k} at stage {p}")
+        prefix = bytearray(last + 1)
         for pos in positions:
             prefix[pos] = 1
         return cls(tuple(prefix), (0,))
@@ -102,33 +156,61 @@ class ChoiceSeq:
             return self.prefix[i]
         return self.default[(i - len(self.prefix)) % len(self.default)]
 
-    def is_member(self, k: int) -> bool:
-        """Does some stage p witness k, i.e. alpha(pair(p, k)) = 1?
+    @cached_property
+    def _prefix_witnesses(self) -> dict[int, int]:
+        """Least witnessing stage of every candidate witnessed inside the
+        prefix, from one pass over the prefix's set bits.
 
-        Past the prefix the stream has period L = len(default), and
-        pair(p, k) mod L is periodic in p with period 2L, so scanning p
-        until pair(p, k) clears the prefix and then 2L further stages
-        decides the existential.
+        Not a dataclass field, so equality, hashing and repr ignore it.
+        Bits are visited in increasing position, and pair(p, k) grows
+        with p, so the first bit seen for k carries its least stage.
+        """
+        table: dict[int, int] = {}
+        bits = _bit_bytes(self.prefix)
+        i = bits.find(1)
+        while i >= 0:
+            p, k = unpair(i)
+            table.setdefault(k, p)
+            i = bits.find(1, i + 1)
+        return table
+
+    def first_witness(self, k: int) -> Optional[int]:
+        """Least stage p with alpha(pair(p, k)) = 1, or None when k is not
+        a member.
+
+        A candidate witnessed inside the prefix is answered from the
+        witness index.  Otherwise the first stage p0 whose code
+        pair(p0, k) clears the prefix comes in closed form, and past the
+        prefix the stream has period L = len(default) while
+        pair(p, k) mod L is periodic in p with period 2L, so the 2L
+        stages from p0 on decide the existential; a constant pattern
+        decides it without a scan.  Cost: O(L) after the index is built,
+        which takes one pass over the prefix.
         """
         if k < 0:
             raise ValueError("candidates are nonnegative")
-        period = 2 * len(self.default)
-        p = 0
-        while pair(p, k) < len(self.prefix):
-            p += 1
-        for q in range(p + period):
-            if self.at(pair(q, k)) == 1:
-                return True
-        return False
-
-    def first_witness(self, k: int) -> Optional[int]:
-        """Least witnessing stage for k, or None when k is not a member."""
-        if not self.is_member(k):
+        p = self._prefix_witnesses.get(k)
+        if p is not None:
+            return p
+        if 1 not in self.default:
             return None
-        p = 0
-        while self.at(pair(p, k)) != 1:
-            p += 1
-        return p
+        size, period = len(self.prefix), len(self.default)
+        # pair(p, k) = s(s+1)/2 + k with s = p + k.
+        p0 = max(_least_root(size - k) - k, 0)
+        if 0 not in self.default:
+            return p0
+        for p in range(p0, p0 + 2 * period):
+            if self.default[(pair(p, k) - size) % period] == 1:
+                return p
+        return None
+
+    def is_member(self, k: int) -> bool:
+        """Does some stage p witness k, i.e. alpha(pair(p, k)) = 1?
+
+        Decided by first_witness: O(len(default)) per query once the
+        witness index is built.
+        """
+        return self.first_witness(k) is not None
 
     def is_total(self) -> bool:
         """Is every positive candidate a member?
@@ -136,23 +218,26 @@ class ChoiceSeq:
         For k large enough that pair(0, k) clears the prefix, membership
         of k depends only on the repeating pattern and is periodic in k
         with period 2 * len(default); a finite scan decides totality.
+        The least such k0 comes in closed form, so the scan makes
+        k0 + 2 * len(default) membership queries, with k0 about the
+        square root of twice the prefix length.
         """
         period = 2 * len(self.default)
-        k0 = 1
-        while pair(0, k0) < len(self.prefix):
-            k0 += 1
+        # pair(0, k) = (k+1)(k+2)/2 - 1.
+        k0 = max(_least_root(len(self.prefix) + 1) - 1, 1)
         return all(self.is_member(k) for k in range(1, k0 + period))
 
     def canonical_spec(self) -> str:
-        prefix = "".join(str(b) for b in self.prefix)
-        default = "".join(str(b) for b in self.default)
+        prefix, default = (_bit_bytes(bits).translate(_BITS_TO_TEXT).decode()
+                           for bits in (self.prefix, self.default))
         return f"prefix:{prefix};default:{default}"
 
 
 def _parse_bits(text: str, what: str) -> tuple[int, ...]:
-    if not all(c in "01" for c in text):
+    _check_stream_size(len(text), f"the {what}")
+    if not _BIT_CHARS.issuperset(text):
         raise ValueError(f"{what} must be a string of 0s and 1s, got {text!r}")
-    return tuple(int(c) for c in text)
+    return tuple(text.encode("ascii").translate(_TEXT_TO_BITS))
 
 
 def parse_alpha_spec(spec: str) -> ChoiceSeq:
@@ -306,7 +391,8 @@ def simulate(alpha: ChoiceSeq, schedule: Schedule, horizon: int,
             continue
         if drawing and n >= start:
             k = rng.randint(1, n)
-            witnessed = any(alpha.at(pair(p, k)) == 1 for p in range(n + 1))
+            w = alpha.first_witness(k)
+            witnessed = w is not None and w <= n
             draws.append(Draw(n, k, witnessed))
             if witnessed:
                 stabilized = (n, k)

@@ -117,6 +117,17 @@ class TestSimulate:
     def test_bad_alpha_spec_is_a_usage_error(self):
         proc = run_cli("simulate", "--schedule", "never", "--alpha", "wibble")
         assert proc.returncode == 2
+        assert proc.stderr == ("ringterp simulate: error: argument --alpha: "
+                               "unrecognized evidence stream spec 'wibble'\n")
+
+    def test_oversized_stream_is_a_one_line_usage_error(self):
+        proc = run_cli("simulate", "--schedule", "phi:1",
+                       "--alpha", "members:100000000")
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith(
+            "ringterp simulate: error: argument --alpha: candidate 100000000")
+        assert "more than the limit of 4194304" in proc.stderr
 
     def test_there_is_no_jobs_option(self):
         proc = run_cli("simulate", "--schedule", "phi:2", "--seeds", "2",

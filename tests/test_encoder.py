@@ -108,3 +108,33 @@ class TestAdaptivePrecision:
 
     def test_precision_k_is_configurable(self):
         assert adaptive_precision(encode_silent(), k=24).k == 24
+
+    def test_small_encodings_keep_the_k_asked_for(self):
+        assert adaptive_precision(encode_silent()).k == 16
+        assert adaptive_precision(encode_stabilized(40, 12)).k == 16
+        assert adaptive_precision(encode_stabilized(40, 12), k=24).k == 24
+
+    def test_k_resolves_the_encodings_gap(self):
+        # m * value = 90000 has 17 bits.
+        assert adaptive_precision(encode_stabilized(300, 300)).k == 19
+        assert adaptive_precision(encode_stabilized(300, 300), k=24).k == 24
+
+    @pytest.mark.parametrize("m, value", [(300, 300), (2, 40000)])
+    def test_neighbours_of_a_large_value_are_excluded(self, m, value):
+        enc = encode_stabilized(m, value)
+        prec = adaptive_precision(enc)
+        assert quotient_status(enc, value, prec) is MembershipStatus.CONFIRMED
+        for n in (value - 1, value + 1):
+            assert quotient_status(enc, n, prec) is MembershipStatus.EXCLUDED
+
+    @given(m=st.integers(min_value=1, max_value=700),
+           value=st.integers(min_value=1, max_value=50_000),
+           offset=st.integers(min_value=-3, max_value=3))
+    def test_witnessed_verdicts_agree_with_the_value(self, m, value, offset):
+        n = max(value + offset, 0)
+        enc = encode_stabilized(m, value)
+        status = quotient_status(enc, n, adaptive_precision(enc))
+        if status is MembershipStatus.CONFIRMED:
+            assert n == value
+        if status is MembershipStatus.EXCLUDED:
+            assert n != value

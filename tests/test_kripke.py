@@ -1,13 +1,16 @@
 """Tests for choice sequence streams, schedules, simulation and traces."""
 
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ringterp import kripke
 from ringterp.kripke import (
-    ChoiceSeq, ConjunctStatus, Schedule, ScheduleKind, TraceError,
-    check_conjuncts, format_trace, parse_alpha_spec, parse_schedule_spec,
-    parse_trace, run_total, simulate,
+    MAX_STREAM_BITS, ChoiceSeq, ConjunctStatus, Schedule, ScheduleKind,
+    TraceError, check_conjuncts, format_trace, parse_alpha_spec,
+    parse_schedule_spec, parse_trace, run_total, simulate,
 )
 from ringterp.pairing import pair
 
@@ -19,8 +22,27 @@ member_lists = st.lists(
 )
 
 
+# Streams with short periodic tails: every first witness lies well
+# inside the brute scan below.
+prefixes = st.lists(st.integers(0, 1), max_size=40).map(tuple)
+defaults = st.lists(st.integers(0, 1), min_size=1, max_size=6).map(tuple)
+
+
+def brute_first_witness(alpha: ChoiceSeq, k: int,
+                        scan: int = 4000) -> "int | None":
+    return next((p for p in range(scan) if alpha.at(pair(p, k)) == 1), None)
+
+
 def brute_is_member(alpha: ChoiceSeq, k: int, scan: int = 4000) -> bool:
-    return any(alpha.at(pair(p, k)) == 1 for p in range(scan))
+    return brute_first_witness(alpha, k, scan) is not None
+
+
+def past_the_prefix(alpha: ChoiceSeq) -> int:
+    """Least candidate whose stage-0 code already clears the prefix."""
+    k = 0
+    while pair(0, k) < len(alpha.prefix):
+        k += 1
+    return k
 
 
 class TestChoiceSeq:
@@ -56,17 +78,19 @@ class TestChoiceSeq:
         with pytest.raises(ValueError):
             ChoiceSeq((), ())
 
-    @given(members=member_lists, k=st.integers(min_value=1, max_value=15))
+    @given(members=member_lists, k=st.integers(min_value=0, max_value=15))
     def test_is_member_matches_brute_scan(self, members, k):
         alpha = ChoiceSeq.from_members(members)
         assert alpha.is_member(k) is brute_is_member(alpha, k)
+        assert alpha.first_witness(k) == dict(members).get(k)
 
-    @given(prefix=st.lists(st.integers(0, 1), max_size=10),
-           default=st.lists(st.integers(0, 1), min_size=1, max_size=4),
-           k=st.integers(min_value=1, max_value=15))
+    @given(prefix=prefixes, default=defaults,
+           k=st.integers(min_value=0, max_value=60))
     def test_periodic_membership_matches_brute_scan(self, prefix, default, k):
-        alpha = ChoiceSeq(tuple(prefix), tuple(default))
-        assert alpha.is_member(k) is brute_is_member(alpha, k)
+        alpha = ChoiceSeq(prefix, default)
+        expect = brute_first_witness(alpha, k)
+        assert alpha.first_witness(k) == expect
+        assert alpha.is_member(k) is (expect is not None)
 
     @given(prefix=st.lists(st.integers(0, 1), max_size=10),
            default=st.lists(st.integers(0, 1), min_size=1, max_size=4))
@@ -75,10 +99,70 @@ class TestChoiceSeq:
         brute = all(brute_is_member(alpha, k) for k in range(1, 40))
         assert alpha.is_total() is brute
 
+    @given(prefix=prefixes, default=defaults)
+    def test_first_witness_at_the_edges(self, prefix, default):
+        alpha = ChoiceSeq(prefix, default)
+        for k in (0, past_the_prefix(alpha), past_the_prefix(alpha) + 1):
+            assert alpha.first_witness(k) == brute_first_witness(alpha, k)
+
+    def test_index_is_not_part_of_the_value(self):
+        alpha = ChoiceSeq.from_members([(2, 1)])
+        fresh = ChoiceSeq.from_members([(2, 1)])
+        assert alpha.is_member(2)
+        assert alpha == fresh
+        assert hash(alpha) == hash(fresh)
+        assert repr(alpha) == repr(fresh)
+
     @given(members=member_lists)
     def test_spec_round_trip(self, members):
         alpha = ChoiceSeq.from_members(members)
         assert parse_alpha_spec(alpha.canonical_spec()) == alpha
+
+    @given(prefix=prefixes, default=defaults)
+    def test_canonical_spec_spells_the_bits(self, prefix, default):
+        alpha = ChoiceSeq(prefix, default)
+        spec = alpha.canonical_spec()
+        assert spec == ("prefix:" + "".join(map(str, prefix))
+                        + ";default:" + "".join(map(str, default)))
+        assert parse_alpha_spec(spec) == alpha
+
+    def test_bits_equal_to_0_or_1_are_bits(self):
+        alpha = ChoiceSeq((0.0, 1.0, True), (False,))
+        assert alpha.first_witness(1) == 0
+        assert alpha.first_witness(0) == 1
+        assert alpha.canonical_spec() == "prefix:011;default:0"
+
+    def test_bit_errors_name_the_first_bad_entry(self):
+        with pytest.raises(ValueError, match="got 2$"):
+            ChoiceSeq((0, 1, 2, 3), (0,))
+        with pytest.raises(ValueError, match="got 'x'$"):
+            ChoiceSeq((0,), (1, "x"))
+        with pytest.raises(ValueError, match=r"got \[1\]$"):
+            ChoiceSeq(([1],), (0,))
+
+
+class TestStreamLimit:
+    def test_largest_benchmark_stream_is_accepted(self):
+        alpha = parse_alpha_spec("members:999@5")
+        assert len(alpha.prefix) + len(alpha.default) <= MAX_STREAM_BITS
+        assert alpha.first_witness(999) == 5
+
+    def test_huge_candidate_is_refused_before_allocating(self):
+        with pytest.raises(ValueError, match="candidate 100000000 at stage 0"):
+            parse_alpha_spec("members:100000000")
+
+    def test_every_constructor_checks_the_limit(self, monkeypatch):
+        monkeypatch.setattr(kripke, "MAX_STREAM_BITS", 16)
+        assert len(ChoiceSeq.from_members([(4, 0)]).prefix) == 15
+        with pytest.raises(ValueError, match="limit of 16"):
+            ChoiceSeq.from_members([(4, 1)])
+        assert parse_alpha_spec("prefix:" + "0" * 15 + ";default:1")
+        with pytest.raises(ValueError, match="the prefix needs 17"):
+            parse_alpha_spec("prefix:" + "0" * 17 + ";default:1")
+        with pytest.raises(ValueError, match="the stream needs 17"):
+            parse_alpha_spec("prefix:" + "0" * 16 + ";default:1")
+        with pytest.raises(ValueError, match="the stream needs 17"):
+            ChoiceSeq((), (0,) * 17)
 
 
 class TestSpecs:
@@ -171,6 +255,16 @@ class TestSimulate:
             assert run.beta[moment:] == (value,) * (run.horizon + 1 - moment)
             assert all(b == 0 for b in run.beta[:moment])
 
+    @given(prefix=prefixes, default=defaults,
+           t=st.integers(min_value=0, max_value=10),
+           seed=st.integers(min_value=0, max_value=30))
+    def test_draws_match_brute_scan(self, prefix, default, t, seed):
+        alpha = ChoiceSeq(prefix, default)
+        run = simulate(alpha, Schedule.phi_proved(t), 60, seed)
+        for d in run.draws:
+            scanned = brute_first_witness(alpha, d.candidate, d.moment + 1)
+            assert d.witnessed is (scanned is not None)
+
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
             simulate(ChoiceSeq.one(), Schedule.never(), 0, seed=1)
@@ -260,3 +354,47 @@ class TestTraces:
         text = format_trace(run).split("# summary")[0]
         with pytest.raises(TraceError):
             parse_trace(text)
+
+
+BLOCK = "members:" + ",".join(f"{k}@2" for k in range(300, 341))
+PINNED_RUNS = (
+    [("members:999@5", "phi:1", 1000, 0)]
+    + [(BLOCK, "phi:250", 600, seed) for seed in range(4)]
+    + [(alpha, schedule, 256, seed)
+       for alpha in ("zero", "total", "members:1@3,4@0",
+                     "prefix:0110100;default:01")
+       for schedule in ("never", "phi:0", "phi:3", "notphi:2")
+       for seed in range(3)]
+)
+
+
+class TestTraceBytes:
+    def test_traces_print_byte_for_byte_as_pinned(self):
+        digest = hashlib.sha256()
+        for alpha, schedule, horizon, seed in PINNED_RUNS:
+            run = simulate(parse_alpha_spec(alpha),
+                           parse_schedule_spec(schedule), horizon, seed)
+            digest.update(format_trace(run).encode())
+        assert len(PINNED_RUNS) == 53
+        assert digest.hexdigest() == (
+            "0eae3bfa0e776bd8800f11c493e342a2a0376ed4648422706d6de517b8a35c83")
+
+    @pytest.mark.parametrize("tail", [(0,), (0, 1)])
+    def test_sparse_round_trip_is_linear_in_the_horizon(self, monkeypatch,
+                                                        tail):
+        # Counts pairing calls instead of timing.  Rescanning stages 0..n
+        # per draw and the prefix per query made 3,033,023 calls on the
+        # members:999@5 run; the witness index needs none for its
+        # constant tail and at most 2 * len(default) per query otherwise.
+        calls = 0
+
+        def counted(p, k):
+            nonlocal calls
+            calls += 1
+            return pair(p, k)
+
+        alpha = ChoiceSeq(parse_alpha_spec("members:999@5").prefix, tail)
+        monkeypatch.setattr(kripke, "pair", counted)
+        run = simulate(alpha, parse_schedule_spec("phi:1"), 1000, 0)
+        assert parse_trace(format_trace(run)) == run
+        assert calls < 50_000

@@ -67,6 +67,8 @@ def _cutover_unit_fraction(denom: int, start: int, name: str) -> RealGen:
         lambda x: 0 if x < start else (1 << x) // denom,
         lambda k: max(k + 2, start),
         name=name,
+        vector=lambda top: [0] * start + [(1 << x) // denom
+                                          for x in range(start, top + 1)],
     )
 
 
@@ -140,9 +142,17 @@ def adaptive_precision(enc: SpeciesEncoding, k: int = 16) -> Precision:
     """
     if enc.stabilized is None:
         return Precision(k=k, horizon=48)
+    return Precision(k=max(k, gap_digits(enc)), horizon=enc.stabilized[0] + 48)
+
+
+def gap_digits(enc: SpeciesEncoding) -> int:
+    """Digits of agreement that tell the encoded member from its nearest
+    non-member: bits(m * value) + 2 for a singleton (see
+    adaptive_precision), 0 for a silent encoding, which has no gap."""
+    if enc.stabilized is None:
+        return 0
     moment, value = enc.stabilized
-    return Precision(k=max(k, (moment * value).bit_length() + 2),
-                     horizon=moment + 48)
+    return (moment * value).bit_length() + 2
 
 
 def membership_profile(enc: SpeciesEncoding, n_max: int,

@@ -30,10 +30,11 @@ and answer for every candidate.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .encoder import MembershipStatus, SpeciesEncoding, encode_silent, \
-    encode_stabilized, quotient_status
+    encode_stabilized, gap_digits, quotient_status
 from .reals import InsufficientHorizon, Precision, RealGen, add, \
     check_modulus, eq_at, from_nat, lt_at, mul, nat_scalar
 from .syntax import (
@@ -68,6 +69,9 @@ class FiniteStructure:
     indices to encodings; their exact extensions are derived from the
     encodings and verified against bounded membership checks during
     construction, as is the modulus promise of every domain generator.
+    The precision's k is raised to the gap_digits of every species
+    constant, so that a candidate next to a singleton's member is not
+    witnessed equal to it; the horizon is kept as given.
     sentinel_true fixes how target atoms mentioning the sentinel
     variable are forced.
     """
@@ -88,7 +92,6 @@ class FiniteStructure:
         if any(i < 0 for i in self.species):
             raise StructureError("species indices must be nonnegative")
         self.orientation = orientation
-        self.precision = precision if precision is not None else Precision()
         self.sentinel = sentinel
         self.sentinel_true = sentinel_true
         self.family_bound = max(domain)
@@ -107,6 +110,9 @@ class FiniteStructure:
                 self.const_gens[f"b{i}"] = enc.v
             reals.extend([enc.u, enc.v])
         self.real_domain = tuple(reals)
+        precision = precision if precision is not None else Precision()
+        k = max([precision.k] + [gap_digits(e) for e in self.species.values()])
+        self.precision = replace(precision, k=k)
 
         self._memo: dict[tuple, tuple] = {}
         self._family: Optional[tuple[frozenset[int], ...]] = None

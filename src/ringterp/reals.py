@@ -16,13 +16,18 @@ within the configured horizon, and False otherwise.  False never means
 check_modulus is the opposite way around: it tests the universally
 quantified modulus promise on a finite range, so a False is a genuine
 counterexample while True only covers the range inspected.
+
+The searches read stage lists (RealGen.stages), which library
+generators build once, bottom up, and user-supplied ones fill stage by
+stage through the checked RealGen.at.  eq_at and lt_at count runs of
+passing stages; check_modulus scans each distinct promised stage once.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Iterable, Optional
 
 
 class InsufficientHorizon(Exception):
@@ -55,19 +60,27 @@ class RealGen:
     at(x) is the stage-x numerator: the value is approximated by
     at(x) / 2^x.  hint(k) is a stage from which approximations are
     promised to vary by less than 2^-k (see the module docstring for the
-    exact inequality).  Stage values are memoized, so repeated bounded
-    comparisons over the same generator cost one pass.
+    exact inequality).  Both are memoized, and at() checks each stage it
+    computes.  stages(n) lists stages 0 .. n for the searches.  Library
+    constructors pass vector, which builds that list from the operands'
+    lists; its values are natural by construction, so the list is kept
+    unchecked.  Without vector (a user-supplied generator, or a library
+    one over it), stages(n) asks at() stage by stage.
     """
 
-    __slots__ = ("_approx", "_hint", "name", "_memo", "_hint_memo")
+    __slots__ = ("_approx", "_hint", "name", "_memo", "_hint_memo",
+                 "_vector", "_stages")
 
     def __init__(self, approx: Callable[[int], int],
-                 hint: Callable[[int], int], name: str = "") -> None:
+                 hint: Callable[[int], int], name: str = "", *,
+                 vector: Optional[Callable[[int], list[int]]] = None) -> None:
         self._approx = approx
         self._hint = hint
         self.name = name
         self._memo: dict[int, int] = {}
         self._hint_memo: dict[int, int] = {}
+        self._vector = vector
+        self._stages: list[int] = []
 
     def at(self, x: int) -> int:
         if not isinstance(x, int) or x < 0:
@@ -97,22 +110,39 @@ class RealGen:
             self._hint_memo[k] = got
         return got
 
+    def stages(self, n: int) -> list[int]:
+        """Stage values 0 .. n as one list, which may run past n."""
+        if len(self._stages) <= n:
+            if self._vector is None:
+                return [self.at(x) for x in range(n + 1)]
+            self._stages = self._vector(n)
+        return self._stages
+
     def __repr__(self) -> str:
         return f"RealGen({self.name or '?'})"
+
+
+def _lifted(vector: Callable[[int], list[int]],
+           *operands: RealGen) -> Optional[Callable[[int], list[int]]]:
+    """vector if every operand has one, else None: over a user-supplied
+    generator, stages are asked for one at a time, as at() asks."""
+    return vector if all(g._vector is not None for g in operands) else None
 
 
 def from_nat(n: int) -> RealGen:
     """The natural number n as a generator: stage value n * 2^x, exact."""
     if n < 0:
         raise ValueError("from_nat takes a natural number")
-    return RealGen(lambda x: n << x, lambda k: 0, name=str(n))
+    return RealGen(lambda x: n << x, lambda k: 0, name=str(n),
+                   vector=lambda top: [n << x for x in range(top + 1)])
 
 
 def from_unit_fraction(q: int) -> RealGen:
     """The rational 1/q for q >= 1: stage value floor(2^x / q)."""
     if q < 1:
         raise ValueError("from_unit_fraction takes a positive denominator")
-    return RealGen(lambda x: (1 << x) // q, lambda k: k + 2, name=f"1/{q}")
+    return RealGen(lambda x: (1 << x) // q, lambda k: k + 2, name=f"1/{q}",
+                   vector=lambda top: [(1 << x) // q for x in range(top + 1)])
 
 
 def add(a: RealGen, b: RealGen) -> RealGen:
@@ -121,6 +151,8 @@ def add(a: RealGen, b: RealGen) -> RealGen:
         lambda x: a.at(x) + b.at(x),
         lambda k: max(a.hint(k + 1), b.hint(k + 1)),
         name=f"({a.name}+{b.name})",
+        vector=_lifted(lambda top: [u + v for u, v in
+                                   zip(a.stages(top), b.stages(top))], a, b),
     )
 
 
@@ -148,6 +180,9 @@ def mul(a: RealGen, b: RealGen) -> RealGen:
         lambda x: (a.at(x) * b.at(x)) >> x,
         hint,
         name=f"({a.name}*{b.name})",
+        vector=_lifted(lambda top: [(u * v) >> x for x, (u, v) in
+                                   enumerate(zip(a.stages(top), b.stages(top)))],
+                      a, b),
     )
 
 
@@ -164,30 +199,28 @@ def nat_scalar(n: int, g: RealGen) -> RealGen:
         lambda x: n * g.at(x),
         lambda k: g.hint(k + n.bit_length()),
         name=f"({n}*{g.name})",
+        vector=_lifted(lambda top: [n * u for u in g.stages(top)], g),
     )
 
 
-_INF = float("inf")
-_Level = Union[int, float]
+def _has_run(passes: Iterable[bool], horizon: int) -> bool:
+    """Do horizon + 1 consecutive stages of 0 .. 2 * horizon pass?
 
-
-def _window_ok(levels: list[_Level], width: int, want_min: bool,
-               bound: int) -> bool:
-    """Is there a window of `width` consecutive levels whose min (or max)
-    clears `bound`?  Monotone deque, one pass."""
-    dq: deque[int] = deque()
-    for i, level in enumerate(levels):
-        while dq and (
-            (levels[dq[-1]] >= level) if want_min else (levels[dq[-1]] <= level)
-        ):
-            dq.pop()
-        dq.append(i)
-        if dq[0] <= i - width:
-            dq.popleft()
-        if i >= width - 1:
-            best = levels[dq[0]]
-            if (best >= bound) if want_min else (best <= bound):
+    "Some window of that width has every stage passing" is read off a
+    run counter.  It stops at the first witness, and at the first
+    failing stage from stage horizon on, after which too few stages
+    remain to complete a run.
+    """
+    run = 0
+    for i, ok in enumerate(passes):
+        if ok:
+            run += 1
+            if run > horizon:
                 return True
+        elif i >= horizon:
+            return False
+        else:
+            run = 0
     return False
 
 
@@ -200,12 +233,10 @@ def eq_at(a: RealGen, b: RealGen, prec: Precision) -> bool:
     to at least prec.k digits.  True means such a run exists; False means
     none was found, which refutes nothing.
     """
-    top = 2 * prec.horizon
-    levels: list[_Level] = []
-    for i in range(top + 1):
-        d = abs(a.at(i) - b.at(i))
-        levels.append(_INF if d == 0 else i - d.bit_length())
-    return _window_ok(levels, prec.horizon + 1, want_min=True, bound=prec.k)
+    top, k = 2 * prec.horizon, prec.k
+    sa, sb = a.stages(top), b.stages(top)
+    return _has_run((sa[i] == sb[i] or i - abs(sa[i] - sb[i]).bit_length() >= k
+                     for i in range(top + 1)), prec.horizon)
 
 
 def lt_at(a: RealGen, b: RealGen, prec: Precision) -> bool:
@@ -218,12 +249,10 @@ def lt_at(a: RealGen, b: RealGen, prec: Precision) -> bool:
     True means a < b was witnessed with margin 2^-prec.k; False only
     means no witness within the horizon.
     """
-    top = 2 * prec.horizon
-    levels: list[_Level] = []
-    for i in range(top + 1):
-        d = b.at(i) - a.at(i)
-        levels.append(_INF if d <= 0 else max(0, i - d.bit_length() + 1))
-    return _window_ok(levels, prec.horizon + 1, want_min=False, bound=prec.k)
+    top, k = 2 * prec.horizon, prec.k
+    sa, sb = a.stages(top), b.stages(top)
+    return _has_run((sb[i] > sa[i] and i - (sb[i] - sa[i]).bit_length() < k
+                     for i in range(top + 1)), prec.horizon)
 
 
 def apart_at(a: RealGen, b: RealGen, prec: Precision) -> bool:
@@ -239,7 +268,13 @@ def check_modulus(g: RealGen, prec: Precision) -> bool:
     inequality 2^k * |2^p * g.at(x) - g.at(x+p)| < 2^(x+p) must hold for
     every p up to the horizon.  False reports a genuine counterexample
     to the promise; True covers only the range inspected.
+
+    The inequality holds for k exactly when k is at most the slack of x,
+    the least x + p - bits(|2^p * g.at(x) - g.at(x+p)|) over nonzero
+    differences; each distinct x is scanned once, stopping at the first
+    p that breaks the current k, as a check of each (k, p) would.
     """
+    slack: dict[int, float] = {}
     for k in range(prec.k + 1):
         x = g.hint(k)
         if x > prec.horizon:
@@ -247,8 +282,27 @@ def check_modulus(g: RealGen, prec: Precision) -> bool:
                 f"{g.name or 'generator'}: hint({k}) = {x} exceeds "
                 f"horizon {prec.horizon}"
             )
-        base = g.at(x)
-        for p in range(prec.horizon + 1):
-            if (abs((base << p) - g.at(x + p)) << k) >= (1 << (x + p)):
-                return False
+        s = slack.get(x)
+        if s is None:
+            s = slack[x] = _slack(g, x, prec.horizon, k)
+        if s < k:
+            return False
     return True
+
+
+def _slack(g: RealGen, x: int, horizon: int, k: int) -> float:
+    """Slack of stage x over p = 0 .. horizon, cut short once below k."""
+    if g._vector is None:
+        values = map(g.at, range(x, x + horizon + 1))
+    else:
+        # x <= horizon, so one list serves every promised stage
+        values = iter(g.stages(2 * horizon)[x:x + horizon + 1])
+    base = next(values)
+    least = math.inf
+    for p, value in enumerate(values, 1):
+        d = abs((base << p) - value)
+        if d:
+            least = min(least, x + p - d.bit_length())
+            if least < k:
+                break
+    return least

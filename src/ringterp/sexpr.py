@@ -22,6 +22,7 @@ the (var name sort) form overrides that.  Species binders must be named
 X0, X1, ... and bind the species variable with that index.  (not f) is
 sugar for (imp f (bot)) and is also the printed form.  Apartness prints
 as (apart a b).  A # starts a comment that runs to the end of the line.
+Parentheses nest at most MAX_NESTING deep; deeper input is a ParseError.
 """
 
 from __future__ import annotations
@@ -47,6 +48,12 @@ class _Token:
     col: int
 
 
+# Printing recurses one frame per level of nesting, translation two and
+# the evaluation of nested quantifiers three, so every pass over a
+# formula the reader accepts stays well inside Python's default limit of
+# 1000 frames.
+MAX_NESTING = 256
+
 _SORTS = {s.value: s for s in Sort}
 _QUANT_KINDS = {k.value: k for k in QuantKind}
 
@@ -55,6 +62,7 @@ def tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     line, col = 1, 1
     i, n = 0, len(text)
+    depth = 0
     while i < n:
         c = text[i]
         if c == "\n":
@@ -68,6 +76,10 @@ def tokenize(text: str) -> list[_Token]:
             while i < n and text[i] != "\n":
                 i += 1
         elif c in "()":
+            depth += 1 if c == "(" else -1
+            if depth > MAX_NESTING:
+                raise ParseError(f"line {line}, column {col}: parentheses "
+                                 f"nest deeper than {MAX_NESTING}")
             tokens.append(_Token(c, line, col))
             col += 1
             i += 1

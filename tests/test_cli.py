@@ -12,6 +12,7 @@ from ringterp.goldens import (
     SENTINEL,
 )
 from ringterp.kripke import parse_trace
+from ringterp.sexpr import MAX_NESTING
 
 
 def run_cli(*args: str, stdin: str = "") -> subprocess.CompletedProcess:
@@ -82,6 +83,34 @@ class TestTranslate:
         proc = run_cli("translate", stdin="(frob)\n")
         assert proc.returncode == 1
         assert "error" in proc.stderr
+
+    def test_nesting_limit_is_a_one_line_domain_error(self):
+        deep = "(not " * 3000 + "(bot)" + ")" * 3000
+        proc = run_cli("translate", stdin=deep + "\n")
+        assert proc.returncode == 1
+        assert proc.stderr == (f"ringterp: error: line 1, column "
+                               f"{5 * MAX_NESTING + 1}: parentheses nest "
+                               f"deeper than {MAX_NESTING}\n")
+
+    def test_nesting_limit_holds_for_every_subcommand_reading_formulas(
+            self, tmp_path):
+        structure = tmp_path / "one.txt"
+        structure.write_text("nats: 0\n")
+        at_limit = "(not " * (MAX_NESTING - 1) + "(= 0 0)" + ")" * (
+            MAX_NESTING - 1)
+        over = "(not " + at_limit + ")"
+        for text, code in ((at_limit, 0), (over, 1)):
+            formula = tmp_path / "formula.sexp"
+            formula.write_text(text + "\n")
+            runs = [run_cli("translate", "--mode", mode, stdin=text + "\n")
+                    for mode in ("macro", "full")]
+            runs += [run_cli("eval", "--structure", str(structure),
+                             "--formula", str(formula), "--language", language)
+                     for language in ("source", "target")]
+            for proc in runs:
+                assert proc.returncode == code
+                assert "Traceback" not in proc.stderr
+                assert proc.stderr.count("\n") == code
 
     def test_emit_flags_are_mutually_exclusive(self):
         proc = run_cli("translate", "--emit-psi", "--emit-phiN")
@@ -221,6 +250,22 @@ class TestEval:
         proc = run_cli("eval", "--structure", str(bad_structure),
                        "--formula", formula)
         assert proc.returncode == 1
+
+    def test_precision_resolves_the_singleton_gap(self, tmp_path):
+        # At the given k=16 the non-member 299 would be witnessed equal
+        # to the member 300; the structure's k is raised to 19.
+        structure = tmp_path / "wide.txt"
+        structure.write_text("nats: 0 299\n"
+                             "species: 1 singleton 300 moment 300\n"
+                             "precision: k=16 horizon=400\n")
+        source = "(in 299 (sconst 1))"
+        target = body_of(run_cli("translate", stdin=source + "\n").stdout)
+        for language, text in (("source", source), ("target", target)):
+            proc = run_cli("eval", "--structure", str(structure),
+                           "--formula", self.write_formula(tmp_path, text),
+                           "--language", language)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert body_of(proc.stdout) == "false"
 
     def test_sentinel_flag_is_validated(self, structure_file, tmp_path):
         formula = self.write_formula(tmp_path, "(bot)")

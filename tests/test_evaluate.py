@@ -14,7 +14,7 @@ from ringterp.syntax import (
     And, Apart, Bottom, Eq, Exists, Forall, Formula, Implies, In, Language,
     Lt, Or, SpeciesEq, Var, Sort,
 )
-from ringterp.translate import Orientation
+from ringterp.translate import Orientation, TranslationConfig, translate
 
 
 def structure(**kwargs) -> FiniteStructure:
@@ -232,6 +232,38 @@ class TestConstructionChecks:
         f = Eq(Var("p", Sort.REAL), Var("q", Sort.REAL))
         with pytest.raises(PrecisionError):
             eval_formula(f, st, Language.TARGET, env={"p": p, "q": q})
+
+
+    def test_precision_resolves_every_singleton_gap(self):
+        # m * value = 90000 needs bits(90000) + 2 = 19 digits: at k = 16
+        # the candidate 299 would be witnessed equal to the member 300.
+        for orientation in Orientation:
+            st = parse_structure("nats: 0 299\n"
+                                 "species: 1 singleton 300 moment 300\n"
+                                 f"orientation: {orientation.value}\n"
+                                 "precision: k=16 horizon=400\n")
+            assert st.precision == Precision(19, 400)
+            config = TranslationConfig(orientation=orientation)
+            for n, member in ((299, False), (300, True)):
+                f = parse_formula(f"(in {n} (sconst 1))", Language.SOURCE)
+                assert eval_formula(f, st, Language.SOURCE) is member
+                target = translate(f, config=config)
+                assert eval_formula(target, st, Language.TARGET) is member
+
+    def test_small_gaps_keep_the_given_precision(self):
+        # Every singleton with m * value < 2^(k - 2) keeps k, so the
+        # structure prints as before.
+        text = ("# ringterp structure v1\n"
+                "nats: 0 1 2 3\n"
+                "species: 1 singleton 63 moment 65\n"
+                "species: 2 full\n"
+                "orientation: as-written\n"
+                "precision: k=16 horizon=120\n"
+                "sentinel: y\n")
+        st = parse_structure(text)
+        assert st.precision == Precision(16, 120)
+        assert format_structure(st) == text
+        assert structure().precision == Precision()
 
 
 class TestStructureText:

@@ -1,16 +1,20 @@
 """Tests for dyadic generators and bounded witness comparisons."""
 
+import itertools
 import math
+from collections import deque
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ringterp.encoder import encode_stabilized
 from ringterp.reals import (
     InsufficientHorizon, Precision, RealGen, add, apart_at, check_modulus,
     eq_at, from_nat, from_unit_fraction, lt_at, mul, nat_scalar,
 )
+from ringterp.selftest import generator_corpus
 
 
 def rational(p: int, q: int) -> RealGen:
@@ -39,6 +43,69 @@ def naive_lt_at(a: RealGen, b: RealGen, prec: Precision) -> bool:
     width = prec.horizon + 1
     return any(max(levels[s:s + width]) <= prec.k
                for s in range(top + 2 - width))
+
+
+def _window_ok(levels: list, width: int, want_min: bool, bound: int) -> bool:
+    """Is there a window of `width` consecutive levels whose min (or max)
+    clears `bound`?  Monotone deque, one pass."""
+    dq: deque[int] = deque()
+    for i, level in enumerate(levels):
+        while dq and (
+            (levels[dq[-1]] >= level) if want_min else (levels[dq[-1]] <= level)
+        ):
+            dq.pop()
+        dq.append(i)
+        if dq[0] <= i - width:
+            dq.popleft()
+        if i >= width - 1:
+            best = levels[dq[0]]
+            if (best >= bound) if want_min else (best <= bound):
+                return True
+    return False
+
+
+def deque_eq_at(a: RealGen, b: RealGen, prec: Precision) -> bool:
+    """Reference implementation: level list plus monotone-deque window."""
+    top = 2 * prec.horizon
+    levels = []
+    for i in range(top + 1):
+        d = abs(a.at(i) - b.at(i))
+        levels.append(math.inf if d == 0 else i - d.bit_length())
+    return _window_ok(levels, prec.horizon + 1, want_min=True, bound=prec.k)
+
+
+def deque_lt_at(a: RealGen, b: RealGen, prec: Precision) -> bool:
+    top = 2 * prec.horizon
+    levels = []
+    for i in range(top + 1):
+        d = b.at(i) - a.at(i)
+        levels.append(math.inf if d <= 0 else max(0, i - d.bit_length() + 1))
+    return _window_ok(levels, prec.horizon + 1, want_min=False, bound=prec.k)
+
+
+def per_k_check_modulus(g: RealGen, prec: Precision) -> bool:
+    """Reference implementation: the displacement inequality tested for
+    each (k, p) in turn, stage by stage through at()."""
+    for k in range(prec.k + 1):
+        x = g.hint(k)
+        if x > prec.horizon:
+            raise InsufficientHorizon(
+                f"{g.name or 'generator'}: hint({k}) = {x} exceeds "
+                f"horizon {prec.horizon}"
+            )
+        base = g.at(x)
+        for p in range(prec.horizon + 1):
+            if (abs((base << p) - g.at(x + p)) << k) >= (1 << (x + p)):
+                return False
+    return True
+
+
+def outcome(search, *args):
+    """A search's verdict, or the type and text of what it raised."""
+    try:
+        return search(*args)
+    except (ValueError, InsufficientHorizon) as exc:
+        return type(exc), str(exc)
 
 
 small = st.integers(min_value=0, max_value=9)
@@ -198,3 +265,144 @@ class TestModulus:
         lazy = RealGen(lambda x: 0, lambda k: 1000, name="lazy")
         with pytest.raises(InsufficientHorizon):
             check_modulus(lazy, Precision(4, 16))
+
+
+# Precisions for the differential tests: every horizon 1..20, with k from
+# 1 up to well past the horizon, so early stages i < k are in every window.
+REFERENCE_PRECISIONS = [Precision(k, horizon) for horizon in range(1, 21)
+                        for k in (1, 2, 5, 12, 24, 40)]
+
+
+def encoder_pairs() -> list[tuple[RealGen, RealGen]]:
+    """(n * v, u) for the quotient pairs of a few encodings, n near the
+    member and at 0."""
+    pairs = []
+    for moment, value in [(1, 1), (2, 3), (4, 2), (3, 7), (9, 5), (17, 12)]:
+        enc = encode_stabilized(moment, value)
+        for n in (0, value - 1, value, value + 1, 2 * value):
+            pairs.append((nat_scalar(n, enc.v), enc.u))
+    return pairs
+
+
+def recorded(approx, hint, name: str = "recorded"):
+    """A user-supplied generator that logs every approximant call."""
+    log: list[int] = []
+
+    def logged(x: int) -> int:
+        log.append(x)
+        return approx(x)
+
+    return RealGen(logged, hint, name=name), log
+
+
+class TestAgainstReferences:
+    def test_library_stage_vectors_match_stagewise_values(self):
+        gens = generator_corpus()
+        for u, v in encoder_pairs():
+            gens += [u, v]
+        for g in gens:
+            assert g.stages(40)[:41] == [g.at(x) for x in range(41)]
+            assert g.stages(12) is g.stages(40)
+
+    def test_corpus_pairs_match_the_deque_searches(self):
+        corpus = generator_corpus()
+        pairs = list(itertools.product(corpus, repeat=2)) + encoder_pairs()
+        for j, (a, b) in enumerate(pairs):
+            for t in range(4):
+                prec = REFERENCE_PRECISIONS[(j + 31 * t) % len(REFERENCE_PRECISIONS)]
+                assert eq_at(a, b, prec) is deque_eq_at(a, b, prec)
+                assert lt_at(a, b, prec) is deque_lt_at(a, b, prec)
+                assert lt_at(b, a, prec) is deque_lt_at(b, a, prec)
+
+    def test_encoder_pairs_match_at_every_reference_precision(self):
+        for a, b in encoder_pairs():
+            for prec in REFERENCE_PRECISIONS:
+                assert eq_at(a, b, prec) is deque_eq_at(a, b, prec)
+                assert lt_at(a, b, prec) is deque_lt_at(a, b, prec)
+                assert lt_at(b, a, prec) is deque_lt_at(b, a, prec)
+
+    def test_modulus_checks_match_the_per_k_loop(self):
+        gens = generator_corpus()
+        for u, v in encoder_pairs()[::5]:
+            gens += [u, v]
+        for g in gens:
+            for prec in REFERENCE_PRECISIONS:
+                assert (outcome(check_modulus, g, prec)
+                        == outcome(per_k_check_modulus, g, prec))
+
+    @pytest.mark.parametrize("approx, hint, prec", [
+        # oscillating
+        (lambda x: 0 if x % 2 else 1 << x, lambda k: 0, Precision(4, 16)),
+        # dishonest hint: converges far slower than promised
+        (lambda x: 1 << (x // 2), lambda k: k, Precision(8, 32)),
+        # lazy hint beyond the horizon
+        (lambda x: 0, lambda k: 1000, Precision(4, 16)),
+        # honest, but not a natural below the promised stage
+        (lambda x: -1 if x < 5 else 1 << x, lambda k: 5, Precision(6, 12)),
+        # oscillating, and not a natural past the first counterexample
+        (lambda x: -1 if x == 12 else (0 if x % 2 else 1 << x), lambda k: 0,
+         Precision(4, 16)),
+        # a late counterexample: exact up to stage 14, then 2^-6 off
+        (lambda x: (5 << x) + (1 << x >> 6 if x > 14 else 0), lambda k: k // 2,
+         Precision(10, 16)),
+        # a hint that steps back and forth over the same stages
+        (lambda x: (1 << x) // 3, lambda k: (k % 3) + 2, Precision(9, 10)),
+    ])
+    def test_user_generators_match_the_per_k_loop(self, approx, hint, prec):
+        g, log = recorded(approx, hint)
+        ref, ref_log = recorded(approx, hint)
+        assert outcome(check_modulus, g, prec) == outcome(
+            per_k_check_modulus, ref, prec)
+        assert log == ref_log
+        wrapped = add(recorded(approx, hint)[0], from_nat(0))
+        ref_wrapped = add(recorded(approx, hint)[0], from_nat(0))
+        assert outcome(check_modulus, wrapped, prec) == outcome(
+            per_k_check_modulus, ref_wrapped, prec)
+
+    def test_user_generators_match_the_deque_searches(self):
+        cases = [
+            lambda x: 0 if x % 2 else 1 << x,
+            lambda x: 1 << (x // 2),
+            lambda x: (1 << x) // 3,
+            lambda x: -1 if x > 24 else (1 << x) // 3,
+            lambda x: -1 if x == 7 else 1 << x,
+        ]
+        others = [from_nat(0), from_nat(1), from_unit_fraction(3)]
+        for approx in cases:
+            for other in others:
+                for prec in (Precision(4, 12), Precision(12, 5), Precision(2, 1)):
+                    for search, reference in ((eq_at, deque_eq_at),
+                                              (lt_at, deque_lt_at)):
+                        g, log = recorded(approx, lambda k: 0)
+                        ref, ref_log = recorded(approx, lambda k: 0)
+                        assert (outcome(search, g, other, prec)
+                                == outcome(reference, ref, other, prec))
+                        assert (outcome(search, other, g, prec)
+                                == outcome(reference, other, ref, prec))
+                        assert log == ref_log
+
+
+class TestWork:
+    """Time-free guards: every stage of a user-supplied generator is
+    computed once, however many searches read it."""
+
+    HORIZON = 16
+
+    def searches(self, g: RealGen) -> None:
+        prec = Precision(8, self.HORIZON)
+        assert eq_at(g, from_unit_fraction(3), prec)
+        assert lt_at(g, from_nat(1), prec)
+        assert check_modulus(g, prec)
+
+    def test_a_plain_generator(self):
+        g, log = recorded(lambda x: (1 << x) // 3, lambda k: k + 2)
+        self.searches(g)
+        assert len(log) <= 2 * self.HORIZON + 1
+        assert sorted(log) == sorted(set(log))
+
+    def test_library_generators_over_it(self):
+        g, log = recorded(lambda x: (1 << x) // 9, lambda k: k + 2)
+        # 3 * (1/9 + 0) = 1/3
+        self.searches(nat_scalar(3, add(g, from_nat(0))))
+        assert len(log) <= 2 * self.HORIZON + 1
+        assert sorted(log) == sorted(set(log))

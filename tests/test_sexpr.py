@@ -1,14 +1,22 @@
 """Tests for the s-expression reader and printer."""
 
+import itertools
+
 import pytest
 
 from ringterp.corpus import corpus_formulas
-from ringterp.sexpr import ParseError, format_formula, format_term, parse_formula, parse_term
+from ringterp.evaluate import FiniteStructure, eval_formula
+from ringterp.sexpr import (
+    MAX_NESTING, ParseError, format_formula, format_term, parse_formula,
+    parse_term,
+)
 from ringterp.syntax import (
     Apart, Eq, Implies, In, Language, NatConst, Lt, Pair, Sort, SpeciesConst,
     SpeciesVar, Succ, Var, BOT,
 )
-from ringterp.translate import Expansion, TranslationConfig, translate
+from ringterp.translate import (
+    Expansion, Orientation, TranslationConfig, translate,
+)
 
 SOURCE_CASES = [
     "(bot)",
@@ -132,6 +140,61 @@ class TestErrors:
     def test_trailing_term_input_raises(self):
         with pytest.raises(ParseError):
             parse_term("x y", Language.SOURCE)
+
+
+def nested(opening: str, leaf: str, depth: int) -> str:
+    """leaf inside opening repeated until parentheses nest depth deep
+    (leaf opens one level itself)."""
+    return opening * (depth - 1) + leaf + ")" * (depth - 1)
+
+
+DEEP_SOURCE = ["(not ", "(forall (x Nat) ", "(exists (X1 Species) ",
+               "(and (= 0 0) "]
+DEEP_TARGET = ["(not ", "(existsR (x) ", "(forall (x Real) ", "(or (bot) "]
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("opening", DEEP_SOURCE)
+    def test_source_at_the_limit_is_read_translated_and_evaluated(
+            self, opening):
+        text = nested(opening, "(in 0 X1)" if "X1" in opening else "(= 0 0)",
+                      MAX_NESTING)
+        f = parse_formula(text, Language.SOURCE)
+        assert format_formula(f, Language.SOURCE) == text
+        one = FiniteStructure((0,))
+        assert eval_formula(f, one, Language.SOURCE) is ("not" not in opening)
+        for expansion in Expansion:
+            for orientation in Orientation:
+                target = translate(f, config=TranslationConfig(expansion,
+                                                               orientation))
+                format_formula(target, Language.TARGET)
+
+    @pytest.mark.parametrize("opening", DEEP_TARGET)
+    def test_target_at_the_limit_is_read_and_evaluated(self, opening):
+        text = nested(opening, "(= 0 0)", MAX_NESTING)
+        f = parse_formula(text, Language.TARGET)
+        assert format_formula(f, Language.TARGET) == text
+        one = FiniteStructure((0,))
+        assert eval_formula(f, one, Language.TARGET) is ("not" not in opening)
+
+    @pytest.mark.parametrize("opening", DEEP_SOURCE + DEEP_TARGET[1:])
+    def test_one_level_more_is_a_parse_error(self, opening):
+        text = nested(opening, "(= 0 0)", MAX_NESTING + 1)
+        language = (Language.TARGET if opening in DEEP_TARGET[1:]
+                    else Language.SOURCE)
+        # The first parenthesis past the limit is named, a binder's too.
+        depths = itertools.accumulate((c == "(") - (c == ")") for c in text)
+        column = next(i for i, d in enumerate(depths, 1) if d > MAX_NESTING)
+        with pytest.raises(ParseError, match=(
+                rf"^line 1, column {column}: parentheses nest deeper than "
+                rf"{MAX_NESTING}$")):
+            parse_formula(text, language)
+
+    def test_terms_count_too(self):
+        parse_term(nested("(succ ", "(succ 0)", MAX_NESTING), Language.SOURCE)
+        with pytest.raises(ParseError):
+            parse_term(nested("(succ ", "(succ 0)", MAX_NESTING + 1),
+                       Language.SOURCE)
 
 
 def test_comments_are_skipped():

@@ -31,17 +31,18 @@ and answer for every candidate.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, NoReturn, Optional, Union
 
 from .encoder import MembershipStatus, SpeciesEncoding, encode_silent, \
     encode_stabilized, gap_digits, quotient_status
+from .pairing import bounded_op
 from .reals import InsufficientHorizon, Precision, RealGen, add, \
     check_modulus, eq_at, from_nat, lt_at, mul, nat_scalar
 from .syntax import (
     Add, And, Apart, Bottom, DefinedQuant, Eq, Exists, Forall, Formula,
     Implies, In, Language, Lt, Mul, NatConst, Or, Pair, QuantKind, RealConst,
     Sort, SpeciesConst, SpeciesEq, SpeciesRef, SpeciesVar, Succ, Term, Var,
-    check_formula, species_binder_index, term_var_names,
+    check_formula, species_binder_index, term_sort,
 )
 from .translate import ORIENTATION_NAMES, Orientation
 
@@ -237,182 +238,319 @@ class FiniteStructure:
 # Evaluation
 
 
-def eval_formula(f: Formula, structure: FiniteStructure, language: Language,
+def eval_formula(f: Formula, structure: FiniteStructure,
+                 language: Language | str,
                  env: Optional[Mapping[str, object]] = None) -> bool:
     """Classical truth value of f over the structure's finite domains.
 
     env may pre-bind term variables (to naturals for the source
     language, to generators for the target language); species variables
-    must be bound by quantifiers.  Raises EvalError for unbound names,
+    must be bound by quantifiers.  Raises SortError, before evaluating
+    anything, unless f is well sorted; EvalError for unbound names and
+    for source terms whose value would exceed MAX_TERM_BITS bits;
     PrecisionError when a bounded comparison cannot be decided.
     """
-    check_formula(f, language)
+    language = Language(language)
+    env = dict(env or {})
+    compiler = _Compiler(structure, list(env.values()))
+    scope = {name: slot for slot, name in enumerate(env)}
     if language is Language.SOURCE:
-        return _eval_source(f, structure, dict(env or {}), {})
-    return _eval_target(f, structure, dict(env or {}))
+        return compiler.source(f, scope, {})()
+    return compiler.target(f, scope)()
 
 
-def _source_term(t: Term, env: Mapping[str, int]) -> int:
-    if isinstance(t, Var):
-        if t.name not in env:
-            raise EvalError(f"unbound variable {t.name!r}")
-        return env[t.name]
-    if isinstance(t, NatConst):
-        return t.value
-    if isinstance(t, Succ):
-        return _source_term(t.arg, env) + 1
-    if isinstance(t, Add):
-        return _source_term(t.left, env) + _source_term(t.right, env)
-    if isinstance(t, Mul):
-        return _source_term(t.left, env) * _source_term(t.right, env)
-    if isinstance(t, Pair):
-        from .pairing import pair
-        return pair(_source_term(t.left, env), _source_term(t.right, env))
-    raise EvalError(f"not a source term: {t!r}")
+Thunk = Callable[[], object]
 
 
-def _eval_source(f: Formula, s: FiniteStructure, env: dict,
-                 senv: dict[int, frozenset[int]]) -> bool:
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, Eq):
-        return _source_term(f.left, env) == _source_term(f.right, env)
-    if isinstance(f, Lt):
-        return _source_term(f.left, env) < _source_term(f.right, env)
-    if isinstance(f, Apart):
-        return _source_term(f.left, env) != _source_term(f.right, env)
-    if isinstance(f, In):
-        value = _source_term(f.element, env)
-        if isinstance(f.species, SpeciesConst):
-            extension = s.const_extension(f.species.index)
-            return extension is None or value in extension
-        index = f.species.index
-        if index not in senv:
-            raise EvalError(f"unbound species variable X{index}")
-        if value > s.family_bound:
-            raise PrecisionError(
-                f"membership of {value} exceeds the decided family range "
-                f"0..{s.family_bound}"
-            )
-        return value in senv[index]
-    if isinstance(f, SpeciesEq):
-        return (_restricted_extension(f.left, s, senv)
-                == _restricted_extension(f.right, s, senv))
-    if isinstance(f, And):
-        return (_eval_source(f.left, s, env, senv)
-                and _eval_source(f.right, s, env, senv))
-    if isinstance(f, Or):
-        return (_eval_source(f.left, s, env, senv)
-                or _eval_source(f.right, s, env, senv))
-    if isinstance(f, Implies):
-        return ((not _eval_source(f.left, s, env, senv))
-                or _eval_source(f.right, s, env, senv))
-    if isinstance(f, (Exists, Forall)):
-        combine = any if isinstance(f, Exists) else all
-        if f.sort is Sort.NAT:
-            return combine(
-                _eval_source(f.body, s, {**env, f.var: n}, senv)
-                for n in s.nat_domain
-            )
-        index = species_binder_index(f.var)
-        return combine(
-            _eval_source(f.body, s, env, {**senv, index: members})
-            for members in s.species_family
-        )
+def _failing(message: str, *first: Thunk) -> Thunk:
+    """A closure that calls first, whose errors come earlier, and then
+    raises EvalError(message)."""
+    def fail():
+        for thunk in first:
+            thunk()
+        raise EvalError(message)
+    return fail
+
+
+def _constant(value: object) -> Thunk:
+    return lambda: value
+
+
+def _false() -> bool:
+    return False
+
+
+def _connective(f: Formula, left: Thunk, right: Thunk) -> Thunk:
+    if type(f) is And:
+        return lambda: left() and right()
+    if type(f) is Or:
+        return lambda: left() or right()
+    return lambda: (not left()) or right()
+
+
+def _ill_sorted(f: Formula, language: Language) -> NoReturn:
+    """Raise the first SortError check_formula finds in f, a formula the
+    compiler cannot take in language."""
+    check_formula(f, language)
     raise EvalError(f"cannot evaluate {f!r}")
 
 
-def _restricted_extension(ref: SpeciesRef, s: FiniteStructure,
-                          senv: Mapping[int, frozenset[int]]) -> frozenset[int]:
-    """Extension of a species reference cut down to the nat domain.
+def _ill_sorted_term(t: Term, language: Language) -> NoReturn:
+    """Raise the first SortError term_sort finds in t."""
+    term_sort(t, language)
+    raise EvalError(f"not a {language.value} term: {t!r}")
 
-    Species equality mirrors its translated form, a pointwise
-    biconditional quantified over the nat domain, so only that part of
-    the extensions may matter.
+
+class _Compiler:
+    """Compiles a formula, once per evaluation, into nested closures.
+
+    The compile pass makes the checks of check_formula in its pre-order,
+    so an ill-sorted formula raises SortError before anything is
+    evaluated.  Every variable in scope is known here, so each gets a
+    slot of the list `slots`, the pre-bound env first and then one per
+    binder: a quantifier instance stores into its slot and a variable
+    loads from it.  What needs no instance is decided here once: the
+    sentinel forcing of target atoms, constants and their generators.
+    Unbound names and unassigned constants become closures that raise
+    when, and only when, they are reached.
     """
-    domain = frozenset(s.nat_domain)
-    if isinstance(ref, SpeciesConst):
-        extension = s.const_extension(ref.index)
-        return domain if extension is None else extension & domain
-    if ref.index not in senv:
-        raise EvalError(f"unbound species variable X{ref.index}")
-    return senv[ref.index] & domain
 
+    def __init__(self, s: FiniteStructure, slots: list) -> None:
+        self.s = s
+        self.slots = slots
+        # Set while compiling a target atom that mentions the unbound
+        # sentinel.
+        self.forced = False
 
-def _target_term(t: Term, s: FiniteStructure,
-                 env: Mapping[str, RealGen]) -> RealGen:
-    if isinstance(t, Var):
-        if t.name not in env:
-            raise EvalError(f"unbound variable {t.name!r}")
-        return env[t.name]
-    if isinstance(t, NatConst):
-        return s.nat_gen(t.value)
-    if isinstance(t, RealConst):
-        if t.name not in s.const_gens:
-            raise EvalError(f"structure does not define constant {t.name!r}")
-        return s.const_gens[t.name]
-    if isinstance(t, Add):
-        return s.memo(add, _target_term(t.left, s, env),
-                      _target_term(t.right, s, env))
-    if isinstance(t, Mul):
-        return s.memo(mul, _target_term(t.left, s, env),
-                      _target_term(t.right, s, env))
-    raise EvalError(f"not a target term: {t!r}")
+    def bind(self) -> int:
+        self.slots.append(None)
+        return len(self.slots) - 1
 
-
-def _mentions_sentinel(f: Formula, s: FiniteStructure,
-                       env: Mapping[str, RealGen]) -> bool:
-    if s.sentinel in env:
-        return False
-    names = term_var_names(f.left) | term_var_names(f.right)
-    return s.sentinel in names
-
-
-def _eval_target(f: Formula, s: FiniteStructure,
-                 env: dict[str, RealGen]) -> bool:
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, (Eq, Lt, Apart)):
-        if _mentions_sentinel(f, s, env):
-            return s.sentinel_true
-        a = _target_term(f.left, s, env)
-        b = _target_term(f.right, s, env)
-        if isinstance(f, Eq):
-            if s.eq_witness(a, b):
+    def quantifier(self, exists: bool, slot: int, body: Thunk,
+                   values: Callable[[], Iterable]) -> Thunk:
+        e = self.slots
+        if exists:
+            def run() -> bool:
+                for value in values():
+                    e[slot] = value
+                    if body():
+                        return True
+                return False
+        else:
+            def run() -> bool:
+                for value in values():
+                    e[slot] = value
+                    if not body():
+                        return False
                 return True
-            if s.lt_witness(a, b) or s.lt_witness(b, a):
+        return run
+
+    # -- source language ----------------------------------------------------
+
+    def nat_term(self, t: Term, scope: Mapping[str, int]) -> Thunk:
+        cls = type(t)
+        if cls is Var and t.sort is Sort.NAT:
+            slot = scope.get(t.name)
+            if slot is None:
+                return _failing(f"unbound variable {t.name!r}")
+            e = self.slots
+            return lambda: e[slot]
+        if cls is NatConst:
+            return _constant(t.value)
+        if cls is Succ:
+            arg = self.nat_term(t.arg, scope)
+            return lambda: arg() + 1
+        if cls is Add or cls is Mul or cls is Pair:
+            left = self.nat_term(t.left, scope)
+            right = self.nat_term(t.right, scope)
+            if cls is Add:
+                return lambda: left() + right()
+            op = "*" if cls is Mul else "pair"
+
+            def bounded() -> int:
+                try:
+                    return bounded_op(op, left(), right())
+                except OverflowError as exc:
+                    raise EvalError(str(exc)) from None
+            return bounded
+        _ill_sorted_term(t, Language.SOURCE)
+
+    def restricted(self, ref: SpeciesRef,
+                   sscope: Mapping[int, int]) -> Thunk:
+        """Extension of a species reference cut down to the nat domain.
+
+        Species equality mirrors its translated form, a pointwise
+        biconditional quantified over the nat domain, so only that part
+        of the extensions may matter.
+        """
+        domain = frozenset(self.s.nat_domain)
+        if type(ref) is SpeciesConst:
+            try:
+                extension = self.s.const_extension(ref.index)
+            except EvalError as exc:
+                return _failing(str(exc))
+            return _constant(domain if extension is None
+                             else extension & domain)
+        slot = sscope.get(ref.index)
+        if slot is None:
+            return _failing(f"unbound species variable X{ref.index}")
+        e = self.slots
+        return lambda: e[slot] & domain
+
+    def source(self, f: Formula, scope: Mapping[str, int],
+               sscope: Mapping[int, int]) -> Thunk:
+        s = self.s
+        cls = type(f)
+        if cls is Bottom:
+            return _false
+        if cls is Eq or cls is Lt or cls is Apart:
+            left = self.nat_term(f.left, scope)
+            right = self.nat_term(f.right, scope)
+            if cls is Eq:
+                return lambda: left() == right()
+            if cls is Lt:
+                return lambda: left() < right()
+            return lambda: left() != right()
+        if cls is In:
+            element = self.nat_term(f.element, scope)
+            ref = f.species
+            if type(ref) is SpeciesConst:
+                try:
+                    extension = s.const_extension(ref.index)
+                except EvalError as exc:
+                    return _failing(str(exc), element)
+                if extension is None:
+                    def full() -> bool:
+                        element()
+                        return True
+                    return full
+                return lambda: element() in extension
+            if type(ref) is not SpeciesVar:
+                _ill_sorted(f, Language.SOURCE)
+            slot = sscope.get(ref.index)
+            if slot is None:
+                return _failing(f"unbound species variable X{ref.index}",
+                                element)
+            e, bound = self.slots, s.family_bound
+
+            def member() -> bool:
+                value = element()
+                if value > bound:
+                    raise PrecisionError(
+                        f"membership of {value} exceeds the decided family "
+                        f"range 0..{bound}"
+                    )
+                return value in e[slot]
+            return member
+        if cls is SpeciesEq:
+            if not (isinstance(f.left, SpeciesRef)
+                    and isinstance(f.right, SpeciesRef)):
+                _ill_sorted(f, Language.SOURCE)
+            left = self.restricted(f.left, sscope)
+            right = self.restricted(f.right, sscope)
+            return lambda: left() == right()
+        if cls is And or cls is Or or cls is Implies:
+            return _connective(f, self.source(f.left, scope, sscope),
+                               self.source(f.right, scope, sscope))
+        if cls is Exists or cls is Forall:
+            slot = self.bind()
+            if f.sort is Sort.NAT:
+                body = self.source(f.body, {**scope, f.var: slot}, sscope)
+                domain = s.nat_domain
+                return self.quantifier(cls is Exists, slot, body,
+                                       lambda: domain)
+            if f.sort is Sort.SPECIES:
+                index = species_binder_index(f.var)
+                body = self.source(f.body, scope, {**sscope, index: slot})
+                # The family is decided on first use, which may raise.
+                return self.quantifier(cls is Exists, slot, body,
+                                       lambda: s.species_family)
+        _ill_sorted(f, Language.SOURCE)
+
+    # -- target language ----------------------------------------------------
+
+    def real_term(self, t: Term, scope: Mapping[str, int]) -> Thunk:
+        s = self.s
+        cls = type(t)
+        if cls is Var and t.sort is Sort.REAL:
+            slot = scope.get(t.name)
+            if slot is None:
+                if t.name == s.sentinel:
+                    self.forced = True
+                return _failing(f"unbound variable {t.name!r}")
+            e = self.slots
+            return lambda: e[slot]
+        if cls is NatConst:
+            return _constant(s.nat_gen(t.value))
+        if cls is RealConst:
+            if t.name not in s.const_gens:
+                return _failing(
+                    f"structure does not define constant {t.name!r}")
+            return _constant(s.const_gens[t.name])
+        if cls is Add or cls is Mul:
+            left = self.real_term(t.left, scope)
+            right = self.real_term(t.right, scope)
+            op, memo = (add if cls is Add else mul), s.memo
+            return lambda: memo(op, left(), right())
+        _ill_sorted_term(t, Language.TARGET)
+
+    def target(self, f: Formula, scope: Mapping[str, int]) -> Thunk:
+        s = self.s
+        cls = type(f)
+        if cls is Bottom:
+            return _false
+        if cls is Eq or cls is Lt or cls is Apart:
+            self.forced = False
+            left = self.real_term(f.left, scope)
+            right = self.real_term(f.right, scope)
+            if self.forced:
+                # The atom mentions the unbound sentinel.
+                return _constant(s.sentinel_true)
+            return self.comparison(cls, left, right)
+        if cls is And or cls is Or or cls is Implies:
+            return _connective(f, self.target(f.left, scope),
+                               self.target(f.right, scope))
+        if cls is Exists or cls is Forall:
+            if f.sort is Sort.REAL:
+                slot = self.bind()
+                body = self.target(f.body, {**scope, f.var: slot})
+                domain = s.real_domain
+                return self.quantifier(cls is Exists, slot, body,
+                                       lambda: domain)
+        elif cls is DefinedQuant:
+            slot = self.bind()
+            body = self.target(f.body, {**scope, f.var: slot})
+            if f.kind in (QuantKind.EXISTS_NAT, QuantKind.FORALL_NAT):
+                domain = tuple(s.nat_gen(n) for n in s.nat_domain)
+            else:
+                domain = s.real_domain
+            exists = f.kind in (QuantKind.EXISTS_NAT, QuantKind.EXISTS_REAL)
+            return self.quantifier(exists, slot, body, lambda: domain)
+        _ill_sorted(f, Language.TARGET)
+
+    def comparison(self, cls: type, left: Thunk, right: Thunk) -> Thunk:
+        s = self.s
+        eq_witness, lt_witness = s.eq_witness, s.lt_witness
+        if cls is Lt:
+            return lambda: lt_witness(left(), right())
+        if cls is Apart:
+            def apart() -> bool:
+                a, b = left(), right()
+                return lt_witness(a, b) or lt_witness(b, a)
+            return apart
+
+        def equal() -> bool:
+            a, b = left(), right()
+            if eq_witness(a, b):
+                return True
+            if lt_witness(a, b) or lt_witness(b, a):
                 return False
             raise PrecisionError(
                 f"equality of {a.name or '?'} and {b.name or '?'} "
                 f"undetermined at k={s.precision.k}, "
                 f"horizon={s.precision.horizon}"
             )
-        if isinstance(f, Lt):
-            return s.lt_witness(a, b)
-        return s.lt_witness(a, b) or s.lt_witness(b, a)
-    if isinstance(f, And):
-        return _eval_target(f.left, s, env) and _eval_target(f.right, s, env)
-    if isinstance(f, Or):
-        return _eval_target(f.left, s, env) or _eval_target(f.right, s, env)
-    if isinstance(f, Implies):
-        return (not _eval_target(f.left, s, env)) or _eval_target(f.right, s, env)
-    if isinstance(f, (Exists, Forall)):
-        combine = any if isinstance(f, Exists) else all
-        return combine(
-            _eval_target(f.body, s, {**env, f.var: g})
-            for g in s.real_domain
-        )
-    if isinstance(f, DefinedQuant):
-        combine = (any if f.kind in (QuantKind.EXISTS_NAT, QuantKind.EXISTS_REAL)
-                   else all)
-        if f.kind in (QuantKind.EXISTS_NAT, QuantKind.FORALL_NAT):
-            values: Iterable[RealGen] = (s.nat_gen(n) for n in s.nat_domain)
-        else:
-            values = s.real_domain
-        return combine(
-            _eval_target(f.body, s, {**env, f.var: g}) for g in values
-        )
-    raise EvalError(f"cannot evaluate {f!r}")
+        return equal
 
 
 # ---------------------------------------------------------------------------

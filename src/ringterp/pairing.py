@@ -26,3 +26,26 @@ def unpair(z: int) -> tuple[int, int]:
     s = (isqrt(8 * z + 1) - 1) // 2
     k = z - s * (s + 1) // 2
     return s - k, k
+
+
+# Bound on the bit length of the value of a source term.  Source terms
+# are computed exactly and each level of pairing doubles the length, so
+# a formula of a few hundred bytes could otherwise spell a number of
+# millions of bits.
+MAX_TERM_BITS = 4096
+
+
+def bounded_op(op: str, a: int, b: int) -> int:
+    """a * b for op "*" and pair(a, b) for op "pair"; raises
+    OverflowError, before computing, when the result could have more
+    than MAX_TERM_BITS bits."""
+    if op == "*":
+        bits = a.bit_length() + b.bit_length()
+    else:
+        bits = 2 * (a + b + 1).bit_length()
+    if bits > MAX_TERM_BITS:
+        raise OverflowError(
+            f"({op} a b) of {a.bit_length()} and {b.bit_length()} bits "
+            f"could exceed the {MAX_TERM_BITS}-bit bound on term values"
+        )
+    return a * b if op == "*" else pair(a, b)

@@ -27,13 +27,14 @@ Parentheses nest at most MAX_NESTING deep; deeper input is a ParseError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+import re
 
 from .syntax import (
-    Add, And, Apart, BOT, Bottom, DefinedQuant, Eq, Exists, Forall, Formula,
-    Implies, In, Language, Lt, Mul, NatConst, Or, Pair, QuantKind, RealConst,
-    Sort, SpeciesConst, SpeciesEq, SpeciesRef, SpeciesVar, Succ, Term, Var,
-    species_binder_index, species_binder_name,
+    AMBIENT_SORT, Add, And, Apart, BOT, Bottom, DefinedQuant, Eq, Exists,
+    Forall, Formula, Implies, In, Language, Lt, Mul, NatConst, Or, Pair,
+    QuantKind, RealConst, Sort, SpeciesConst, SpeciesEq, SpeciesRef,
+    SpeciesVar, Succ, Term, Var, species_binder_index, species_binder_name,
 )
 
 
@@ -41,109 +42,98 @@ class ParseError(ValueError):
     """Input text is not a well-formed s-expression of the grammar."""
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    col: int
-
-
-# Printing recurses one frame per level of nesting, translation two and
-# the evaluation of nested quantifiers three, so every pass over a
-# formula the reader accepts stays well inside Python's default limit of
-# 1000 frames.
+# Reading, printing and evaluation (its compile pass, then its closures)
+# recurse one frame per level of nesting and translation two, so every
+# pass over a formula the reader accepts stays well inside Python's
+# default limit of 1000 frames.
 MAX_NESTING = 256
 
 _SORTS = {s.value: s for s in Sort}
 _QUANT_KINDS = {k.value: k for k in QuantKind}
 
+# A token is a parenthesis or a run of other non-space characters; a #
+# comment matches as a whole with an empty group and is dropped.
+_TOKEN = re.compile(r"#[^\n]*|([()]|[^\s()#]+)")
 
-def tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    depth = 0
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c.isspace():
-            col += 1
-            i += 1
-        elif c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            depth += 1 if c == "(" else -1
-            if depth > MAX_NESTING:
-                raise ParseError(f"line {line}, column {col}: parentheses "
-                                 f"nest deeper than {MAX_NESTING}")
-            tokens.append(_Token(c, line, col))
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and not text[i].isspace() and text[i] not in "()#":
-                i += 1
-                col += 1
-            tokens.append(_Token(text[start:i], line, start_col))
-    return tokens
+
+def tokenize(text: str) -> list[str]:
+    """The tokens of text, comments dropped."""
+    return [tok for tok in _TOKEN.findall(text) if tok]
+
+
+def _position(text: str, index: int) -> str:
+    """The "line L, column C" of the index-th token of text.
+
+    Positions are needed only for error messages, so tokenize keeps
+    none and they are recovered here by scanning again.
+    """
+    starts = (m.start(1) for m in _TOKEN.finditer(text) if m.group(1))
+    offset = next(itertools.islice(starts, index, None))
+    line = text.count("\n", 0, offset) + 1
+    column = offset - text.rfind("\n", 0, offset)
+    return f"line {line}, column {column}"
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], language: Language) -> None:
-        self.tokens = tokens
+    def __init__(self, text: str, language: Language) -> None:
+        self.text = text
+        self.tokens = tokens = tokenize(text)
         self.pos = 0
-        self.language = language
+        self.ambient = AMBIENT_SORT[language]
+        if tokens.count("(") > MAX_NESTING:
+            depth = 0
+            for i, tok in enumerate(tokens):
+                if tok == "(":
+                    depth += 1
+                    if depth > MAX_NESTING:
+                        self.pos = i
+                        raise self.error(
+                            f"parentheses nest deeper than {MAX_NESTING}")
+                elif tok == ")":
+                    depth -= 1
 
     def error(self, message: str) -> ParseError:
         if self.pos < len(self.tokens):
-            tok = self.tokens[self.pos]
-            return ParseError(f"line {tok.line}, column {tok.col}: {message}")
+            return ParseError(
+                f"{_position(self.text, self.pos)}: {message}")
         return ParseError(f"at end of input: {message}")
 
-    def peek(self) -> _Token:
-        if self.pos >= len(self.tokens):
-            raise self.error("unexpected end of input")
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.peek()
-        self.pos += 1
+    def next(self) -> str:
+        pos = self.pos
+        try:
+            tok = self.tokens[pos]
+        except IndexError:
+            raise self.error("unexpected end of input") from None
+        self.pos = pos + 1
         return tok
 
     def expect(self, text: str) -> None:
         tok = self.next()
-        if tok.text != text:
+        if tok != text:
             self.pos -= 1
-            raise self.error(f"expected {text!r}, got {tok.text!r}")
+            raise self.error(f"expected {text!r}, got {tok!r}")
 
     def head(self) -> str:
         """Consume an opening paren and the head symbol after it."""
         self.expect("(")
+        return self.opened()
+
+    def opened(self) -> str:
+        """Consume the head symbol after an opening paren."""
         tok = self.next()
-        if tok.text in "()":
+        if tok in "()":
             self.pos -= 1
             raise self.error("expected a head symbol after '('")
-        return tok.text
+        return tok
 
     def formula(self) -> Formula:
         head = self.head()
-        if head == "bot":
-            f: Formula = BOT
-        elif head == "=":
-            f = Eq(self.term(), self.term())
+        if head == "=":
+            f: Formula = Eq(self.term(), self.term())
         elif head == "<":
             f = Lt(self.term(), self.term())
-        elif head == "apart":
-            f = Apart(self.term(), self.term())
         elif head == "in":
             f = In(self.term(), self.species())
-        elif head == "seq":
-            f = SpeciesEq(self.species(), self.species())
         elif head == "and":
             f = And(self.formula(), self.formula())
         elif head == "or":
@@ -152,7 +142,13 @@ class _Parser:
             f = Implies(self.formula(), self.formula())
         elif head == "not":
             f = Implies(self.formula(), BOT)
-        elif head in ("forall", "exists"):
+        elif head == "bot":
+            f = BOT
+        elif head == "apart":
+            f = Apart(self.term(), self.term())
+        elif head == "seq":
+            f = SpeciesEq(self.species(), self.species())
+        elif head == "forall" or head == "exists":
             var, sort = self.binder_with_sort()
             body = self.formula()
             f = (Forall if head == "forall" else Exists)(var, sort, body)
@@ -169,11 +165,11 @@ class _Parser:
         self.expect("(")
         name = self.symbol("binder name")
         sort_tok = self.next()
-        sort = _SORTS.get(sort_tok.text)
+        sort = _SORTS.get(sort_tok)
         if sort is None:
             self.pos -= 1
             raise self.error(
-                f"expected a sort (Nat, Species or Real), got {sort_tok.text!r}"
+                f"expected a sort (Nat, Species or Real), got {sort_tok!r}"
             )
         if sort is Sort.SPECIES:
             try:
@@ -191,93 +187,93 @@ class _Parser:
 
     def symbol(self, what: str) -> str:
         tok = self.next()
-        if tok.text in "()":
+        if tok in "()":
             self.pos -= 1
             raise self.error(f"expected a {what}")
-        return tok.text
+        return tok
 
     def term(self) -> Term:
-        tok = self.peek()
-        if tok.text == "(":
-            head = self.head()
-            if head == "+":
-                t: Term = Add(self.term(), self.term())
-            elif head == "*":
-                t = Mul(self.term(), self.term())
-            elif head == "pair":
-                t = Pair(self.term(), self.term())
-            elif head == "succ":
-                t = Succ(self.term())
-            elif head == "var":
-                name = self.symbol("variable name")
-                sort_tok = self.next()
-                sort = _SORTS.get(sort_tok.text)
-                if sort is None or sort is Sort.SPECIES:
-                    self.pos -= 1
-                    raise self.error(
-                        f"expected Nat or Real, got {sort_tok.text!r}"
-                    )
-                t = Var(name, sort)
-            elif head == "rconst":
-                t = RealConst(self.symbol("constant name"))
-            else:
+        tok = self.next()
+        if tok != "(":
+            if tok == ")":
                 self.pos -= 1
-                raise self.error(f"unknown term head {head!r}")
-            self.expect(")")
-            return t
-        self.next()
-        if tok.text == ")":
+                raise self.error("expected a term")
+            if tok.isdigit():
+                return NatConst(int(tok))
+            return Var(tok, self.ambient)
+        head = self.opened()
+        if head == "+":
+            t: Term = Add(self.term(), self.term())
+        elif head == "*":
+            t = Mul(self.term(), self.term())
+        elif head == "pair":
+            t = Pair(self.term(), self.term())
+        elif head == "succ":
+            t = Succ(self.term())
+        elif head == "var":
+            name = self.symbol("variable name")
+            sort_tok = self.next()
+            sort = _SORTS.get(sort_tok)
+            if sort is None or sort is Sort.SPECIES:
+                self.pos -= 1
+                raise self.error(f"expected Nat or Real, got {sort_tok!r}")
+            t = Var(name, sort)
+        elif head == "rconst":
+            t = RealConst(self.symbol("constant name"))
+        else:
             self.pos -= 1
-            raise self.error("expected a term")
-        if tok.text.isdigit():
-            return NatConst(int(tok.text))
-        return Var(tok.text, self.language.term_sort)
+            raise self.error(f"unknown term head {head!r}")
+        self.expect(")")
+        return t
 
     def species(self) -> SpeciesRef:
-        tok = self.peek()
-        if tok.text == "(":
-            head = self.head()
+        tok = self.next()
+        if tok == "(":
+            head = self.opened()
             if head not in ("svar", "sconst"):
                 self.pos -= 1
                 raise self.error(f"unknown species head {head!r}")
             idx_tok = self.next()
-            if not idx_tok.text.isdigit():
+            if not idx_tok.isdigit():
                 self.pos -= 1
-                raise self.error(f"expected an index, got {idx_tok.text!r}")
+                raise self.error(f"expected an index, got {idx_tok!r}")
             ref: SpeciesRef = (SpeciesVar if head == "svar" else SpeciesConst)(
-                int(idx_tok.text)
+                int(idx_tok)
             )
             self.expect(")")
             return ref
-        self.next()
         try:
-            return SpeciesVar(species_binder_index(tok.text))
+            return SpeciesVar(species_binder_index(tok))
         except ValueError:
             self.pos -= 1
             raise self.error(
-                f"expected a species reference, got {tok.text!r}"
+                f"expected a species reference, got {tok!r}"
             ) from None
 
 
-def parse_formula(text: str, language: Language) -> Formula:
-    parser = _Parser(tokenize(text), language)
+def parse_formula(text: str, language: Language | str) -> Formula:
+    parser = _Parser(text, Language(language))
     f = parser.formula()
     if parser.pos != len(parser.tokens):
         raise parser.error("trailing input after formula")
     return f
 
 
-def parse_term(text: str, language: Language) -> Term:
-    parser = _Parser(tokenize(text), language)
+def parse_term(text: str, language: Language | str) -> Term:
+    parser = _Parser(text, Language(language))
     t = parser.term()
     if parser.pos != len(parser.tokens):
         raise parser.error("trailing input after term")
     return t
 
 
-def format_term(t: Term, language: Language) -> str:
+def format_term(t: Term, language: Language | str) -> str:
+    return _format_term(t, AMBIENT_SORT[Language(language)])
+
+
+def _format_term(t: Term, ambient: Sort) -> str:
     if isinstance(t, Var):
-        if t.sort is language.term_sort:
+        if t.sort is ambient:
             return t.name
         return f"(var {t.name} {t.sort.value})"
     if isinstance(t, NatConst):
@@ -285,13 +281,13 @@ def format_term(t: Term, language: Language) -> str:
     if isinstance(t, RealConst):
         return f"(rconst {t.name})"
     if isinstance(t, Add):
-        return f"(+ {format_term(t.left, language)} {format_term(t.right, language)})"
+        return f"(+ {_format_term(t.left, ambient)} {_format_term(t.right, ambient)})"
     if isinstance(t, Mul):
-        return f"(* {format_term(t.left, language)} {format_term(t.right, language)})"
+        return f"(* {_format_term(t.left, ambient)} {_format_term(t.right, ambient)})"
     if isinstance(t, Pair):
-        return f"(pair {format_term(t.left, language)} {format_term(t.right, language)})"
+        return f"(pair {_format_term(t.left, ambient)} {_format_term(t.right, ambient)})"
     if isinstance(t, Succ):
-        return f"(succ {format_term(t.arg, language)})"
+        return f"(succ {_format_term(t.arg, ambient)})"
     raise ValueError(f"not a term: {t!r}")
 
 
@@ -303,8 +299,12 @@ def format_species(ref: SpeciesRef) -> str:
     raise ValueError(f"not a species reference: {ref!r}")
 
 
-def format_formula(f: Formula, language: Language) -> str:
-    ft = lambda t: format_term(t, language)  # noqa: E731
+def format_formula(f: Formula, language: Language | str) -> str:
+    return _format_formula(f, AMBIENT_SORT[Language(language)])
+
+
+def _format_formula(f: Formula, ambient: Sort) -> str:
+    ft = lambda t: _format_term(t, ambient)  # noqa: E731
     if isinstance(f, Bottom):
         return "(bot)"
     if isinstance(f, Eq):
@@ -319,22 +319,22 @@ def format_formula(f: Formula, language: Language) -> str:
         return f"(seq {format_species(f.left)} {format_species(f.right)})"
     if isinstance(f, Implies):
         if isinstance(f.right, Bottom):
-            return f"(not {format_formula(f.left, language)})"
-        return (f"(imp {format_formula(f.left, language)} "
-                f"{format_formula(f.right, language)})")
+            return f"(not {_format_formula(f.left, ambient)})"
+        return (f"(imp {_format_formula(f.left, ambient)} "
+                f"{_format_formula(f.right, ambient)})")
     if isinstance(f, And):
-        return (f"(and {format_formula(f.left, language)} "
-                f"{format_formula(f.right, language)})")
+        return (f"(and {_format_formula(f.left, ambient)} "
+                f"{_format_formula(f.right, ambient)})")
     if isinstance(f, Or):
-        return (f"(or {format_formula(f.left, language)} "
-                f"{format_formula(f.right, language)})")
+        return (f"(or {_format_formula(f.left, ambient)} "
+                f"{_format_formula(f.right, ambient)})")
     if isinstance(f, Exists):
         return (f"(exists ({f.var} {f.sort.value}) "
-                f"{format_formula(f.body, language)})")
+                f"{_format_formula(f.body, ambient)})")
     if isinstance(f, Forall):
         return (f"(forall ({f.var} {f.sort.value}) "
-                f"{format_formula(f.body, language)})")
+                f"{_format_formula(f.body, ambient)})")
     if isinstance(f, DefinedQuant):
         return (f"({f.kind.value} ({f.var}) "
-                f"{format_formula(f.body, language)})")
+                f"{_format_formula(f.body, ambient)})")
     raise ValueError(f"not a formula: {f!r}")

@@ -36,10 +36,9 @@ class Language(enum.Enum):
     SOURCE = "source"
     TARGET = "target"
 
-    @property
-    def term_sort(self) -> Sort:
-        """Sort of every term variable of the language."""
-        return Sort.NAT if self is Language.SOURCE else Sort.REAL
+
+# The sort of every term variable of each language.
+AMBIENT_SORT = {Language.SOURCE: Sort.NAT, Language.TARGET: Sort.REAL}
 
 
 class SortError(ValueError):
@@ -342,7 +341,7 @@ def _bound_sort(q: Formula) -> Sort:
 
 def term_sort(t: Term, language: Language) -> Sort:
     """Sort of t in the given language; raises SortError when t is illegal."""
-    ambient = language.term_sort
+    ambient = AMBIENT_SORT[language]
     if isinstance(t, Var):
         if t.sort is not ambient:
             raise SortError(
@@ -374,8 +373,12 @@ def term_sort(t: Term, language: Language) -> Sort:
     raise SortError(f"not a term: {t!r}")
 
 
-def check_formula(f: Formula, language: Language) -> None:
+def check_formula(f: Formula, language: Language | str) -> None:
     """Raise SortError unless f is a well-sorted formula of the language."""
+    _check_formula(f, Language(language))
+
+
+def _check_formula(f: Formula, language: Language) -> None:
     src = language is Language.SOURCE
     if isinstance(f, Bottom):
         return
@@ -398,8 +401,8 @@ def check_formula(f: Formula, language: Language) -> None:
                 raise SortError(f"not a species reference: {ref!r}")
         return
     if isinstance(f, (And, Or, Implies)):
-        check_formula(f.left, language)
-        check_formula(f.right, language)
+        _check_formula(f.left, language)
+        _check_formula(f.right, language)
         return
     if isinstance(f, (Exists, Forall)):
         if src:
@@ -411,12 +414,12 @@ def check_formula(f: Formula, language: Language) -> None:
                 )
         elif f.sort is not Sort.REAL:
             raise SortError(f"target quantifiers bind Real, got {f.sort.value}")
-        check_formula(f.body, language)
+        _check_formula(f.body, language)
         return
     if isinstance(f, DefinedQuant):
         if src:
             raise SortError("defined quantifiers belong to the target language")
-        check_formula(f.body, language)
+        _check_formula(f.body, language)
         return
     raise SortError(f"not a formula: {f!r}")
 

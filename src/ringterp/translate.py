@@ -35,7 +35,7 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional
 
-from .pairing import pair
+from .pairing import bounded_op
 from .syntax import (
     ATOMS, Add, And, Apart, Bottom, DefinedQuant, Eq, Exists, Forall, Formula,
     Implies, In, Language, Lt, Mul, NatConst, Node, ONE, Or, Pair, QuantKind,
@@ -235,7 +235,11 @@ def _rename_shadowed_species(f: Node, env: Mapping[int, int],
 
 
 def _eval_closed_nat(t: Term) -> Optional[int]:
-    """Value of a closed source nat term, or None if a variable occurs."""
+    """Value of a closed source nat term, or None if a variable occurs.
+
+    Raises TranslationError when a product or pair could exceed
+    MAX_TERM_BITS bits.
+    """
     if isinstance(t, NatConst):
         return t.value
     if isinstance(t, Var):
@@ -250,9 +254,10 @@ def _eval_closed_nat(t: Term) -> Optional[int]:
             return None
         if isinstance(t, Add):
             return a + b
-        if isinstance(t, Mul):
-            return a * b
-        return pair(a, b)
+        try:
+            return bounded_op("*" if isinstance(t, Mul) else "pair", a, b)
+        except OverflowError as exc:
+            raise TranslationError(str(exc)) from None
     raise TranslationError(f"not a source term: {t!r}")
 
 

@@ -12,6 +12,7 @@ from ringterp.goldens import (
     SENTINEL,
 )
 from ringterp.kripke import parse_trace
+from ringterp.pairing import MAX_TERM_BITS
 from ringterp.sexpr import MAX_NESTING
 
 
@@ -266,6 +267,18 @@ class TestEval:
                            "--language", language)
             assert (proc.returncode, proc.stderr) == (0, "")
             assert body_of(proc.stdout) == "false"
+
+    def test_term_bound_is_a_one_line_domain_error(self, structure_file,
+                                                   tmp_path):
+        deep = "(= " + "(pair 1 " * 26 + "0" + ")" * 26 + " 0)"
+        message = ("ringterp: error: (pair a b) of 1 and 3511 bits could "
+                   f"exceed the {MAX_TERM_BITS}-bit bound on term values\n")
+        proc = run_cli("eval", "--structure", structure_file, "--formula",
+                       self.write_formula(tmp_path, deep),
+                       "--language", "source")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
+        proc = run_cli("translate", stdin=deep + "\n")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
 
     def test_sentinel_flag_is_validated(self, structure_file, tmp_path):
         formula = self.write_formula(tmp_path, "(bot)")

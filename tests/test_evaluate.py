@@ -1,20 +1,32 @@
 """Tests for finite-structure evaluation of both languages."""
 
+import random
+import re
+import time
+
 import pytest
 
-from ringterp.corpus import SPECIES_SINGLETONS, corpus_formulas
+from ringterp.corpus import (
+    SPECIES_SINGLETONS, collapse_structure, corpus_formulas,
+)
 from ringterp.encoder import SpeciesEncoding, encode_silent, encode_stabilized
 from ringterp.evaluate import (
     EvalError, FiniteStructure, PrecisionError, StructureError, eval_formula,
     format_structure, parse_structure,
 )
-from ringterp.reals import Precision, RealGen, add, from_unit_fraction
+from ringterp import pairing
+from ringterp.pairing import MAX_TERM_BITS, pair
+from ringterp.reals import Precision, RealGen, add, from_unit_fraction, mul
 from ringterp.sexpr import parse_formula
 from ringterp.syntax import (
-    And, Apart, Bottom, Eq, Exists, Forall, Formula, Implies, In, Language,
-    Lt, Or, SpeciesEq, Var, Sort,
+    BOT, Add, And, Apart, Bottom, DefinedQuant, Eq, Exists, Forall, Formula,
+    Implies, In, Language, Lt, Mul, NatConst, Or, Pair, QuantKind, RealConst,
+    SortError, SpeciesConst, SpeciesEq, SpeciesVar, Succ, Term, Var, Sort,
+    check_formula, children, rebuild, species_binder_index, term_var_names,
 )
-from ringterp.translate import Orientation, TranslationConfig, translate
+from ringterp.translate import (
+    Expansion, Orientation, TranslationConfig, TranslationError, translate,
+)
 
 
 def structure(**kwargs) -> FiniteStructure:
@@ -339,3 +351,417 @@ class TestDomainMonotonicity:
                 checked += 1
                 assert eval_formula(f, big, Language.SOURCE)
         assert checked >= 10
+
+
+# ---------------------------------------------------------------------------
+# The tree-walking evaluator the closure compiler replaced, kept as the
+# reference of a differential test: check_formula first, then one
+# isinstance dispatch per node and per quantifier instance.  Every
+# formula must give the same value, or an error of the same type with
+# the same message.
+
+
+def reference_eval(f: Formula, s: FiniteStructure, language: Language,
+                   env=None) -> bool:
+    check_formula(f, language)
+    if language is Language.SOURCE:
+        return _reference_source(f, s, dict(env or {}), {})
+    return _reference_target(f, s, dict(env or {}))
+
+
+def _reference_source_term(t: Term, env) -> int:
+    if isinstance(t, Var):
+        if t.name not in env:
+            raise EvalError(f"unbound variable {t.name!r}")
+        return env[t.name]
+    if isinstance(t, NatConst):
+        return t.value
+    if isinstance(t, Succ):
+        return _reference_source_term(t.arg, env) + 1
+    if isinstance(t, Add):
+        return (_reference_source_term(t.left, env)
+                + _reference_source_term(t.right, env))
+    if isinstance(t, Mul):
+        return (_reference_source_term(t.left, env)
+                * _reference_source_term(t.right, env))
+    if isinstance(t, Pair):
+        return pair(_reference_source_term(t.left, env),
+                    _reference_source_term(t.right, env))
+    raise EvalError(f"not a source term: {t!r}")
+
+
+def _reference_source(f: Formula, s: FiniteStructure, env: dict,
+                      senv: dict) -> bool:
+    if isinstance(f, Bottom):
+        return False
+    if isinstance(f, Eq):
+        return (_reference_source_term(f.left, env)
+                == _reference_source_term(f.right, env))
+    if isinstance(f, Lt):
+        return (_reference_source_term(f.left, env)
+                < _reference_source_term(f.right, env))
+    if isinstance(f, Apart):
+        return (_reference_source_term(f.left, env)
+                != _reference_source_term(f.right, env))
+    if isinstance(f, In):
+        value = _reference_source_term(f.element, env)
+        if isinstance(f.species, SpeciesConst):
+            extension = s.const_extension(f.species.index)
+            return extension is None or value in extension
+        index = f.species.index
+        if index not in senv:
+            raise EvalError(f"unbound species variable X{index}")
+        if value > s.family_bound:
+            raise PrecisionError(
+                f"membership of {value} exceeds the decided family range "
+                f"0..{s.family_bound}"
+            )
+        return value in senv[index]
+    if isinstance(f, SpeciesEq):
+        return (_reference_restricted(f.left, s, senv)
+                == _reference_restricted(f.right, s, senv))
+    if isinstance(f, And):
+        return (_reference_source(f.left, s, env, senv)
+                and _reference_source(f.right, s, env, senv))
+    if isinstance(f, Or):
+        return (_reference_source(f.left, s, env, senv)
+                or _reference_source(f.right, s, env, senv))
+    if isinstance(f, Implies):
+        return ((not _reference_source(f.left, s, env, senv))
+                or _reference_source(f.right, s, env, senv))
+    if isinstance(f, (Exists, Forall)):
+        combine = any if isinstance(f, Exists) else all
+        if f.sort is Sort.NAT:
+            return combine(
+                _reference_source(f.body, s, {**env, f.var: n}, senv)
+                for n in s.nat_domain
+            )
+        index = species_binder_index(f.var)
+        return combine(
+            _reference_source(f.body, s, env, {**senv, index: members})
+            for members in s.species_family
+        )
+    raise EvalError(f"cannot evaluate {f!r}")
+
+
+def _reference_restricted(ref, s: FiniteStructure, senv) -> frozenset:
+    domain = frozenset(s.nat_domain)
+    if isinstance(ref, SpeciesConst):
+        extension = s.const_extension(ref.index)
+        return domain if extension is None else extension & domain
+    if ref.index not in senv:
+        raise EvalError(f"unbound species variable X{ref.index}")
+    return senv[ref.index] & domain
+
+
+def _reference_target_term(t: Term, s: FiniteStructure, env) -> RealGen:
+    if isinstance(t, Var):
+        if t.name not in env:
+            raise EvalError(f"unbound variable {t.name!r}")
+        return env[t.name]
+    if isinstance(t, NatConst):
+        return s.nat_gen(t.value)
+    if isinstance(t, RealConst):
+        if t.name not in s.const_gens:
+            raise EvalError(f"structure does not define constant {t.name!r}")
+        return s.const_gens[t.name]
+    if isinstance(t, Add):
+        return s.memo(add, _reference_target_term(t.left, s, env),
+                      _reference_target_term(t.right, s, env))
+    if isinstance(t, Mul):
+        return s.memo(mul, _reference_target_term(t.left, s, env),
+                      _reference_target_term(t.right, s, env))
+    raise EvalError(f"not a target term: {t!r}")
+
+
+def _reference_target(f: Formula, s: FiniteStructure, env: dict) -> bool:
+    if isinstance(f, Bottom):
+        return False
+    if isinstance(f, (Eq, Lt, Apart)):
+        if s.sentinel not in env and s.sentinel in (
+                term_var_names(f.left) | term_var_names(f.right)):
+            return s.sentinel_true
+        a = _reference_target_term(f.left, s, env)
+        b = _reference_target_term(f.right, s, env)
+        if isinstance(f, Eq):
+            if s.eq_witness(a, b):
+                return True
+            if s.lt_witness(a, b) or s.lt_witness(b, a):
+                return False
+            raise PrecisionError(
+                f"equality of {a.name or '?'} and {b.name or '?'} "
+                f"undetermined at k={s.precision.k}, "
+                f"horizon={s.precision.horizon}"
+            )
+        if isinstance(f, Lt):
+            return s.lt_witness(a, b)
+        return s.lt_witness(a, b) or s.lt_witness(b, a)
+    if isinstance(f, And):
+        return (_reference_target(f.left, s, env)
+                and _reference_target(f.right, s, env))
+    if isinstance(f, Or):
+        return (_reference_target(f.left, s, env)
+                or _reference_target(f.right, s, env))
+    if isinstance(f, Implies):
+        return ((not _reference_target(f.left, s, env))
+                or _reference_target(f.right, s, env))
+    if isinstance(f, (Exists, Forall)):
+        combine = any if isinstance(f, Exists) else all
+        return combine(_reference_target(f.body, s, {**env, f.var: g})
+                       for g in s.real_domain)
+    if isinstance(f, DefinedQuant):
+        combine = (any if f.kind in (QuantKind.EXISTS_NAT,
+                                     QuantKind.EXISTS_REAL) else all)
+        if f.kind in (QuantKind.EXISTS_NAT, QuantKind.FORALL_NAT):
+            values = [s.nat_gen(n) for n in s.nat_domain]
+        else:
+            values = s.real_domain
+        return combine(_reference_target(f.body, s, {**env, f.var: g})
+                       for g in values)
+    raise EvalError(f"cannot evaluate {f!r}")
+
+
+def outcome(evaluate, *args, **kwargs):
+    """What evaluate gives: the value, or the error's type and message."""
+    try:
+        return evaluate(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - any error must match too
+        return type(exc), str(exc)
+
+
+def assert_alike(f: Formula, s: FiniteStructure, language: Language,
+                 env=None):
+    want = outcome(reference_eval, f, s, language, env)
+    assert outcome(eval_formula, f, s, language, env) == want, f
+    return want
+
+
+def mutated(f: Formula, rng: random.Random) -> Formula:
+    """f with one node swapped for a variant the evaluator must treat
+    alike: unbound names, unassigned constants, numerals past the
+    family range, and terms or formulas of the wrong sort."""
+    nodes = []
+
+    def collect(node):
+        nodes.append(node)
+        for child in children(node):
+            collect(child)
+
+    collect(f)
+    victim = rng.choice(nodes)
+    if isinstance(victim, Term):
+        swap = rng.choice([
+            Var("zz", Sort.NAT), Var("y", Sort.REAL), Var("y", Sort.NAT),
+            RealConst("a1"), RealConst("a9"), NatConst(9),
+            Pair(NatConst(1), NatConst(2)), Succ(victim), Mul(victim, victim),
+        ])
+    elif isinstance(victim, (SpeciesVar, SpeciesConst)):
+        swap = rng.choice([SpeciesVar(7), SpeciesConst(9), SpeciesConst(2)])
+    else:
+        swap = rng.choice([
+            In(NatConst(9), SpeciesVar(1)), In(Var("zz", Sort.NAT),
+                                              SpeciesConst(9)),
+            Exists("X1", Sort.SPECIES, Or(victim, In(NatConst(9),
+                                                     SpeciesVar(1)))),
+            Exists("r", Sort.REAL, victim), Forall("X1", Sort.SPECIES, victim),
+            DefinedQuant(QuantKind.EXISTS_NAT, "n", victim),
+            Exists("Q", Sort.SPECIES, victim), Forall("y", Sort.REAL, victim),
+            SpeciesEq(SpeciesVar(3), SpeciesConst(1)),
+            Eq(Var("y", Sort.REAL), RealConst("a9")), BOT,
+        ])
+
+    def replace_node(node):
+        if node is victim:
+            return swap
+        return rebuild(node, [replace_node(c) for c in children(node)])
+
+    return replace_node(f)
+
+
+class TestAgainstReferenceEvaluator:
+    @pytest.mark.parametrize("expansion", list(Expansion))
+    def test_corpus_sources_and_targets_evaluate_alike(self, expansion):
+        formulas = corpus_formulas(count=40 if expansion is Expansion.MACRO
+                                   else 24, seed=31)
+        seen = set()
+        for orientation in Orientation:
+            config = TranslationConfig(expansion, orientation)
+            targets = [translate(f, config=config) for f in formulas]
+            for sentinel_true in (False, True):
+                st = collapse_structure(orientation, sentinel_true)
+                for f, target in zip(formulas, targets):
+                    seen.add(assert_alike(f, st, Language.SOURCE))
+                    seen.add(assert_alike(target, st, Language.TARGET))
+        assert seen == {True, False}
+
+    def test_mutated_formulas_evaluate_alike(self):
+        rng = random.Random(5)
+        seen = set()
+        for f in corpus_formulas(count=100, seed=8):
+            for language in Language:
+                st = collapse_structure(rng.choice(list(Orientation)),
+                                        rng.random() < 0.5)
+                g = f if language is Language.SOURCE else translate(f)
+                for _ in range(3):
+                    got = assert_alike(mutated(g, rng), st, language)
+                    seen.add(got if isinstance(got, bool) else got[0])
+        assert seen == {True, False, EvalError, PrecisionError, SortError}
+
+    @pytest.mark.parametrize("text, language", [
+        ("(or (= 0 0) (= x 0))", Language.SOURCE),
+        ("(and (= 0 1) (in x (sconst 9)))", Language.SOURCE),
+        ("(imp (bot) (in 0 X4))", Language.SOURCE),
+        ("(or (< 0 1) (seq X3 (sconst 1)))", Language.SOURCE),
+        ("(and (= x 0) (= 0 1))", Language.SOURCE),
+        ("(in x (sconst 9))", Language.SOURCE),
+        ("(in 0 (sconst 9))", Language.SOURCE),
+        ("(seq (sconst 9) X3)", Language.SOURCE),
+        ("(seq X3 (sconst 9))", Language.SOURCE),
+        ("(exists (X0 Species) (in (+ 2 2) X0))", Language.SOURCE),
+        ("(forall (n Nat) (exists (n Nat) (and (< n 2) (= n n))))",
+         Language.SOURCE),
+        ("(in x (sconst 3))", Language.SOURCE),
+        ("(and (in 0 (sconst 3)) (in (pair x 0) (sconst 3)))",
+         Language.SOURCE),
+        ("(seq (sconst 3) (sconst 1))", Language.SOURCE),
+        ("(or (= 0 0) (= (rconst a9) z))", Language.TARGET),
+        ("(and (< 1 0) (= q 0))", Language.TARGET),
+        ("(= (rconst a9) q)", Language.TARGET),
+        ("(= q (rconst a9))", Language.TARGET),
+        ("(= y (rconst a9))", Language.TARGET),
+        ("(< (+ y q) 0)", Language.TARGET),
+        ("(exists (y Real) (= y (rconst a9)))", Language.TARGET),
+        ("(existsR (y) (< y 0))", Language.TARGET),
+        ("(forallN (y) (apart y 0))", Language.TARGET),
+        ("(and (existsN (y) (= y 0)) (= y 1))", Language.TARGET),
+        ("(existsR (w) (existsR (w) (and (< w 1) (= w 0))))",
+         Language.TARGET),
+    ])
+    @pytest.mark.parametrize("sentinel_true", [False, True])
+    def test_short_circuits_and_scopes_evaluate_alike(self, text, language,
+                                                      sentinel_true):
+        species = {i: encode_stabilized(m, k)
+                   for i, (m, k) in SPECIES_SINGLETONS.items()}
+        st = FiniteStructure((0, 1, 2, 3), {**species, 3: encode_silent()},
+                             sentinel_true=sentinel_true)
+        assert_alike(parse_formula(text, language), st, language)
+
+    @pytest.mark.parametrize("text, language", [
+        ("(exists (n Nat) (and (exists (n Nat) (= n 0)) (= n 3)))",
+         Language.SOURCE),
+        ("(existsN (w) (and (existsN (w) (= w 0)) (= w 3)))",
+         Language.TARGET),
+        ("(exists (w Real) (and (forallR (w) (< w 9)) (= w (rconst b2))))",
+         Language.TARGET),
+    ])
+    def test_an_inner_binder_leaves_the_outer_variable_alone(self, text,
+                                                             language):
+        st = collapse_structure()
+        assert assert_alike(parse_formula(text, language), st, language)
+
+    @pytest.mark.parametrize("text, value", [
+        ("(forallN (n) (or (= n 0) (not (< n 1))))", True),
+        ("(existsN (n) (and (< 0 n) (< n 1)))", False),
+        ("(forallR (r) (or (= r 0) (not (< r 1))))", False),
+        ("(existsR (r) (and (< 0 r) (< r 1)))", True),
+    ])
+    def test_defined_quantifiers_range_over_their_domains(self, text, value):
+        f = parse_formula(text, Language.TARGET)
+        st = collapse_structure()
+        assert assert_alike(f, st, Language.TARGET) is value
+
+    def test_species_variables_are_cut_down_to_the_domain(self):
+        # Over the domain {0, 2} the family holds {1}, which equals the
+        # constant {1} on the domain (both are empty there).
+        st = FiniteStructure((0, 2), {1: encode_stabilized(2, 1)})
+        f = parse_formula("(exists (X1 Species) (and (in 1 X1) "
+                          "(seq X1 (sconst 1))))", Language.SOURCE)
+        assert assert_alike(f, st, Language.SOURCE) is True
+
+    @pytest.mark.parametrize("sentinel_true", [False, True])
+    def test_sentinel_bound_by_env_is_an_ordinary_variable(self,
+                                                           sentinel_true):
+        st = collapse_structure(sentinel_true=sentinel_true)
+        half = from_unit_fraction(2)
+        for text in ["(= y 0)", "(< y 1)", "(apart y 0)",
+                     "(or (= y 0) (apart y 0))", "(= (rconst a9) y)"]:
+            f = parse_formula(text, Language.TARGET)
+            assert_alike(f, st, Language.TARGET, env={"y": half})
+        f = parse_formula("(< y 1)", Language.TARGET)
+        assert eval_formula(f, st, Language.TARGET, env={"y": half})
+
+    def test_sort_errors_come_before_precision_errors(self):
+        # The equality is undecidable at this precision, but the
+        # ill-sorted right conjunct must be reported first.
+        st = FiniteStructure((0, 1), precision=Precision(30, 6))
+        env = {"p": from_unit_fraction(3),
+               "q": add(from_unit_fraction(6), from_unit_fraction(6))}
+        undecided = Eq(Var("p", Sort.REAL), Var("q", Sort.REAL))
+        with pytest.raises(PrecisionError):
+            eval_formula(undecided, st, Language.TARGET, env=env)
+        for bad in [Eq(Var("n", Sort.NAT), Var("p", Sort.REAL)),
+                    In(Var("p", Sort.REAL), SpeciesConst(1)),
+                    Exists("X0", Sort.SPECIES, BOT),
+                    Lt(Pair(Var("p", Sort.REAL), Var("q", Sort.REAL)),
+                       Succ(Var("p", Sort.REAL)))]:
+            f = And(undecided, bad)
+            want = assert_alike(f, st, Language.TARGET, env=env)
+            assert want[0] is SortError
+        source = parse_formula("(and (exists (X0 Species) (in 5 X0)) "
+                               "(= (var r Real) 0))", Language.SOURCE)
+        assert assert_alike(source, st, Language.SOURCE)[0] is SortError
+
+
+def chain(op: str, leaf: str, depth: int) -> str:
+    """(op leaf (op leaf ... 1)), op nested depth deep."""
+    return f"{('(' + op + ' ' + leaf + ' ') * depth}1{')' * depth}"
+
+
+class TestTermBound:
+    @pytest.mark.parametrize("op, leaf", [("pair", "1"), ("*", "2" * 61)])
+    def test_deep_products_are_refused_quickly(self, op, leaf):
+        # Each pair doubles the bit length; each product adds 200 bits.
+        # The translation folds closed pair terms, products inside too.
+        term = chain(op, leaf, 26)
+        f = parse_formula(f"(= {term} 0)", Language.SOURCE)
+        folded = parse_formula(f"(= (pair 0 {term}) 0)", Language.SOURCE)
+        start = time.perf_counter()
+        with pytest.raises(EvalError, match=(
+                rf"^\({re.escape(op)} a b\) of \d+ and \d+ bits could "
+                rf"exceed the {MAX_TERM_BITS}-bit bound on term values$")):
+            eval_formula(f, FiniteStructure((0, 1)), Language.SOURCE)
+        with pytest.raises(TranslationError, match=(
+                rf"^\({re.escape(op)} a b\) .* bound on term values$")):
+            translate(folded)
+        assert time.perf_counter() - start < 1
+
+    def test_values_up_to_the_bound_are_computed(self):
+        st = FiniteStructure((0, 1))
+        big = 2 ** (MAX_TERM_BITS // 2 - 1)
+        f = parse_formula(f"(< (* {big} {big}) 1)", Language.SOURCE)
+        assert eval_formula(f, st, Language.SOURCE) is False
+
+    def test_an_unreached_product_is_not_refused(self):
+        f = parse_formula(f"(or (= 0 0) (= {chain('pair', '1', 26)} 0))",
+                          Language.SOURCE)
+        assert eval_formula(f, FiniteStructure((0,)), Language.SOURCE)
+
+    def test_corpus_stays_far_below_the_bound(self, monkeypatch):
+        monkeypatch.setattr(pairing, "MAX_TERM_BITS", 16)
+        st = collapse_structure()
+        for f in corpus_formulas():
+            eval_formula(f, st, Language.SOURCE)
+            for orientation in Orientation:
+                translate(f, config=TranslationConfig(orientation=orientation))
+
+
+class TestLanguageNames:
+    def test_language_may_be_named(self):
+        st = structure()
+        f = parse_formula("(= (+ 1 2) 3)", "source")
+        assert eval_formula(f, st, "source")
+        assert eval_formula(translate(f), st, "target")
+
+    def test_unknown_language_name_is_a_value_error(self):
+        with pytest.raises(ValueError, match="'sauce' is not a valid"):
+            eval_formula(BOT, structure(), "sauce")

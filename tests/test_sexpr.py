@@ -1,6 +1,8 @@
 """Tests for the s-expression reader and printer."""
 
 import itertools
+import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -11,8 +13,10 @@ from ringterp.sexpr import (
     parse_term,
 )
 from ringterp.syntax import (
-    Apart, Eq, Implies, In, Language, NatConst, Lt, Pair, Sort, SpeciesConst,
-    SpeciesVar, Succ, Var, BOT,
+    Add, And, Apart, DefinedQuant, Eq, Exists, Forall, Formula, Implies, In,
+    Language, Lt, Mul, NatConst, Or, Pair, QuantKind, RealConst, Sort,
+    SpeciesConst, SpeciesEq, SpeciesRef, SpeciesVar, Succ, Term, Var, BOT,
+    species_binder_index,
 )
 from ringterp.translate import (
     Expansion, Orientation, TranslationConfig, translate,
@@ -197,6 +201,27 @@ class TestNestingLimit:
                        Language.SOURCE)
 
 
+class TestLanguageNames:
+    def test_reader_and_printer_take_language_names(self):
+        assert parse_term("x", "source") == Var("x", Sort.NAT)
+        assert parse_term("x", "target") == Var("x", Sort.REAL)
+        f = parse_formula("(< x (var q Nat))", "target")
+        assert f == parse_formula("(< x (var q Nat))", Language.TARGET)
+        assert format_formula(f, "target") == "(< x (var q Nat))"
+        assert format_formula(f, "source") == "(< (var x Real) q)"
+        assert format_term(f.left, "source") == "(var x Real)"
+
+    @pytest.mark.parametrize("call", [
+        lambda: parse_formula("(bot)", "sauce"),
+        lambda: parse_term("x", "Source"),
+        lambda: format_formula(BOT, "sauce"),
+        lambda: format_term(NatConst(0), ""),
+    ])
+    def test_unknown_language_name_is_a_value_error(self, call):
+        with pytest.raises(ValueError, match="is not a valid Language"):
+            call()
+
+
 def test_comments_are_skipped():
     text = "# leading remark\n(and (bot) # inline remark\n (= x 0))"
     f = parse_formula(text, Language.SOURCE)
@@ -206,3 +231,324 @@ def test_comments_are_skipped():
 def test_less_than_constructor():
     f = parse_formula("(< 0 1)", Language.SOURCE)
     assert f == Lt(NatConst(0), NatConst(1))
+
+
+# ---------------------------------------------------------------------------
+# The per-character reader the regex reader replaced, kept as the
+# reference of a differential test: every input must give the same
+# formula or term, or a ParseError with the same message.
+
+@dataclass(frozen=True)
+class _Token:
+    text: str
+    line: int
+    col: int
+
+
+_SORTS = {s.value: s for s in Sort}
+_QUANT_KINDS = {k.value: k for k in QuantKind}
+
+
+def reference_tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    depth = 0
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif c.isspace():
+            col += 1
+            i += 1
+        elif c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif c in "()":
+            depth += 1 if c == "(" else -1
+            if depth > MAX_NESTING:
+                raise ParseError(f"line {line}, column {col}: parentheses "
+                                 f"nest deeper than {MAX_NESTING}")
+            tokens.append(_Token(c, line, col))
+            col += 1
+            i += 1
+        else:
+            start = i
+            start_col = col
+            while i < n and not text[i].isspace() and text[i] not in "()#":
+                i += 1
+                col += 1
+            tokens.append(_Token(text[start:i], line, start_col))
+    return tokens
+
+
+class ReferenceParser:
+    def __init__(self, tokens: list[_Token], language: Language) -> None:
+        self.tokens = tokens
+        self.pos = 0
+        self.language = language
+
+    def error(self, message: str) -> ParseError:
+        if self.pos < len(self.tokens):
+            tok = self.tokens[self.pos]
+            return ParseError(f"line {tok.line}, column {tok.col}: {message}")
+        return ParseError(f"at end of input: {message}")
+
+    def peek(self) -> _Token:
+        if self.pos >= len(self.tokens):
+            raise self.error("unexpected end of input")
+        return self.tokens[self.pos]
+
+    def next(self) -> _Token:
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def expect(self, text: str) -> None:
+        tok = self.next()
+        if tok.text != text:
+            self.pos -= 1
+            raise self.error(f"expected {text!r}, got {tok.text!r}")
+
+    def head(self) -> str:
+        self.expect("(")
+        tok = self.next()
+        if tok.text in "()":
+            self.pos -= 1
+            raise self.error("expected a head symbol after '('")
+        return tok.text
+
+    def formula(self) -> Formula:
+        head = self.head()
+        if head == "bot":
+            f: Formula = BOT
+        elif head == "=":
+            f = Eq(self.term(), self.term())
+        elif head == "<":
+            f = Lt(self.term(), self.term())
+        elif head == "apart":
+            f = Apart(self.term(), self.term())
+        elif head == "in":
+            f = In(self.term(), self.species())
+        elif head == "seq":
+            f = SpeciesEq(self.species(), self.species())
+        elif head == "and":
+            f = And(self.formula(), self.formula())
+        elif head == "or":
+            f = Or(self.formula(), self.formula())
+        elif head == "imp":
+            f = Implies(self.formula(), self.formula())
+        elif head == "not":
+            f = Implies(self.formula(), BOT)
+        elif head in ("forall", "exists"):
+            var, sort = self.binder_with_sort()
+            body = self.formula()
+            f = (Forall if head == "forall" else Exists)(var, sort, body)
+        elif head in _QUANT_KINDS:
+            var = self.binder_plain()
+            f = DefinedQuant(_QUANT_KINDS[head], var, self.formula())
+        else:
+            self.pos -= 1
+            raise self.error(f"unknown formula head {head!r}")
+        self.expect(")")
+        return f
+
+    def binder_with_sort(self) -> tuple[str, Sort]:
+        self.expect("(")
+        name = self.symbol("binder name")
+        sort_tok = self.next()
+        sort = _SORTS.get(sort_tok.text)
+        if sort is None:
+            self.pos -= 1
+            raise self.error(
+                f"expected a sort (Nat, Species or Real), got {sort_tok.text!r}"
+            )
+        if sort is Sort.SPECIES:
+            try:
+                species_binder_index(name)
+            except ValueError as exc:
+                raise self.error(str(exc)) from None
+        self.expect(")")
+        return name, sort
+
+    def binder_plain(self) -> str:
+        self.expect("(")
+        name = self.symbol("binder name")
+        self.expect(")")
+        return name
+
+    def symbol(self, what: str) -> str:
+        tok = self.next()
+        if tok.text in "()":
+            self.pos -= 1
+            raise self.error(f"expected a {what}")
+        return tok.text
+
+    def term(self) -> Term:
+        tok = self.peek()
+        if tok.text == "(":
+            head = self.head()
+            if head == "+":
+                t: Term = Add(self.term(), self.term())
+            elif head == "*":
+                t = Mul(self.term(), self.term())
+            elif head == "pair":
+                t = Pair(self.term(), self.term())
+            elif head == "succ":
+                t = Succ(self.term())
+            elif head == "var":
+                name = self.symbol("variable name")
+                sort_tok = self.next()
+                sort = _SORTS.get(sort_tok.text)
+                if sort is None or sort is Sort.SPECIES:
+                    self.pos -= 1
+                    raise self.error(
+                        f"expected Nat or Real, got {sort_tok.text!r}"
+                    )
+                t = Var(name, sort)
+            elif head == "rconst":
+                t = RealConst(self.symbol("constant name"))
+            else:
+                self.pos -= 1
+                raise self.error(f"unknown term head {head!r}")
+            self.expect(")")
+            return t
+        self.next()
+        if tok.text == ")":
+            self.pos -= 1
+            raise self.error("expected a term")
+        if tok.text.isdigit():
+            return NatConst(int(tok.text))
+        return Var(tok.text, Sort.NAT if self.language is Language.SOURCE
+                   else Sort.REAL)
+
+    def species(self) -> SpeciesRef:
+        tok = self.peek()
+        if tok.text == "(":
+            head = self.head()
+            if head not in ("svar", "sconst"):
+                self.pos -= 1
+                raise self.error(f"unknown species head {head!r}")
+            idx_tok = self.next()
+            if not idx_tok.text.isdigit():
+                self.pos -= 1
+                raise self.error(f"expected an index, got {idx_tok.text!r}")
+            ref: SpeciesRef = (SpeciesVar if head == "svar" else SpeciesConst)(
+                int(idx_tok.text)
+            )
+            self.expect(")")
+            return ref
+        self.next()
+        try:
+            return SpeciesVar(species_binder_index(tok.text))
+        except ValueError:
+            self.pos -= 1
+            raise self.error(
+                f"expected a species reference, got {tok.text!r}"
+            ) from None
+
+
+def reference_parse(text: str, language: Language, what: str = "formula"):
+    parser = ReferenceParser(reference_tokenize(text), language)
+    out = parser.formula() if what == "formula" else parser.term()
+    if parser.pos != len(parser.tokens):
+        raise parser.error(f"trailing input after {what}")
+    return out
+
+
+def outcome(parse, *args):
+    """What parse(*args) gives: the result, or the error's type and
+    message."""
+    try:
+        return parse(*args)
+    except Exception as exc:  # noqa: BLE001 - any error must match too
+        return type(exc), str(exc)
+
+
+# Pieces the mutations insert: every kind of token, whitespace the
+# reader treats specially, comments and stray parentheses.
+PIECES = ["(", ")", " ", "\t", "\r", "\n", "\r\n", "\x0b", " ", "#",
+          "# note\n", "x", "X1", "0", "12", "bot", "not", "forall",
+          "(var x Real)", "(rconst a1)", "(sconst 1)", "(svar 0)", "Nat",
+          "Species", "Real", "existsN", "pair", "succ", "+", "*", "()", "²"]
+
+
+def mutations(text: str, rng: random.Random, count: int) -> list[str]:
+    out = []
+    for _ in range(count):
+        t = text
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(t) + 1)
+            j = min(len(t), i + rng.randint(1, 8))
+            roll = rng.random()
+            if roll < 0.35:
+                t = t[:i] + rng.choice(PIECES) + t[i:]
+            elif roll < 0.6:
+                t = t[:i] + t[j:]
+            elif roll < 0.75:
+                t = t[:i] + rng.choice(PIECES) + t[j:]
+            elif roll < 0.85:
+                t = t[:i] + t[i:j] + t[i:]
+            elif roll < 0.95:
+                t = t.replace(" ", rng.choice(["\t", "\n", "  ", " \r\n "]))
+            else:
+                t = t[:i]
+        out.append(t)
+    return out
+
+
+def corpus_texts() -> list[tuple[str, Language]]:
+    texts = []
+    for f in corpus_formulas(count=24, seed=4242):
+        texts.append((format_formula(f, Language.SOURCE), Language.SOURCE))
+    for f in corpus_formulas(count=12, seed=77):
+        for expansion in Expansion:
+            for orientation in Orientation:
+                g = translate(f, config=TranslationConfig(expansion,
+                                                          orientation))
+                texts.append((format_formula(g, Language.TARGET),
+                              Language.TARGET))
+    return texts
+
+
+EDGE_TEXTS = [
+    "(\t=\tx\t0)", "(=\rx\r0)", "(= x\r\n0)\r\n", "(and (bot)\n\t(frob))",
+    "# only a comment", "# c\n(bot) # trailing\n", "(= x 0)#(",
+    "(= x# comment\n 0)", "\n\n   (bot", "(bot))", "(" * 257, "(" * 256,
+    "(not " * 300 + "(bot)" + ")" * 300, "(not " * 255 + "(bot)" + ")" * 255,
+    ")" * 300 + "(" * 300, "(= ² 0)", "(= x 0)", "(= x\x1c0)",
+    "(= 0x 0)", "(in x (svar 01))", "(in x X01)", "",
+]
+
+
+class TestAgainstReferenceReader:
+    def test_mutated_corpus_texts_read_alike(self):
+        rng = random.Random(20241018)
+        checked = errors = 0
+        for text, language in corpus_texts():
+            for mutated in [text] + mutations(text, rng, 20):
+                for lang in Language:
+                    want = outcome(reference_parse, mutated, lang)
+                    assert outcome(parse_formula, mutated, lang) == want, \
+                        mutated
+                    checked += 1
+                    errors += isinstance(want, tuple)
+        assert checked == 3024 and errors > checked // 2, errors
+
+    @pytest.mark.parametrize("text", EDGE_TEXTS)
+    @pytest.mark.parametrize("language", list(Language))
+    def test_edge_texts_read_alike(self, text, language):
+        assert (outcome(parse_formula, text, language)
+                == outcome(reference_parse, text, language))
+
+    @pytest.mark.parametrize("text", [
+        "x", "(succ (+ 1 x))", "(pair 0\t3)", "(var q Real)", "(rconst a1)",
+        "x y", "(frob 1)", "(var q Species)", ")", "(* 1", "#\n7",
+        "(succ " * 257 + "0" + ")" * 257,
+    ])
+    @pytest.mark.parametrize("language", list(Language))
+    def test_terms_read_alike(self, text, language):
+        assert (outcome(parse_term, text, language)
+                == outcome(reference_parse, text, language, "term"))

@@ -47,6 +47,14 @@ class TestSorting:
             check_formula(SpeciesEq(SpeciesConst(1), SpeciesConst(2)),
                           Language.TARGET)
 
+    def test_check_formula_takes_language_names(self):
+        check_formula(Eq(x, NatConst(0)), "source")
+        check_formula(Eq(rx, NatConst(0)), "target")
+        with pytest.raises(SortError):
+            check_formula(Eq(rx, NatConst(0)), "source")
+        with pytest.raises(ValueError, match="'Target' is not a valid"):
+            check_formula(BOT, "Target")
+
     def test_source_allows_species_binders(self):
         f = Exists("X0", Sort.SPECIES, In(x, SpeciesVar(0)))
         check_formula(Forall("x", Sort.NAT, f), Language.SOURCE)

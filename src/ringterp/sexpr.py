@@ -16,12 +16,13 @@ Grammar (heads are recognized only immediately after an opening paren):
     species := X<i> | (svar i) | (sconst i)
     sort    := Nat | Species | Real
 
-A bare name in term position is a variable of the ambient sort of the
-language being parsed (Nat for the source language, Real for the target);
-the (var name sort) form overrides that.  Species binders must be named
-X0, X1, ... and bind the species variable with that index.  (not f) is
-sugar for (imp f (bot)) and is also the printed form.  Apartness prints
-as (apart a b).  A # starts a comment that runs to the end of the line.
+Numerals and indices i are written in ASCII digits.  A bare name in term
+position is a variable of the ambient sort of the language being parsed
+(Nat for the source language, Real for the target); the (var name sort)
+form overrides that.  Species binders must be named X0, X1, ... and bind
+the species variable with that index.  (not f) is sugar for
+(imp f (bot)) and is also the printed form.  Apartness prints as
+(apart a b).  A # starts a comment that runs to the end of the line.
 Parentheses nest at most MAX_NESTING deep; deeper input is a ParseError.
 """
 
@@ -32,9 +33,10 @@ import re
 
 from .syntax import (
     AMBIENT_SORT, Add, And, Apart, BOT, Bottom, DefinedQuant, Eq, Exists,
-    Forall, Formula, Implies, In, Language, Lt, Mul, NatConst, Or, Pair,
-    QuantKind, RealConst, Sort, SpeciesConst, SpeciesEq, SpeciesRef,
-    SpeciesVar, Succ, Term, Var, species_binder_index, species_binder_name,
+    Forall, Formula, Implies, In, Language, Lt, Mul, NatConst, Node, Or,
+    Pair, QuantKind, RealConst, Sort, SpeciesConst, SpeciesEq, SpeciesRef,
+    SpeciesVar, Succ, Term, Var, children, species_binder_index,
+    species_binder_name,
 )
 
 
@@ -50,6 +52,28 @@ MAX_NESTING = 256
 
 _SORTS = {s.value: s for s in Sort}
 _QUANT_KINDS = {k.value: k for k in QuantKind}
+
+# The head symbol of each node class, for reading and printing.  A
+# numeral has none; a variable and a species variable print bare where
+# they can, (not f) is read and printed for (imp f (bot)), and the head
+# of a defined quantifier is its kind.
+_NOT = "not"
+_HEADS = {
+    Var: "var", RealConst: "rconst", Add: "+", Mul: "*", Pair: "pair",
+    Succ: "succ", SpeciesVar: "svar", SpeciesConst: "sconst", Bottom: "bot",
+    Eq: "=", Lt: "<", Apart: "apart", In: "in", SpeciesEq: "seq",
+    And: "and", Or: "or", Implies: "imp", Exists: "exists",
+    Forall: "forall",
+}
+_CLASSES = {head: cls for cls, head in _HEADS.items()}
+
+# Per kind, the classes without data: the reader takes (head child...)
+# for them and reads each child by its kind in the node table.
+_FIXED = {kind: frozenset(cls for cls in _HEADS
+                          if issubclass(cls, kind) and not cls.data_fields)
+          for kind in (Term, Formula)}
+_KIND_NAMES = {Term: "term", SpeciesRef: "species reference",
+               Formula: "formula"}
 
 # A token is a parenthesis or a run of other non-space characters; a #
 # comment matches as a whole with an empty group and is dropped.
@@ -128,33 +152,20 @@ class _Parser:
 
     def formula(self) -> Formula:
         head = self.head()
-        if head == "=":
-            f: Formula = Eq(self.term(), self.term())
-        elif head == "<":
-            f = Lt(self.term(), self.term())
-        elif head == "in":
-            f = In(self.term(), self.species())
-        elif head == "and":
-            f = And(self.formula(), self.formula())
-        elif head == "or":
-            f = Or(self.formula(), self.formula())
-        elif head == "imp":
-            f = Implies(self.formula(), self.formula())
-        elif head == "not":
-            f = Implies(self.formula(), BOT)
-        elif head == "bot":
-            f = BOT
-        elif head == "apart":
-            f = Apart(self.term(), self.term())
-        elif head == "seq":
-            f = SpeciesEq(self.species(), self.species())
-        elif head == "forall" or head == "exists":
+        cls = _CLASSES.get(head)
+        if cls in _FIXED[Formula]:
+            kids = []
+            for kind in cls.child_kinds:
+                kids.append(_READ[kind](self))
+            f: Formula = cls(*kids)
+        elif cls is Forall or cls is Exists:
             var, sort = self.binder_with_sort()
-            body = self.formula()
-            f = (Forall if head == "forall" else Exists)(var, sort, body)
+            f = cls(var, sort, self.formula())
         elif head in _QUANT_KINDS:
             var = self.binder_plain()
             f = DefinedQuant(_QUANT_KINDS[head], var, self.formula())
+        elif head == _NOT:
+            f = Implies(self.formula(), BOT)
         else:
             self.pos -= 1
             raise self.error(f"unknown formula head {head!r}")
@@ -199,18 +210,20 @@ class _Parser:
                 self.pos -= 1
                 raise self.error("expected a term")
             if tok.isdigit():
+                if not tok.isascii():
+                    self.pos -= 1
+                    raise self.error(
+                        f"numerals are written in ASCII digits, got {tok!r}")
                 return NatConst(int(tok))
             return Var(tok, self.ambient)
         head = self.opened()
-        if head == "+":
-            t: Term = Add(self.term(), self.term())
-        elif head == "*":
-            t = Mul(self.term(), self.term())
-        elif head == "pair":
-            t = Pair(self.term(), self.term())
-        elif head == "succ":
-            t = Succ(self.term())
-        elif head == "var":
+        cls = _CLASSES.get(head)
+        if cls in _FIXED[Term]:
+            kids = []
+            for kind in cls.child_kinds:
+                kids.append(_READ[kind](self))
+            t: Term = cls(*kids)
+        elif cls is Var:
             name = self.symbol("variable name")
             sort_tok = self.next()
             sort = _SORTS.get(sort_tok)
@@ -218,7 +231,7 @@ class _Parser:
                 self.pos -= 1
                 raise self.error(f"expected Nat or Real, got {sort_tok!r}")
             t = Var(name, sort)
-        elif head == "rconst":
+        elif cls is RealConst:
             t = RealConst(self.symbol("constant name"))
         else:
             self.pos -= 1
@@ -230,16 +243,15 @@ class _Parser:
         tok = self.next()
         if tok == "(":
             head = self.opened()
-            if head not in ("svar", "sconst"):
+            cls = _CLASSES.get(head)
+            if cls is not SpeciesVar and cls is not SpeciesConst:
                 self.pos -= 1
                 raise self.error(f"unknown species head {head!r}")
             idx_tok = self.next()
-            if not idx_tok.isdigit():
+            if not (idx_tok.isascii() and idx_tok.isdigit()):
                 self.pos -= 1
                 raise self.error(f"expected an index, got {idx_tok!r}")
-            ref: SpeciesRef = (SpeciesVar if head == "svar" else SpeciesConst)(
-                int(idx_tok)
-            )
+            ref: SpeciesRef = cls(int(idx_tok))
             self.expect(")")
             return ref
         try:
@@ -249,6 +261,11 @@ class _Parser:
             raise self.error(
                 f"expected a species reference, got {tok!r}"
             ) from None
+
+
+# The reader of each kind of child.
+_READ = {Term: _Parser.term, SpeciesRef: _Parser.species,
+         Formula: _Parser.formula}
 
 
 def parse_formula(text: str, language: Language | str) -> Formula:
@@ -268,73 +285,44 @@ def parse_term(text: str, language: Language | str) -> Term:
 
 
 def format_term(t: Term, language: Language | str) -> str:
-    return _format_term(t, AMBIENT_SORT[Language(language)])
-
-
-def _format_term(t: Term, ambient: Sort) -> str:
-    if isinstance(t, Var):
-        if t.sort is ambient:
-            return t.name
-        return f"(var {t.name} {t.sort.value})"
-    if isinstance(t, NatConst):
-        return str(t.value)
-    if isinstance(t, RealConst):
-        return f"(rconst {t.name})"
-    if isinstance(t, Add):
-        return f"(+ {_format_term(t.left, ambient)} {_format_term(t.right, ambient)})"
-    if isinstance(t, Mul):
-        return f"(* {_format_term(t.left, ambient)} {_format_term(t.right, ambient)})"
-    if isinstance(t, Pair):
-        return f"(pair {_format_term(t.left, ambient)} {_format_term(t.right, ambient)})"
-    if isinstance(t, Succ):
-        return f"(succ {_format_term(t.arg, ambient)})"
-    raise ValueError(f"not a term: {t!r}")
-
-
-def format_species(ref: SpeciesRef) -> str:
-    if isinstance(ref, SpeciesVar):
-        return species_binder_name(ref.index)
-    if isinstance(ref, SpeciesConst):
-        return f"(sconst {ref.index})"
-    raise ValueError(f"not a species reference: {ref!r}")
+    return _format(t, Term, AMBIENT_SORT[Language(language)])
 
 
 def format_formula(f: Formula, language: Language | str) -> str:
-    return _format_formula(f, AMBIENT_SORT[Language(language)])
+    return _format(f, Formula, AMBIENT_SORT[Language(language)])
 
 
-def _format_formula(f: Formula, ambient: Sort) -> str:
-    ft = lambda t: _format_term(t, ambient)  # noqa: E731
-    if isinstance(f, Bottom):
-        return "(bot)"
-    if isinstance(f, Eq):
-        return f"(= {ft(f.left)} {ft(f.right)})"
-    if isinstance(f, Lt):
-        return f"(< {ft(f.left)} {ft(f.right)})"
-    if isinstance(f, Apart):
-        return f"(apart {ft(f.left)} {ft(f.right)})"
-    if isinstance(f, In):
-        return f"(in {ft(f.element)} {format_species(f.species)})"
-    if isinstance(f, SpeciesEq):
-        return f"(seq {format_species(f.left)} {format_species(f.right)})"
-    if isinstance(f, Implies):
-        if isinstance(f.right, Bottom):
-            return f"(not {_format_formula(f.left, ambient)})"
-        return (f"(imp {_format_formula(f.left, ambient)} "
-                f"{_format_formula(f.right, ambient)})")
-    if isinstance(f, And):
-        return (f"(and {_format_formula(f.left, ambient)} "
-                f"{_format_formula(f.right, ambient)})")
-    if isinstance(f, Or):
-        return (f"(or {_format_formula(f.left, ambient)} "
-                f"{_format_formula(f.right, ambient)})")
-    if isinstance(f, Exists):
-        return (f"(exists ({f.var} {f.sort.value}) "
-                f"{_format_formula(f.body, ambient)})")
-    if isinstance(f, Forall):
-        return (f"(forall ({f.var} {f.sort.value}) "
-                f"{_format_formula(f.body, ambient)})")
-    if isinstance(f, DefinedQuant):
-        return (f"({f.kind.value} ({f.var}) "
-                f"{_format_formula(f.body, ambient)})")
-    raise ValueError(f"not a formula: {f!r}")
+def _format(node: Node, kind: type, ambient: Sort) -> str:
+    """The text of node, which must be of the given kind."""
+    cls = type(node)
+    # The kind of a node class is its base class in the node table.
+    if cls.__base__ is not kind:
+        raise ValueError(f"not a {_KIND_NAMES[kind]}: {node!r}")
+    if cls is Var:
+        if node.sort is ambient:
+            return node.name
+        return f"({_HEADS[Var]} {node.name} {node.sort.value})"
+    if cls is NatConst:
+        return str(node.value)
+    if cls is SpeciesVar:
+        return species_binder_name(node.index)
+    if cls is Implies and type(node.right) is Bottom:
+        return f"({_NOT} {_format(node.left, Formula, ambient)})"
+    if cls is Exists or cls is Forall:
+        return (f"({_HEADS[cls]} ({node.var} {node.sort.value}) "
+                f"{_format(node.body, Formula, ambient)})")
+    if cls is DefinedQuant:
+        return (f"({node.kind.value} ({node.var}) "
+                f"{_format(node.body, Formula, ambient)})")
+    # Nodes of the other classes have data or children, not both, and at
+    # most two children.
+    head = _HEADS[cls]
+    kids = children(node)
+    if not kids:
+        data = "".join(f" {getattr(node, name)}" for name in cls.data_fields)
+        return f"({head}{data})"
+    kinds = cls.child_kinds
+    if len(kids) == 1:
+        return f"({head} {_format(kids[0], kinds[0], ambient)})"
+    return (f"({head} {_format(kids[0], kinds[0], ambient)} "
+            f"{_format(kids[1], kinds[1], ambient)})")

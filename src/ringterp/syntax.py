@@ -11,7 +11,8 @@ real variables or constants.  Defined quantifiers (existsN, forallN,
 existsR, forallR) are target-side macro nodes that a full expansion
 rewrites into plain real quantifiers.
 
-All nodes are immutable dataclasses compared structurally.  Negation is
+Every node class is built from one table, _NODES, as an immutable
+slotted class compared and hashed by its class and fields.  Negation is
 not a node: (not f) is sugar for (imp f (bot)).  Apartness is kept as a
 node of its own but is definitionally equal to (or (< a b) (< b a));
 normalize_apart performs that unfolding.
@@ -21,9 +22,9 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 
 class Sort(enum.Enum):
@@ -37,6 +38,13 @@ class Language(enum.Enum):
     TARGET = "target"
 
 
+class QuantKind(enum.Enum):
+    EXISTS_NAT = "existsN"
+    FORALL_NAT = "forallN"
+    EXISTS_REAL = "existsR"
+    FORALL_REAL = "forallR"
+
+
 # The sort of every term variable of each language.
 AMBIENT_SORT = {Language.SOURCE: Sort.NAT, Language.TARGET: Sort.REAL}
 
@@ -45,12 +53,13 @@ class SortError(ValueError):
     """A term or formula breaks the sorting rules of its language."""
 
 
-_SPECIES_BINDER = re.compile(r"^X(\d+)$")
+_SPECIES_BINDER = re.compile(r"X([0-9]+)")
 
 
 def species_binder_index(name: str) -> int:
-    """Index i of a species binder written X<i>; raises SortError otherwise."""
-    m = _SPECIES_BINDER.match(name)
+    """Index i of a species binder written X<i>, i in ASCII digits; raises
+    SortError otherwise."""
+    m = _SPECIES_BINDER.fullmatch(name)
     if m is None:
         raise SortError(f"species binder must look like X0, X1, ...: got {name!r}")
     return int(m.group(1))
@@ -61,192 +70,134 @@ def species_binder_name(index: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Terms
+# Nodes
 
 
-class Term:
+class Node:
+    """Immutable AST node, equal to another node of the same class with
+    equal fields.  Each concrete class is built from its row of _NODES."""
+
+    __slots__ = ()
+    data_fields: tuple[str, ...] = ()
+    child_kinds: tuple[type, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Term(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Var(Term):
-    name: str
-    sort: Sort
+class SpeciesRef(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NatConst(Term):
-    """Numeral; read as a natural in the source and as its dyadic embedding
-    in the target."""
-
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError(f"numerals are nonnegative, got {self.value}")
+class Formula(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RealConst(Term):
-    """Named real constant of the target language."""
+# One row per node class: name, base, data fields (names, sorts, numerals,
+# indices, quantifier kinds), children as (field, kind) pairs, and the
+# message of the ValueError a negative data field raises, if any.  A
+# node's constructor takes its data, then its children, in row order.
+_NODES = (
+    ("Var", Term, ("name", "sort"), ()),
+    # Numeral; read as a natural in the source and as its dyadic embedding
+    # in the target.
+    ("NatConst", Term, ("value",), (), "numerals are nonnegative, got {}"),
+    # Named real constant of the target language.
+    ("RealConst", Term, ("name",), ()),
+    ("Add", Term, (), (("left", Term), ("right", Term))),
+    ("Mul", Term, (), (("left", Term), ("right", Term))),
+    # Cantor pairing applied to two nat terms (source language only).
+    ("Pair", Term, (), (("left", Term), ("right", Term))),
+    ("Succ", Term, (), (("arg", Term),)),
+    ("SpeciesVar", SpeciesRef, ("index",), (),
+     "species indices are nonnegative"),
+    ("SpeciesConst", SpeciesRef, ("index",), (),
+     "species indices are nonnegative"),
+    ("Bottom", Formula, (), ()),
+    ("Eq", Formula, (), (("left", Term), ("right", Term))),
+    ("Lt", Formula, (), (("left", Term), ("right", Term))),
+    # Apartness; definitionally (or (< a b) (< b a)).
+    ("Apart", Formula, (), (("left", Term), ("right", Term))),
+    ("In", Formula, (), (("element", Term), ("species", SpeciesRef))),
+    ("SpeciesEq", Formula, (), (("left", SpeciesRef), ("right", SpeciesRef))),
+    ("And", Formula, (), (("left", Formula), ("right", Formula))),
+    ("Or", Formula, (), (("left", Formula), ("right", Formula))),
+    ("Implies", Formula, (), (("left", Formula), ("right", Formula))),
+    ("Exists", Formula, ("var", "sort"), (("body", Formula),)),
+    ("Forall", Formula, ("var", "sort"), (("body", Formula),)),
+    # Macro quantifier of the target language: existsN/forallN relativize
+    # a real variable to the naturals, existsR and forallR are the real
+    # quantifiers themselves; expansion replaces all four with plain
+    # Exists/Forall over Real.
+    ("DefinedQuant", Formula, ("kind", "var"), (("body", Formula),)),
+)
 
-    name: str
+
+# The methods of a node class, compiled per class as dataclasses does, so
+# that they name the fields and read them without a call.  __init__
+# stores through the slot descriptors, which Node.__setattr__ does not
+# intercept.  Equality, hashing and repr recurse one frame per level of
+# nesting.
+_METHODS = """\
+def make(negative, {setters}):
+    def __init__(self, {fields}):
+{check}{stores}
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return {values} == {other_values}
+        return NotImplemented
+    def __hash__(self):
+        return hash({values})
+    def __repr__(self):
+        return f"{name}({repr_fields})"
+    return __init__, __eq__, __hash__, __repr__
+"""
 
 
-@dataclass(frozen=True)
-class Add(Term):
-    left: Term
-    right: Term
+def _node_class(name: str, base: type, data: tuple[str, ...],
+                kids: tuple[tuple[str, type], ...],
+                negative: Optional[str] = None) -> type:
+    """The class of one row of _NODES."""
+    fields = data + tuple(field for field, _ in kids)
+    cls = type(name, (base,), {
+        "__slots__": fields,
+        "data_fields": data,
+        "child_kinds": tuple(kind for _, kind in kids),
+    })
+    source = _METHODS.format(
+        name=name,
+        setters=", ".join(f"set_{f}" for f in fields),
+        fields=", ".join(fields),
+        check=(f"        if {fields[0]} < 0:\n"
+               f"            raise ValueError(negative.format({fields[0]}))\n"
+               if negative else ""),
+        stores="".join(f"        set_{f}(self, {f})\n" for f in fields)
+        or "        pass\n",
+        values="(" + "".join(f"self.{f}, " for f in fields) + ")",
+        other_values="(" + "".join(f"other.{f}, " for f in fields) + ")",
+        repr_fields=", ".join(f"{f}={{self.{f}!r}}" for f in fields),
+    )
+    namespace: dict = {}
+    exec(source, {}, namespace)
+    setters = [getattr(cls, field).__set__ for field in fields]
+    (cls.__init__, cls.__eq__, cls.__hash__,
+     cls.__repr__) = namespace["make"](negative, *setters)
+    return cls
 
 
-@dataclass(frozen=True)
-class Mul(Term):
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class Pair(Term):
-    """Cantor pairing applied to two nat terms (source language only)."""
-
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class Succ(Term):
-    arg: Term
-
+_CLASSES = {row[0]: _node_class(*row) for row in _NODES}
+globals().update(_CLASSES)
 
 ZERO = NatConst(0)
 ONE = NatConst(1)
-
-
-# ---------------------------------------------------------------------------
-# Species references
-
-
-class SpeciesRef:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class SpeciesVar(SpeciesRef):
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError("species indices are nonnegative")
-
-
-@dataclass(frozen=True)
-class SpeciesConst(SpeciesRef):
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError("species indices are nonnegative")
-
-
-# ---------------------------------------------------------------------------
-# Formulas
-
-
-class Formula:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Bottom(Formula):
-    pass
-
-
 BOT = Bottom()
-
-
-@dataclass(frozen=True)
-class Eq(Formula):
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class Lt(Formula):
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class Apart(Formula):
-    """Apartness; definitionally (or (< a b) (< b a))."""
-
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class In(Formula):
-    element: Term
-    species: SpeciesRef
-
-
-@dataclass(frozen=True)
-class SpeciesEq(Formula):
-    left: SpeciesRef
-    right: SpeciesRef
-
-
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
-
-
-class QuantKind(enum.Enum):
-    EXISTS_NAT = "existsN"
-    FORALL_NAT = "forallN"
-    EXISTS_REAL = "existsR"
-    FORALL_REAL = "forallR"
-
-
-@dataclass(frozen=True)
-class Exists(Formula):
-    var: str
-    sort: Sort
-    body: Formula
-
-
-@dataclass(frozen=True)
-class Forall(Formula):
-    var: str
-    sort: Sort
-    body: Formula
-
-
-@dataclass(frozen=True)
-class DefinedQuant(Formula):
-    """Macro quantifier of the target language.
-
-    existsN/forallN relativize a real variable to the naturals, existsR and
-    forallR are the real quantifiers themselves; expansion replaces all four
-    with plain Exists/Forall over Real.
-    """
-
-    kind: QuantKind
-    var: str
-    body: Formula
 
 
 def neg(f: Formula) -> Formula:
@@ -260,18 +211,14 @@ def neg(f: Formula) -> Formula:
 # Structural passes are written against one child map, the children /
 # rebuild pair of Uniplate (Mitchell and Runciman, "Uniform boilerplate
 # and list processing", 2007): a pass handles the nodes it cares about
-# and hands every other node to children and rebuild.  Every node class
-# is a frozen dataclass whose data fields (names, sorts, numerals,
-# quantifier kinds) precede its children (terms, species references,
-# subformulas).  The per-class accessors are read off the fields once,
-# here, and not on every call: the passes run on every translation.
-
-Node = Union[Term, SpeciesRef, Formula]
+# and hands every other node to children and rebuild.  The per-class
+# accessors are built from _NODES once, here, and not on every call: the
+# passes run on every translation.
 
 _QUANTIFIERS = (Exists, Forall, DefinedQuant)
 
 
-def _getter(names: list[str]) -> Callable[[Node], tuple]:
+def _getter(names: Sequence[str]) -> Callable[[Node], tuple]:
     """Function returning the named fields of a node as a tuple."""
     if not names:
         return lambda node: ()
@@ -281,31 +228,14 @@ def _getter(names: list[str]) -> Callable[[Node], tuple]:
     return attrgetter(*names)
 
 
-def _shapes() -> tuple[dict, dict, frozenset]:
-    """Per node class, the getters of its children and of its data; and
-    the formula classes without subformulas."""
-    kids_of: dict[type, Callable[[Node], tuple[Node, ...]]] = {}
-    data_of: dict[type, Callable[[Node], tuple]] = {}
-    atoms: set[type] = set()
-    for base in (Term, SpeciesRef, Formula):
-        for cls in base.__subclasses__():
-            names = [f.name for f in fields(cls)]
-            types = [f.type for f in fields(cls)]
-            kids = [name for name, t in zip(names, types)
-                    if t in ("Term", "SpeciesRef", "Formula")]
-            split = len(names) - len(kids)
-            if names[split:] != kids:
-                raise TypeError(
-                    f"{cls.__name__}: data fields must precede children")
-            kids_of[cls] = _getter(kids)
-            data_of[cls] = _getter(names[:split])
-            if base is Formula and "Formula" not in types:
-                atoms.add(cls)
-    return kids_of, data_of, frozenset(atoms)
+# A node's slots are its data fields, then its children.
+_CHILDREN = {cls: _getter(cls.__slots__[len(cls.data_fields):])
+             for cls in _CLASSES.values()}
+_DATA = {cls: _getter(cls.data_fields) for cls in _CLASSES.values()}
 
-
-# ATOMS: the formula classes where passes over formula structure stop.
-_CHILDREN, _DATA, ATOMS = _shapes()
+# The formula classes where passes over formula structure stop.
+ATOMS = frozenset(cls for cls in _CLASSES.values() if issubclass(cls, Formula)
+                  and Formula not in cls.child_kinds)
 
 
 def children(node: Node) -> tuple[Node, ...]:
@@ -456,17 +386,13 @@ class FreeVars:
 
 def term_var_names(t: Term) -> frozenset[str]:
     out: set[str] = set()
-
-    def walk(t: Term) -> None:
-        if isinstance(t, Var):
-            out.add(t.name)
-        elif isinstance(t, (Add, Mul, Pair)):
-            walk(t.left)
-            walk(t.right)
-        elif isinstance(t, Succ):
-            walk(t.arg)
-
-    walk(t)
+    stack: list[Node] = [t]
+    while stack:
+        node = stack.pop()
+        if type(node) is Var:
+            out.add(node.name)
+        else:
+            stack.extend(children(node))
     return frozenset(out)
 
 
@@ -582,9 +508,11 @@ def substitute(f: Formula, name: str, sort: Sort, replacement: Term) -> Formula:
                 if node.var in repl_names:
                     forbidden = repl_names | all_var_names(node.body) | {name}
                     new = fresh_name(node.var, forbidden)
-                    body = substitute(node.body, node.var, binder_sort,
-                                      Var(new, binder_sort))
-                    return replace(node, var=new, body=walk(body))
+                    body = walk(substitute(node.body, node.var, binder_sort,
+                                           Var(new, binder_sort)))
+                    if type(node) is DefinedQuant:
+                        return DefinedQuant(node.kind, new, body)
+                    return type(node)(new, node.sort, body)
         return rebuild(node, [walk(child) for child in children(node)])
 
     return walk(f)
@@ -644,7 +572,7 @@ def alpha_equal(f: Formula, g: Formula) -> bool:
                 return False
         return True
 
-    # Structurally equal formulas are alpha-equal, and dataclass equality
+    # Structurally equal formulas are alpha-equal, and node equality
     # settles that common case (a print/parse round trip) faster than
     # the walk.
     return f == g or walk(f, g, {}, {}, 0)

@@ -32,7 +32,7 @@ compound of the translations byte for byte.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .pairing import bounded_op
@@ -227,7 +227,7 @@ def _rename_shadowed_species(f: Node, env: Mapping[int, int],
         new = index
     env2 = {**env, index: new}
     body = _rename_shadowed_species(f.body, env2, in_scope | {new})
-    return replace(f, var=species_binder_name(new), body=body)
+    return type(f)(species_binder_name(new), f.sort, body)
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,31 @@ class TestPrinting:
         f = parse_formula("(imp (= x 0) (bot))", Language.SOURCE)
         assert format_formula(f, Language.SOURCE) == "(not (= x 0))"
 
+    @pytest.mark.parametrize("tree,text", [
+        (Var("x", Sort.NAT), "not a formula: Var(name='x', "
+                             "sort=<Sort.NAT: 'Nat'>)"),
+        (And(BOT, NatConst(0)), "not a formula: NatConst(value=0)"),
+        (Implies(SpeciesVar(1), BOT), "not a formula: SpeciesVar(index=1)"),
+        (Exists("x", Sort.NAT, NatConst(2)),
+         "not a formula: NatConst(value=2)"),
+        (Eq(NatConst(0), BOT), "not a term: Bottom()"),
+        (Lt(Succ(SpeciesConst(1)), NatConst(0)),
+         "not a term: SpeciesConst(index=1)"),
+        (In(NatConst(0), NatConst(1)), "not a species reference: "
+                                       "NatConst(value=1)"),
+        (SpeciesEq(SpeciesVar(0), BOT), "not a species reference: Bottom()"),
+        ("(bot)", "not a formula: '(bot)'"),
+    ])
+    def test_ill_kinded_trees_are_value_errors(self, tree, text):
+        with pytest.raises(ValueError) as err:
+            format_formula(tree, Language.SOURCE)
+        assert str(err.value) == text
+
+    def test_ill_kinded_terms_are_value_errors(self):
+        with pytest.raises(ValueError) as err:
+            format_term(BOT, Language.TARGET)
+        assert str(err.value) == "not a term: Bottom()"
+
 
 class TestErrors:
     @pytest.mark.parametrize("text", [
@@ -144,6 +169,38 @@ class TestErrors:
     def test_trailing_term_input_raises(self):
         with pytest.raises(ParseError):
             parse_term("x y", Language.SOURCE)
+
+
+class TestAsciiDigits:
+    """Numerals and indices are ASCII digits; other Unicode digits, which
+    str.isdigit and int accept, are positioned parse errors."""
+
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "1\u0663"])
+    # at: the text the error points to; a binder's index is checked
+    # when its sort has been read, so the error points past it.
+    @pytest.mark.parametrize("text,at,message", [
+        ("(= {} 0)", "{}", "numerals are written in ASCII digits, got '{}'"),
+        ("(in 0 (svar {}))", "{}", "expected an index, got '{}'"),
+        ("(in 0 (sconst {}))", "{}", "expected an index, got '{}'"),
+        ("(in 0 X{})", "X", "expected a species reference, got 'X{}'"),
+        ("(exists (X{} Species) (bot))", ")",
+         "species binder must look like X0, X1, ...: got 'X{}'"),
+    ])
+    @pytest.mark.parametrize("language", list(Language))
+    def test_positions(self, digit, text, at, message, language):
+        text = text.format(digit)
+        column = text.index(at.format(digit)) + 1
+        with pytest.raises(ParseError) as err:
+            parse_formula(text, language)
+        assert str(err.value) == (f"line 1, column {column}: "
+                                  f"{message.format(digit)}")
+
+    def test_terms(self):
+        with pytest.raises(ParseError, match="line 1, column 7: numerals"):
+            parse_term("(succ \u0663)", Language.SOURCE)
+        assert parse_term("(succ 03)", Language.SOURCE) == Succ(NatConst(3))
+        assert parse_term("\u0663x", Language.SOURCE) == Var("\u0663x",
+                                                             Sort.NAT)
 
 
 def nested(opening: str, leaf: str, depth: int) -> str:
@@ -420,6 +477,12 @@ class ReferenceParser:
             self.pos -= 1
             raise self.error("expected a term")
         if tok.text.isdigit():
+            # Changed on purpose from the replaced reader, which took
+            # any Unicode digits: numerals are ASCII digits.
+            if not tok.text.isascii():
+                self.pos -= 1
+                raise self.error("numerals are written in ASCII digits, "
+                                 f"got {tok.text!r}")
             return NatConst(int(tok.text))
         return Var(tok.text, Sort.NAT if self.language is Language.SOURCE
                    else Sort.REAL)
@@ -432,7 +495,8 @@ class ReferenceParser:
                 self.pos -= 1
                 raise self.error(f"unknown species head {head!r}")
             idx_tok = self.next()
-            if not idx_tok.text.isdigit():
+            # ASCII digits only, changed on purpose as for numerals.
+            if not (idx_tok.text.isascii() and idx_tok.text.isdigit()):
                 self.pos -= 1
                 raise self.error(f"expected an index, got {idx_tok.text!r}")
             ref: SpeciesRef = (SpeciesVar if head == "svar" else SpeciesConst)(
@@ -520,6 +584,8 @@ EDGE_TEXTS = [
     "(not " * 300 + "(bot)" + ")" * 300, "(not " * 255 + "(bot)" + ")" * 255,
     ")" * 300 + "(" * 300, "(= ² 0)", "(= x 0)", "(= x\x1c0)",
     "(= 0x 0)", "(in x (svar 01))", "(in x X01)", "",
+    "(= \u0663 0)", "(in 0 (sconst \u0663))", "(in 0 (svar \u00b2))",
+    "(in 0 X\u0663)", "(exists (X\u0663 Species) (bot))",
 ]
 
 

@@ -1,14 +1,20 @@
 """Tests for the abstract syntax layer: sorting, substitution, scoping."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ringterp.sexpr import (
+    format_formula, format_term, parse_formula, parse_term,
+)
 from ringterp.syntax import (
-    BOT, Add, And, Apart, DefinedQuant, Eq, Exists, Forall, Implies, In,
-    Language, Lt, Mul, NatConst, Or, Pair, QuantKind, RealConst, Sort,
-    SortError, SpeciesConst, SpeciesEq, SpeciesVar, Succ, Var, alpha_equal,
-    check_formula, free_vars, fresh_name, is_closed, neg, normalize_apart,
+    BOT, Add, And, Apart, Bottom, DefinedQuant, Eq, Exists, Forall, Formula,
+    Implies, In, Language, Lt, Mul, NatConst, Node, Or, Pair, QuantKind,
+    RealConst, Sort, SortError, SpeciesConst, SpeciesEq, SpeciesRef,
+    SpeciesVar, Succ, Term, Var, alpha_equal, check_formula, children,
+    free_vars, fresh_name, is_closed, neg, normalize_apart, rebuild,
     species_binder_index, species_binder_name, substitute, term_sort,
 )
 
@@ -75,6 +81,11 @@ class TestSorting:
     def test_nat_const_rejects_negative(self):
         with pytest.raises(ValueError):
             NatConst(-1)
+
+    @pytest.mark.parametrize("name", ["X\u0663", "X\u00b2", "X1\n", "x1"])
+    def test_species_binder_indices_are_ascii_digits(self, name):
+        with pytest.raises(SortError, match="must look like X0, X1"):
+            species_binder_index(name)
 
 
 class TestFreeVars:
@@ -173,3 +184,178 @@ class TestFreshName:
 
 def test_neg_builds_implication_to_bottom():
     assert neg(Eq(x, n)) == Implies(Eq(x, n), BOT)
+
+
+# ---------------------------------------------------------------------------
+# The node contract: every class of the node table, one example each,
+# with its repr as error messages show it.
+
+VX = "Var(name='x', sort=<Sort.NAT: 'Nat'>)"
+NODES = {
+    Var: (x, VX),
+    NatConst: (NatConst(3), "NatConst(value=3)"),
+    RealConst: (RealConst("a1"), "RealConst(name='a1')"),
+    Add: (Add(x, n), f"Add(left={VX}, right=Var(name='n', "
+                     "sort=<Sort.NAT: 'Nat'>))"),
+    Mul: (Mul(x, NatConst(2)), f"Mul(left={VX}, right=NatConst(value=2))"),
+    Pair: (Pair(NatConst(0), x), f"Pair(left=NatConst(value=0), right={VX})"),
+    Succ: (Succ(x), f"Succ(arg={VX})"),
+    SpeciesVar: (SpeciesVar(2), "SpeciesVar(index=2)"),
+    SpeciesConst: (SpeciesConst(1), "SpeciesConst(index=1)"),
+    Bottom: (BOT, "Bottom()"),
+    Eq: (Eq(x, x), f"Eq(left={VX}, right={VX})"),
+    Lt: (Lt(rx, ry), "Lt(left=Var(name='x', sort=<Sort.REAL: 'Real'>), "
+                     "right=Var(name='y', sort=<Sort.REAL: 'Real'>))"),
+    Apart: (Apart(x, NatConst(0)),
+            f"Apart(left={VX}, right=NatConst(value=0))"),
+    In: (In(x, SpeciesConst(1)),
+         f"In(element={VX}, species=SpeciesConst(index=1))"),
+    SpeciesEq: (SpeciesEq(SpeciesVar(0), SpeciesConst(2)),
+                "SpeciesEq(left=SpeciesVar(index=0), "
+                "right=SpeciesConst(index=2))"),
+    And: (And(BOT, Eq(x, x)), f"And(left=Bottom(), right=Eq(left={VX}, "
+                              f"right={VX}))"),
+    Or: (Or(BOT, BOT), "Or(left=Bottom(), right=Bottom())"),
+    Implies: (Implies(BOT, BOT), "Implies(left=Bottom(), right=Bottom())"),
+    Exists: (Exists("x", Sort.NAT, Eq(x, x)),
+             f"Exists(var='x', sort=<Sort.NAT: 'Nat'>, "
+             f"body=Eq(left={VX}, right={VX}))"),
+    Forall: (Forall("X0", Sort.SPECIES, In(x, SpeciesVar(0))),
+             "Forall(var='X0', sort=<Sort.SPECIES: 'Species'>, "
+             f"body=In(element={VX}, species=SpeciesVar(index=0)))"),
+    DefinedQuant: (DefinedQuant(QuantKind.EXISTS_NAT, "y", BOT),
+                   "DefinedQuant(kind=<QuantKind.EXISTS_NAT: 'existsN'>, "
+                   "var='y', body=Bottom())"),
+}
+EXAMPLES = [node for node, _ in NODES.values()]
+
+
+def copy_of(node):
+    """A node equal to node but built anew, down to its leaves."""
+    cls = type(node)
+    data = [getattr(node, name) for name in cls.data_fields]
+    return cls(*data, *map(copy_of, children(node)))
+
+
+class TestNodeContract:
+    def test_every_table_class_has_an_example(self):
+        classes = {c for base in (Term, SpeciesRef, Formula)
+                   for c in base.__subclasses__()}
+        assert classes == set(NODES)
+        assert all(issubclass(c, Node) for c in classes)
+
+    @pytest.mark.parametrize("cls", NODES, ids=lambda c: c.__name__)
+    def test_repr_is_literal(self, cls):
+        node, text = NODES[cls]
+        assert repr(node) == text
+
+    @pytest.mark.parametrize("cls", NODES, ids=lambda c: c.__name__)
+    def test_equal_nodes_hash_equal(self, cls):
+        node, _ = NODES[cls]
+        other = copy_of(node)
+        assert other == node and not other != node
+        assert hash(other) == hash(node)
+        assert len({node, other}) == 1
+
+    def test_equality_is_class_sensitive(self):
+        a, b = Eq(x, x), BOT
+        assert And(a, b) != Or(a, b)
+        assert Add(x, n) != Mul(x, n)
+        assert Exists("x", Sort.NAT, BOT) != Forall("x", Sort.NAT, BOT)
+        assert SpeciesVar(1) != SpeciesConst(1)
+        for p, q in itertools.combinations(EXAMPLES, 2):
+            assert p != q and not p == q
+
+    def test_equality_compares_fields(self):
+        assert Var("x", Sort.NAT) != Var("x", Sort.REAL)
+        assert NatConst(1) != NatConst(2)
+        assert And(BOT, Eq(x, x)) != And(BOT, Eq(x, n))
+        assert NatConst(1) != 1 and NatConst(1) != (1,)
+
+    @pytest.mark.parametrize("cls", NODES, ids=lambda c: c.__name__)
+    def test_nodes_are_immutable_and_slotted(self, cls):
+        node, _ = NODES[cls]
+        assert not hasattr(node, "__dict__")
+        for name in (*cls.__slots__, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, None)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        assert repr(node) == NODES[cls][1]
+
+    def test_negative_numerals_and_indices_are_value_errors(self):
+        with pytest.raises(ValueError) as err:
+            NatConst(-1)
+        assert str(err.value) == "numerals are nonnegative, got -1"
+        for cls in (SpeciesVar, SpeciesConst):
+            with pytest.raises(ValueError) as err:
+                cls(-2)
+            assert str(err.value) == "species indices are nonnegative"
+
+    @pytest.mark.parametrize("cls", NODES, ids=lambda c: c.__name__)
+    def test_rebuild_shares_unchanged_nodes(self, cls):
+        node, _ = NODES[cls]
+        assert rebuild(node, children(node)) is node
+        assert rebuild(node, list(children(node))) is node
+
+    @pytest.mark.parametrize("cls", [c for c in NODES if c.child_kinds],
+                             ids=lambda c: c.__name__)
+    def test_rebuild_keeps_class_and_data(self, cls):
+        node, _ = NODES[cls]
+        fresh = {Term: NatConst(7), SpeciesRef: SpeciesConst(5),
+                 Formula: Lt(x, n)}
+        for i, kind in enumerate(cls.child_kinds):
+            kids = list(children(node))
+            kids[i] = fresh[kind]
+            out = rebuild(node, kids)
+            assert type(out) is cls and out is not node
+            for name in cls.data_fields:
+                assert getattr(out, name) == getattr(node, name)
+            assert children(out) == tuple(kids)
+
+
+def _round_trip_cases():
+    """(node, language) for every head of the printer and reader, in each
+    language where the node is legal."""
+    heads = [node for cls, (node, _) in NODES.items()
+             if cls not in (SpeciesVar, SpeciesConst)]
+    heads += [In(x, SpeciesVar(3)), SpeciesEq(SpeciesConst(0), SpeciesVar(1)),
+              Implies(Eq(x, n), BOT), Var("x", Sort.REAL), rx,
+              Exists("y", Sort.REAL, Lt(ry, ry)),
+              Forall("y", Sort.REAL, Apart(ry, NatConst(1)))]
+    heads += [DefinedQuant(kind, "y", Eq(ry, RealConst("c")))
+              for kind in QuantKind]
+    cases = []
+    for node in heads:
+        for language in Language:
+            try:
+                if isinstance(node, Term):
+                    term_sort(node, language)
+                else:
+                    check_formula(node, language)
+            except SortError:
+                continue
+            cases.append((node, language))
+    return cases
+
+
+@pytest.mark.parametrize("node,language", _round_trip_cases(),
+                         ids=lambda v: getattr(v, "value", None))
+def test_parse_inverts_format(node, language):
+    if isinstance(node, Term):
+        assert parse_term(format_term(node, language), language) == node
+    else:
+        assert parse_formula(format_formula(node, language), language) == node
+
+
+def test_round_trip_cases_cover_every_class_and_both_languages():
+    cases = _round_trip_cases()
+    covered = set()
+    for node, _ in cases:
+        stack = [node]
+        while stack:
+            top = stack.pop()
+            covered.add(type(top))
+            stack.extend(children(top))
+    assert covered == set(NODES)
+    assert {language for _, language in cases} == set(Language)

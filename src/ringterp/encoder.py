@@ -22,6 +22,7 @@ principle.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -61,7 +62,9 @@ def _cutover_unit_fraction(denom: int, start: int, name: str) -> RealGen:
     """Generator for 1/denom that reports 0 before stage start.
 
     From stage start on this is the usual unit fraction approximant, so
-    a modulus hint of k + 2 works once it is also pushed past start.
+    a modulus hint of k + 2 works once it is also pushed past start, and
+    the unit fraction's slack floor x holds there; before start the
+    generator records no bound (-inf).
     """
     return RealGen(
         lambda x: 0 if x < start else (1 << x) // denom,
@@ -69,6 +72,7 @@ def _cutover_unit_fraction(denom: int, start: int, name: str) -> RealGen:
         name=name,
         vector=lambda top: [0] * start + [(1 << x) // denom
                                           for x in range(start, top + 1)],
+        slack_floor=lambda x: x if x >= start else -math.inf,
     )
 
 

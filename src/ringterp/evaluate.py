@@ -30,6 +30,7 @@ and answer for every candidate.
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 from typing import Callable, Iterable, Mapping, NoReturn, Optional, Union
 
@@ -37,7 +38,7 @@ from .encoder import MembershipStatus, SpeciesEncoding, encode_silent, \
     encode_stabilized, gap_digits, quotient_status
 from .pairing import bounded_op
 from .reals import InsufficientHorizon, Precision, RealGen, add, \
-    check_modulus, eq_at, from_nat, lt_at, mul, nat_scalar
+    check_certified, eq_at, from_nat, lt_at, mul, nat_scalar
 from .syntax import (
     Add, And, Apart, Bottom, DefinedQuant, Eq, Exists, Forall, Formula,
     Implies, In, Language, Lt, Mul, NatConst, Or, Pair, QuantKind, RealConst,
@@ -69,7 +70,10 @@ class FiniteStructure:
     is the range of plain real quantifiers.  species maps constant
     indices to encodings; their exact extensions are derived from the
     encodings and verified against bounded membership checks during
-    construction, as is the modulus promise of every domain generator.
+    construction, as is the modulus promise of every domain generator:
+    a library generator (from_nat, or an encoder's cutover unit
+    fraction) by its slack floor, any other by check_modulus's scan
+    (see reals.check_certified).
     The precision's k is raised to the gap_digits of every species
     constant, so that a candidate next to a singleton's member is not
     witnessed equal to it; the horizon is kept as given.
@@ -128,7 +132,7 @@ class FiniteStructure:
                 continue
             seen.add(id(g))
             try:
-                ok = check_modulus(g, self.precision)
+                ok = check_certified(g, self.precision)
             except InsufficientHorizon as exc:
                 raise PrecisionError(
                     f"structure precision cannot host a generator: {exc}"
@@ -582,7 +586,8 @@ def parse_structure(text: str, sentinel_true: bool = False) -> FiniteStructure:
     Required: `nats: n n ...`.  Optional: `species: <i> full` or
     `species: <i> singleton <k> moment <m>` (repeatable),
     `orientation: as-written|quotient-normalized`,
-    `precision: k=<k> horizon=<h>`, and `sentinel: <name>`.
+    `precision: k=<k> horizon=<h>`, and `sentinel: <name>`.  Numbers
+    are ASCII digits.
     """
     nats: Optional[list[int]] = None
     species: dict[int, SpeciesEncoding] = {}
@@ -599,18 +604,18 @@ def parse_structure(text: str, sentinel_true: bool = False) -> FiniteStructure:
             raise StructureError(f"expected key: value, got {line!r}")
         try:
             if key == "nats":
-                nats = [int(part) for part in value.split()]
+                nats = [_natural(part) for part in value.split()]
             elif key == "species":
                 parts = value.split()
-                index = int(parts[0])
+                index = _natural(parts[0])
                 if index in species:
                     raise StructureError(f"species {index} listed twice")
                 if parts[1:] == ["full"]:
                     species[index] = encode_silent()
                 elif (len(parts) == 5 and parts[1] == "singleton"
                       and parts[3] == "moment"):
-                    species[index] = encode_stabilized(int(parts[4]),
-                                                       int(parts[2]))
+                    species[index] = encode_stabilized(_natural(parts[4]),
+                                                       _natural(parts[2]))
                 else:
                     raise StructureError(f"bad species line {line!r}")
             elif key == "orientation":
@@ -619,8 +624,12 @@ def parse_structure(text: str, sentinel_true: bool = False) -> FiniteStructure:
                 orientation = ORIENTATION_NAMES[value]
             elif key == "precision":
                 fields = dict(part.split("=", 1) for part in value.split())
-                precision = Precision(k=int(fields.pop("k")),
-                                      horizon=int(fields.pop("horizon")))
+                missing = [f"{name}=" for name in ("k", "horizon")
+                           if name not in fields]
+                if missing:
+                    raise ValueError(f"missing {' and '.join(missing)}")
+                precision = Precision(k=_natural(fields.pop("k")),
+                                      horizon=_natural(fields.pop("horizon")))
                 if fields:
                     raise StructureError(
                         f"unknown precision fields {sorted(fields)}"
@@ -629,7 +638,7 @@ def parse_structure(text: str, sentinel_true: bool = False) -> FiniteStructure:
                 sentinel = value
             else:
                 raise StructureError(f"unknown structure key {key!r}")
-        except (ValueError, IndexError, KeyError) as exc:
+        except (ValueError, IndexError) as exc:
             if isinstance(exc, StructureError):
                 raise
             raise StructureError(f"bad structure line {line!r}: {exc}") from None
@@ -637,3 +646,14 @@ def parse_structure(text: str, sentinel_true: bool = False) -> FiniteStructure:
         raise StructureError("structure needs a nats: line")
     return FiniteStructure(nats, species, orientation, precision,
                            sentinel, sentinel_true)
+
+
+_DIGITS = re.compile(r"[0-9]+")
+
+
+def _natural(text: str) -> int:
+    """A natural number written in ASCII digits; int() alone would also
+    read other Unicode digits, signs, spaces and underscores."""
+    if not _DIGITS.fullmatch(text):
+        raise ValueError(f"expected digits 0-9, got {text!r}")
+    return int(text)

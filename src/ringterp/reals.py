@@ -21,6 +21,18 @@ The searches read stage lists (RealGen.stages), which library
 generators build once, bottom up, and user-supplied ones fill stage by
 stage through the checked RealGen.at.  eq_at and lt_at count runs of
 passing stages; check_modulus scans each distinct promised stage once.
+
+A library constructor whose promise holds by construction also records
+a slack floor: a proven lower bound, for every stage x, on the least
+x + p - bits(|2^p * xi(x) - xi(x + p)|) over nonzero differences.  The
+promise holds for k at stage x once the floor there reaches k.
+from_nat's differences are all 0, so its floor is infinite; floor(2^x/q)
+differs from 2^-p * floor(2^(x+p)/q) by less than 1, so the unit
+fraction's floor is x (from its cutover on, for the encoder's cutover
+unit fraction).  add, mul, nat_scalar and user-supplied generators have
+none.  check_certified reads the floor where a generator has one and
+scans where it has none; check_modulus always scans and stays the
+reference.
 """
 
 from __future__ import annotations
@@ -66,14 +78,20 @@ class RealGen:
     lists; its values are natural by construction, so the list is kept
     unchecked.  Without vector (a user-supplied generator, or a library
     one over it), stages(n) asks at() stage by stage.
+
+    slack_floor, which only from_nat, from_unit_fraction and the
+    encoder's cutover unit fraction pass, maps a stage to a proven lower
+    bound on its slack (see the module docstring); check_certified
+    reads it instead of scanning.
     """
 
     __slots__ = ("_approx", "_hint", "name", "_memo", "_hint_memo",
-                 "_vector", "_stages")
+                 "_vector", "_stages", "_slack_floor")
 
     def __init__(self, approx: Callable[[int], int],
                  hint: Callable[[int], int], name: str = "", *,
-                 vector: Optional[Callable[[int], list[int]]] = None) -> None:
+                 vector: Optional[Callable[[int], list[int]]] = None,
+                 slack_floor: Optional[Callable[[int], float]] = None) -> None:
         self._approx = approx
         self._hint = hint
         self.name = name
@@ -81,6 +99,7 @@ class RealGen:
         self._hint_memo: dict[int, int] = {}
         self._vector = vector
         self._stages: list[int] = []
+        self._slack_floor = slack_floor
 
     def at(self, x: int) -> int:
         if not isinstance(x, int) or x < 0:
@@ -134,7 +153,8 @@ def from_nat(n: int) -> RealGen:
     if n < 0:
         raise ValueError("from_nat takes a natural number")
     return RealGen(lambda x: n << x, lambda k: 0, name=str(n),
-                   vector=lambda top: [n << x for x in range(top + 1)])
+                   vector=lambda top: [n << x for x in range(top + 1)],
+                   slack_floor=lambda x: math.inf)
 
 
 def from_unit_fraction(q: int) -> RealGen:
@@ -142,7 +162,8 @@ def from_unit_fraction(q: int) -> RealGen:
     if q < 1:
         raise ValueError("from_unit_fraction takes a positive denominator")
     return RealGen(lambda x: (1 << x) // q, lambda k: k + 2, name=f"1/{q}",
-                   vector=lambda top: [(1 << x) // q for x in range(top + 1)])
+                   vector=lambda top: [(1 << x) // q for x in range(top + 1)],
+                   slack_floor=lambda x: x)
 
 
 def add(a: RealGen, b: RealGen) -> RealGen:
@@ -274,6 +295,30 @@ def check_modulus(g: RealGen, prec: Precision) -> bool:
     differences; each distinct x is scanned once, stopping at the first
     p that breaks the current k, as a check of each (k, p) would.
     """
+    return _check(g, prec, lambda x, k: _slack(g, x, prec.horizon, k))
+
+
+def check_certified(g: RealGen, prec: Precision) -> bool:
+    """check_modulus, with g's slack floor read in place of the scan.
+
+    A generator without a floor is scanned as check_modulus scans it.
+    The hints are asked for and checked against the horizon alike, so
+    InsufficientHorizon is raised at the same k with the same message.
+    A floor below k at the stage hint(k) fails the check, so a
+    constructor that records a floor must make it reach k there:
+    from_nat's is infinite, and the unit fractions' is x >= k + 2 at
+    their hints.
+    """
+    floor = g._slack_floor
+    if floor is None:
+        return check_modulus(g, prec)
+    return _check(g, prec, lambda x, k: floor(x))
+
+
+def _check(g: RealGen, prec: Precision,
+           slack_at: Callable[[int, int], float]) -> bool:
+    """The k-loop of both checks: slack_at(x, k) is the slack of stage x,
+    or a lower bound on it, asked once per distinct promised stage."""
     slack: dict[int, float] = {}
     for k in range(prec.k + 1):
         x = g.hint(k)
@@ -284,7 +329,7 @@ def check_modulus(g: RealGen, prec: Precision) -> bool:
             )
         s = slack.get(x)
         if s is None:
-            s = slack[x] = _slack(g, x, prec.horizon, k)
+            s = slack[x] = slack_at(x, k)
         if s < k:
             return False
     return True

@@ -186,6 +186,7 @@ class _Parser:
             try:
                 species_binder_index(name)
             except ValueError as exc:
+                self.pos -= 2  # point at the name
                 raise self.error(str(exc)) from None
         self.expect(")")
         return name, sort

@@ -280,6 +280,23 @@ class TestEval:
         proc = run_cli("translate", stdin=deep + "\n")
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
 
+    @pytest.mark.parametrize("line, message", [
+        ("precision: k=8", "missing horizon="),
+        ("precision: horizon=20", "missing k="),
+        ("precision: x=1", "missing k= and horizon="),
+        ("nats: 0 1 \u0663", "expected digits 0-9, got '\u0663'"),
+    ])
+    def test_structure_line_errors_are_one_line(self, tmp_path, line,
+                                                message):
+        structure = tmp_path / "bad.txt"
+        text = line if line.startswith("nats") else "nats: 0\n" + line
+        structure.write_text(text + "\n", encoding="utf-8")
+        proc = run_cli("eval", "--structure", str(structure), "--formula",
+                       self.write_formula(tmp_path, "(bot)"))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", f"ringterp: error: bad structure line {line!r}: "
+                   f"{message}\n")
+
     def test_sentinel_flag_is_validated(self, structure_file, tmp_path):
         formula = self.write_formula(tmp_path, "(bot)")
         proc = run_cli("eval", "--structure", structure_file,

@@ -14,7 +14,7 @@ from ringterp.evaluate import (
     EvalError, FiniteStructure, PrecisionError, StructureError, eval_formula,
     format_structure, parse_structure,
 )
-from ringterp import pairing
+from ringterp import pairing, reals
 from ringterp.pairing import MAX_TERM_BITS, pair
 from ringterp.reals import Precision, RealGen, add, from_unit_fraction, mul
 from ringterp.sexpr import parse_formula
@@ -230,6 +230,60 @@ class TestConstructionChecks:
         with pytest.raises(StructureError):
             FiniteStructure((0, 1), {1: enc})
 
+    @pytest.mark.parametrize("u, v, error, message", [
+        # a user generator whose promise fails is scanned and rejected
+        (RealGen(lambda x: 0 if x % 2 else 1 << x, lambda k: 0, "bad"),
+         from_unit_fraction(2), StructureError,
+         "generator bad violates its modulus promise"),
+        (from_unit_fraction(2), RealGen(lambda x: 1 << (x // 2),
+                                        lambda k: k, "slow"),
+         StructureError, "generator slow violates its modulus promise"),
+        # a library sum over it too
+        (add(from_unit_fraction(2), RealGen(
+            lambda x: 0 if x % 2 else 1 << x, lambda k: 0, "bad")),
+         from_unit_fraction(2), StructureError,
+         "generator (1/2+bad) violates its modulus promise"),
+        # a lazy hint
+        (RealGen(lambda x: 0, lambda k: 1000, "lazy"), from_unit_fraction(2),
+         PrecisionError, "structure precision cannot host a generator: "
+                         "lazy: hint(0) = 1000 exceeds horizon 96"),
+        # a library cutover past the horizon
+        (encode_stabilized(200, 1).u, from_unit_fraction(2), PrecisionError,
+         "structure precision cannot host a generator: "
+         "u[m=200]: hint(0) = 200 exceeds horizon 96"),
+    ])
+    def test_user_generators_are_checked_with_the_same_messages(
+            self, u, v, error, message):
+        enc = SpeciesEncoding(u, v, (1, 2))
+        with pytest.raises(error) as err:
+            FiniteStructure((0, 1), {1: enc}, precision=Precision(16, 96))
+        assert str(err.value) == message
+
+    def test_honest_user_generators_are_accepted(self):
+        # 1/4 and 1/8, each scanned: the singleton {2} at moment 4.
+        u = RealGen(lambda x: (1 << x) // 4, lambda k: k + 2, "quarter")
+        v = RealGen(lambda x: (1 << x) // 8, lambda k: k + 2, "eighth")
+        st = FiniteStructure((0, 1, 2, 3), {1: SpeciesEncoding(u, v, (4, 2))})
+        assert st.const_extension(1) == frozenset({2})
+
+    def test_library_generators_are_certified_without_a_scan(
+            self, monkeypatch):
+        calls = []
+        real_slack = reals._slack
+        monkeypatch.setattr(reals, "_slack", lambda *args: calls.append(
+            args) or real_slack(*args))
+        parse_structure("nats: 0 1 2 3 7\n"
+                        "species: 1 singleton 3 moment 2\n"
+                        "species: 2 full\n"
+                        "species: 3 singleton 300 moment 300\n"
+                        "precision: k=16 horizon=400\n")
+        structure()
+        assert calls == []
+        u = RealGen(lambda x: (1 << x) // 4, lambda k: k + 2, "quarter")
+        FiniteStructure((0, 1), {1: SpeciesEncoding(u, encode_stabilized(
+            4, 2).v, (4, 2))})
+        assert {args[0].name for args in calls} == {"quarter"}
+
     def test_inconsistent_extension_is_a_structure_error(self):
         # Claims to be the singleton {1} at moment 2 but codes 1/3, 1/2.
         enc = SpeciesEncoding(from_unit_fraction(3), from_unit_fraction(2),
@@ -320,6 +374,38 @@ class TestStructureText:
     def test_malformed_structures_raise(self, text):
         with pytest.raises(StructureError):
             parse_structure(text)
+
+    @pytest.mark.parametrize("line, bad", [
+        ("nats: 0 1 \u0663", "\u0663"),
+        ("nats: \u00b2", "\u00b2"),
+        ("nats: 0 1_0", "1_0"),
+        ("nats: +3", "+3"),
+        ("nats: -1", "-1"),
+        ("species: \u0661 singleton \u0662 moment \u0661", "\u0661"),
+        ("species: 1 singleton \u0662 moment 1", "\u0662"),
+        ("species: 1 singleton 2 moment \u0661", "\u0661"),
+        ("precision: k=\u0668 horizon=\u0662\u0660", "\u0668"),
+        ("precision: k=8 horizon=\u0662\u0660", "\u0662\u0660"),
+        ("precision: k= horizon=20", ""),
+    ])
+    def test_numbers_are_ascii_digits(self, line, bad):
+        text = line if line.startswith("nats") else "nats: 0\n" + line
+        with pytest.raises(StructureError) as err:
+            parse_structure(text + "\n")
+        assert str(err.value) == (f"bad structure line {line!r}: "
+                                  f"expected digits 0-9, got {bad!r}")
+
+    @pytest.mark.parametrize("fields, missing", [
+        ("k=8", "horizon="),
+        ("horizon=20", "k="),
+        ("", "k= and horizon="),
+        ("extra=1", "k= and horizon="),
+    ])
+    def test_missing_precision_fields_are_named(self, fields, missing):
+        line = f"precision: {fields}".strip()
+        with pytest.raises(StructureError) as err:
+            parse_structure(f"nats: 0\n{line}\n")
+        assert str(err.value) == f"bad structure line {line!r}: missing {missing}"
 
 
 def is_existential_positive(f: Formula) -> bool:

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from ringterp.encoder import encode_stabilized
 from ringterp.reals import (
-    InsufficientHorizon, Precision, RealGen, add, apart_at, check_modulus,
-    eq_at, from_nat, from_unit_fraction, lt_at, mul, nat_scalar,
+    InsufficientHorizon, Precision, RealGen, _slack, add, apart_at,
+    check_certified, check_modulus, eq_at, from_nat, from_unit_fraction,
+    lt_at, mul, nat_scalar,
 )
 from ringterp.selftest import generator_corpus
 
@@ -273,6 +274,27 @@ REFERENCE_PRECISIONS = [Precision(k, horizon) for horizon in range(1, 21)
                         for k in (1, 2, 5, 12, 24, 40)]
 
 
+# User-supplied generators, each with a precision that exercises it.
+USER_GENERATORS = [
+    # oscillating
+    (lambda x: 0 if x % 2 else 1 << x, lambda k: 0, Precision(4, 16)),
+    # dishonest hint: converges far slower than promised
+    (lambda x: 1 << (x // 2), lambda k: k, Precision(8, 32)),
+    # lazy hint beyond the horizon
+    (lambda x: 0, lambda k: 1000, Precision(4, 16)),
+    # honest, but not a natural below the promised stage
+    (lambda x: -1 if x < 5 else 1 << x, lambda k: 5, Precision(6, 12)),
+    # oscillating, and not a natural past the first counterexample
+    (lambda x: -1 if x == 12 else (0 if x % 2 else 1 << x), lambda k: 0,
+     Precision(4, 16)),
+    # a late counterexample: exact up to stage 14, then 2^-6 off
+    (lambda x: (5 << x) + (1 << x >> 6 if x > 14 else 0), lambda k: k // 2,
+     Precision(10, 16)),
+    # a hint that steps back and forth over the same stages
+    (lambda x: (1 << x) // 3, lambda k: (k % 3) + 2, Precision(9, 10)),
+]
+
+
 def encoder_pairs() -> list[tuple[RealGen, RealGen]]:
     """(n * v, u) for the quotient pairs of a few encodings, n near the
     member and at 0."""
@@ -330,24 +352,7 @@ class TestAgainstReferences:
                 assert (outcome(check_modulus, g, prec)
                         == outcome(per_k_check_modulus, g, prec))
 
-    @pytest.mark.parametrize("approx, hint, prec", [
-        # oscillating
-        (lambda x: 0 if x % 2 else 1 << x, lambda k: 0, Precision(4, 16)),
-        # dishonest hint: converges far slower than promised
-        (lambda x: 1 << (x // 2), lambda k: k, Precision(8, 32)),
-        # lazy hint beyond the horizon
-        (lambda x: 0, lambda k: 1000, Precision(4, 16)),
-        # honest, but not a natural below the promised stage
-        (lambda x: -1 if x < 5 else 1 << x, lambda k: 5, Precision(6, 12)),
-        # oscillating, and not a natural past the first counterexample
-        (lambda x: -1 if x == 12 else (0 if x % 2 else 1 << x), lambda k: 0,
-         Precision(4, 16)),
-        # a late counterexample: exact up to stage 14, then 2^-6 off
-        (lambda x: (5 << x) + (1 << x >> 6 if x > 14 else 0), lambda k: k // 2,
-         Precision(10, 16)),
-        # a hint that steps back and forth over the same stages
-        (lambda x: (1 << x) // 3, lambda k: (k % 3) + 2, Precision(9, 10)),
-    ])
+    @pytest.mark.parametrize("approx, hint, prec", USER_GENERATORS)
     def test_user_generators_match_the_per_k_loop(self, approx, hint, prec):
         g, log = recorded(approx, hint)
         ref, ref_log = recorded(approx, hint)
@@ -380,6 +385,85 @@ class TestAgainstReferences:
                         assert (outcome(search, other, g, prec)
                                 == outcome(reference, other, ref, prec))
                         assert log == ref_log
+
+
+def certified_generators() -> list[RealGen]:
+    """Every generator with a slack floor: the corpus's, unit fractions,
+    and the encoder's cutover unit fractions over small runs."""
+    gens = [g for g in generator_corpus() if g._slack_floor is not None]
+    gens += [from_unit_fraction(q) for q in (1, 2, 3, 6, 7, 12, 255, 1000)]
+    for moment in range(1, 7):
+        for value in range(1, 7):
+            enc = encode_stabilized(moment, value)
+            gens += [enc.u, enc.v]
+    return gens
+
+
+class TestCertificate:
+    """The slack floor is a proven lower bound on the scanned slack, and
+    check_certified, which reads it, agrees with check_modulus."""
+
+    def test_every_library_kind_is_covered(self):
+        names = [g.name for g in certified_generators()]
+        assert "0" in names and "7" in names
+        assert "1/3" in names and "u[m=6]" in names
+        assert "v[m=6,k=6]" in names
+        lifted = [g for g in generator_corpus() if g._slack_floor is None]
+        assert len(lifted) == len(generator_corpus()) - 11
+
+    def test_floor_is_at_most_the_slack_at_every_stage(self):
+        horizons = sorted({prec.horizon for prec in REFERENCE_PRECISIONS})
+        for g in certified_generators():
+            for horizon in horizons:
+                for x in range(horizon + 1):
+                    # k = -inf: the scan is never cut short
+                    exact = _slack(g, x, horizon, -math.inf)
+                    assert g._slack_floor(x) <= exact, (g, x, horizon)
+
+    def test_floor_reaches_k_at_every_promised_stage(self):
+        for g in certified_generators():
+            for k in range(41):
+                assert g._slack_floor(g.hint(k)) >= k
+
+    def test_verdicts_match_the_scan(self):
+        gens = certified_generators() + generator_corpus()
+        for g in gens:
+            for prec in REFERENCE_PRECISIONS:
+                assert (outcome(check_certified, g, prec)
+                        == outcome(check_modulus, g, prec))
+
+    @pytest.mark.parametrize("approx, hint, prec", USER_GENERATORS)
+    def test_user_generators_are_scanned(self, approx, hint, prec):
+        g, log = recorded(approx, hint)
+        ref, ref_log = recorded(approx, hint)
+        assert outcome(check_certified, g, prec) == outcome(
+            check_modulus, ref, prec)
+        assert log == ref_log
+        wrapped = nat_scalar(2, add(recorded(approx, hint)[0], from_nat(0)))
+        ref_wrapped = nat_scalar(2, add(recorded(approx, hint)[0],
+                                        from_nat(0)))
+        assert outcome(check_certified, wrapped, prec) == outcome(
+            check_modulus, ref_wrapped, prec)
+
+    def test_a_lazy_library_hint_raises_the_same_error(self):
+        u = encode_stabilized(30, 1).u
+        with pytest.raises(InsufficientHorizon) as certified:
+            check_certified(u, Precision(4, 29))
+        with pytest.raises(InsufficientHorizon) as scanned:
+            check_modulus(u, Precision(4, 29))
+        assert str(certified.value) == str(scanned.value) == (
+            "u[m=30]: hint(0) = 30 exceeds horizon 29")
+
+    def test_library_generators_are_not_scanned(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("ringterp.reals._slack",
+                            lambda *args: calls.append(args) or math.inf)
+        for g in certified_generators():
+            assert check_certified(g, Precision(24, 96))
+        assert calls == []
+        assert check_certified(add(from_nat(1), from_nat(2)),
+                               Precision(24, 96))
+        assert calls
 
 
 class TestWork:

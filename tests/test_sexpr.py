@@ -166,6 +166,15 @@ class TestErrors:
         with pytest.raises(ParseError, match=r"line 2, column 8"):
             parse_formula("(and (bot)\n      (frob))", Language.SOURCE)
 
+    def test_species_binder_error_points_at_the_name(self):
+        message = "species binder must look like X0, X1, ...: got 'Y0'"
+        for text, at in (("(exists (Y0 Species) (bot))", "line 1, column 10"),
+                         ("(forall\n (Y0\n  Species) (bot))",
+                          "line 2, column 3")):
+            with pytest.raises(ParseError) as err:
+                parse_formula(text, Language.SOURCE)
+            assert str(err.value) == f"{at}: {message}"
+
     def test_trailing_term_input_raises(self):
         with pytest.raises(ParseError):
             parse_term("x y", Language.SOURCE)
@@ -176,14 +185,14 @@ class TestAsciiDigits:
     str.isdigit and int accept, are positioned parse errors."""
 
     @pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "1\u0663"])
-    # at: the text the error points to; a binder's index is checked
-    # when its sort has been read, so the error points past it.
+    # at: the text the error points to; a binder's name is checked once
+    # its sort has been read, and the error points at the name.
     @pytest.mark.parametrize("text,at,message", [
         ("(= {} 0)", "{}", "numerals are written in ASCII digits, got '{}'"),
         ("(in 0 (svar {}))", "{}", "expected an index, got '{}'"),
         ("(in 0 (sconst {}))", "{}", "expected an index, got '{}'"),
         ("(in 0 X{})", "X", "expected a species reference, got 'X{}'"),
-        ("(exists (X{} Species) (bot))", ")",
+        ("(exists (X{} Species) (bot))", "X",
          "species binder must look like X0, X1, ...: got 'X{}'"),
     ])
     @pytest.mark.parametrize("language", list(Language))
@@ -426,6 +435,9 @@ class ReferenceParser:
             try:
                 species_binder_index(name)
             except ValueError as exc:
+                # Changed on purpose from the replaced reader, which
+                # pointed past the name: the error points at the name.
+                self.pos -= 2
                 raise self.error(str(exc)) from None
         self.expect(")")
         return name, sort
@@ -586,6 +598,8 @@ EDGE_TEXTS = [
     "(= 0x 0)", "(in x (svar 01))", "(in x X01)", "",
     "(= \u0663 0)", "(in 0 (sconst \u0663))", "(in 0 (svar \u00b2))",
     "(in 0 X\u0663)", "(exists (X\u0663 Species) (bot))",
+    "(exists (Y0 Species) (bot))", "(forall\n (Y0\n  Species) (bot))",
+    "(exists (Y0 Bogus) (bot))",
 ]
 
 

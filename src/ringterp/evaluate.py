@@ -30,13 +30,12 @@ and answer for every candidate.
 
 from __future__ import annotations
 
-import re
 from dataclasses import replace
 from typing import Callable, Iterable, Mapping, NoReturn, Optional, Union
 
 from .encoder import MembershipStatus, SpeciesEncoding, encode_silent, \
     encode_stabilized, gap_digits, quotient_status
-from .pairing import bounded_op
+from .pairing import bounded_op, parse_natural
 from .reals import InsufficientHorizon, Precision, RealGen, add, \
     check_certified, eq_at, from_nat, lt_at, mul, nat_scalar
 from .syntax import (
@@ -586,14 +585,16 @@ def parse_structure(text: str, sentinel_true: bool = False) -> FiniteStructure:
     Required: `nats: n n ...`.  Optional: `species: <i> full` or
     `species: <i> singleton <k> moment <m>` (repeatable),
     `orientation: as-written|quotient-normalized`,
-    `precision: k=<k> horizon=<h>`, and `sentinel: <name>`.  Numbers
-    are ASCII digits.
+    `precision: k=<k> horizon=<h>`, and `sentinel: <name>`.  Every key
+    but `species` appears at most once, and so does each precision
+    field.  Numbers are ASCII digits.
     """
     nats: Optional[list[int]] = None
     species: dict[int, SpeciesEncoding] = {}
     orientation = Orientation.AS_WRITTEN
     precision = Precision()
     sentinel = "y"
+    seen: set[str] = set()
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -602,20 +603,25 @@ def parse_structure(text: str, sentinel_true: bool = False) -> FiniteStructure:
         key, value = key.strip(), value.strip()
         if not sep:
             raise StructureError(f"expected key: value, got {line!r}")
+        if key in seen and key != "species":
+            raise StructureError(f"more than one {key}: line")
+        seen.add(key)
         try:
             if key == "nats":
-                nats = [_natural(part) for part in value.split()]
+                nats = [parse_natural(part) for part in value.split()]
             elif key == "species":
                 parts = value.split()
-                index = _natural(parts[0])
+                if not parts:
+                    raise StructureError(f"bad species line {line!r}")
+                index = parse_natural(parts[0])
                 if index in species:
                     raise StructureError(f"species {index} listed twice")
                 if parts[1:] == ["full"]:
                     species[index] = encode_silent()
                 elif (len(parts) == 5 and parts[1] == "singleton"
                       and parts[3] == "moment"):
-                    species[index] = encode_stabilized(_natural(parts[4]),
-                                                       _natural(parts[2]))
+                    species[index] = encode_stabilized(
+                        parse_natural(parts[4]), parse_natural(parts[2]))
                 else:
                     raise StructureError(f"bad species line {line!r}")
             elif key == "orientation":
@@ -623,18 +629,30 @@ def parse_structure(text: str, sentinel_true: bool = False) -> FiniteStructure:
                     raise StructureError(f"unknown orientation {value!r}")
                 orientation = ORIENTATION_NAMES[value]
             elif key == "precision":
-                fields = dict(part.split("=", 1) for part in value.split())
+                fields: dict[str, str] = {}
+                for part in value.split():
+                    name, eq, number = part.partition("=")
+                    if not eq:
+                        raise ValueError(
+                            f"expected field=value, got {part!r}")
+                    if name in fields:
+                        raise ValueError(f"field {name}= listed twice")
+                    fields[name] = number
                 missing = [f"{name}=" for name in ("k", "horizon")
                            if name not in fields]
                 if missing:
                     raise ValueError(f"missing {' and '.join(missing)}")
-                precision = Precision(k=_natural(fields.pop("k")),
-                                      horizon=_natural(fields.pop("horizon")))
+                precision = Precision(
+                    k=parse_natural(fields.pop("k")),
+                    horizon=parse_natural(fields.pop("horizon")))
                 if fields:
                     raise StructureError(
                         f"unknown precision fields {sorted(fields)}"
                     )
             elif key == "sentinel":
+                if len(value.split()) != 1:
+                    raise StructureError(
+                        f"sentinel must be one name, got {value!r}")
                 sentinel = value
             else:
                 raise StructureError(f"unknown structure key {key!r}")
@@ -646,14 +664,3 @@ def parse_structure(text: str, sentinel_true: bool = False) -> FiniteStructure:
         raise StructureError("structure needs a nats: line")
     return FiniteStructure(nats, species, orientation, precision,
                            sentinel, sentinel_true)
-
-
-_DIGITS = re.compile(r"[0-9]+")
-
-
-def _natural(text: str) -> int:
-    """A natural number written in ASCII digits; int() alone would also
-    read other Unicode digits, signs, spaces and underscores."""
-    if not _DIGITS.fullmatch(text):
-        raise ValueError(f"expected digits 0-9, got {text!r}")
-    return int(text)

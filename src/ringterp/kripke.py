@@ -42,7 +42,7 @@ from functools import cached_property
 from math import isqrt
 from typing import Iterable, Optional
 
-from .pairing import pair, unpair
+from .pairing import pair, parse_natural, unpair
 
 
 class TraceError(ValueError):
@@ -260,8 +260,8 @@ def parse_alpha_spec(spec: str) -> ChoiceSeq:
                 raise ValueError(f"empty member in {spec!r}")
             k_text, _, p_text = part.partition("@")
             try:
-                k = int(k_text)
-                p = int(p_text) if p_text else 0
+                k = parse_natural(k_text)
+                p = parse_natural(p_text) if p_text else 0
             except ValueError:
                 raise ValueError(f"bad member {part!r} in {spec!r}") from None
             members.append((k, p))
@@ -332,7 +332,7 @@ def parse_schedule_spec(spec: str) -> Schedule:
     head, sep, t_text = spec.partition(":")
     if sep and head in ("phi", "notphi"):
         try:
-            t = int(t_text)
+            t = parse_natural(t_text)
         except ValueError:
             raise ValueError(f"bad proof moment in {spec!r}") from None
         if head == "phi":
@@ -431,14 +431,6 @@ _SEVERITY = {
 }
 
 
-def _combine(statuses: Iterable[ConjunctStatus]) -> ConjunctStatus:
-    worst = ConjunctStatus.VACUOUS
-    for s in statuses:
-        if _SEVERITY[s] > _SEVERITY[worst]:
-            worst = s
-    return worst
-
-
 @dataclass(frozen=True)
 class ConjunctReport:
     c1: ConjunctStatus
@@ -449,7 +441,8 @@ class ConjunctReport:
 
     @property
     def aggregate(self) -> ConjunctStatus:
-        return _combine([self.c1, self.c2, self.c3, self.c4, self.c5])
+        return max((self.c1, self.c2, self.c3, self.c4, self.c5),
+                   key=_SEVERITY.__getitem__)
 
     def as_dict(self) -> dict[str, str]:
         out = {f"C{i}": s.value for i, s in enumerate(
@@ -507,7 +500,8 @@ def check_conjuncts(run: RunResult) -> ConjunctReport:
             per_member.append(ConjunctStatus.HOLDS)
         else:
             per_member.append(ConjunctStatus.UNDETERMINED)
-    c4 = _combine(per_member)
+    c4 = max(per_member, key=_SEVERITY.__getitem__,
+             default=ConjunctStatus.VACUOUS)
 
     c5 = ConjunctStatus.HOLDS
     locked: Optional[int] = None

@@ -11,6 +11,15 @@ from __future__ import annotations
 from math import isqrt
 
 
+def parse_natural(text: str) -> int:
+    """A natural number written in ASCII digits, as structure files and
+    simulator specs write them; int() alone would also read other
+    Unicode digits, signs, spaces and underscores."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected digits 0-9, got {text!r}")
+    return int(text)
+
+
 def pair(p: int, k: int) -> int:
     """Diagonal code of (p, k); pair(0, 0) = 0, pair(1, 2) = 8."""
     if p < 0 or k < 0:

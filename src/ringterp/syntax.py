@@ -267,110 +267,97 @@ def _bound_sort(q: Formula) -> Sort:
 
 # ---------------------------------------------------------------------------
 # Well-sortedness
-
-
-def term_sort(t: Term, language: Language) -> Sort:
-    """Sort of t in the given language; raises SortError when t is illegal."""
-    ambient = AMBIENT_SORT[language]
-    if isinstance(t, Var):
-        if t.sort is not ambient:
-            raise SortError(
-                f"variable {t.name!r} has sort {t.sort.value}, "
-                f"but {language.value} terms have sort {ambient.value}"
-            )
-        return ambient
-    if isinstance(t, NatConst):
-        return ambient
-    if isinstance(t, RealConst):
-        if language is not Language.TARGET:
-            raise SortError(f"real constant {t.name!r} is target-language only")
-        return Sort.REAL
-    if isinstance(t, (Add, Mul)):
-        term_sort(t.left, language)
-        term_sort(t.right, language)
-        return ambient
-    if isinstance(t, Pair):
-        if language is not Language.SOURCE:
-            raise SortError("pairing is a source-language operation")
-        term_sort(t.left, language)
-        term_sort(t.right, language)
-        return Sort.NAT
-    if isinstance(t, Succ):
-        if language is not Language.SOURCE:
-            raise SortError("succ is a source-language operation")
-        term_sort(t.arg, language)
-        return Sort.NAT
-    raise SortError(f"not a term: {t!r}")
+#
+# One pre-order walker checks every child against its kind in _NODES.
+# The languages share every class but those of _ONE_LANGUAGE, listed
+# with their language and the SortError the other one raises for them;
+# a variable has the ambient sort; a quantifier binds a sort of _BINDERS.
+_ONE_LANGUAGE = {
+    RealConst: (Language.TARGET,
+                "real constant {0.name!r} is target-language only"),
+    DefinedQuant: (Language.TARGET,
+                   "defined quantifiers belong to the target language"),
+    Pair: (Language.SOURCE, "pairing is a source-language operation"),
+    Succ: (Language.SOURCE, "succ is a source-language operation"),
+    In: (Language.SOURCE, "membership atoms are source-language only"),
+    SpeciesEq: (Language.SOURCE, "species equality is source-language only"),
+}
+_BINDERS = {
+    Language.SOURCE: ((Sort.NAT, Sort.SPECIES),
+                      "source quantifiers bind Nat or Species, got {}"),
+    Language.TARGET: ((Sort.REAL,), "target quantifiers bind Real, got {}"),
+}
+_KIND_NAMES = {Term: "term", SpeciesRef: "species reference",
+               Formula: "formula"}
+# Per language, the getter and the kinds of the children of each of its
+# classes, last child first as the walker's stack takes them.
+_SHAPES = {language: {
+    cls: cls.child_kinds and (
+        _getter(cls.__slots__[len(cls.data_fields):][::-1]),
+        cls.child_kinds[::-1])
+    for cls in _CLASSES.values()
+    if _ONE_LANGUAGE.get(cls, (language,))[0] is language
+} for language in Language}
 
 
 def check_formula(f: Formula, language: Language | str) -> None:
     """Raise SortError unless f is a well-sorted formula of the language."""
-    _check_formula(f, Language(language))
+    _check(f, Formula, Language(language))
 
 
-def _check_formula(f: Formula, language: Language) -> None:
-    src = language is Language.SOURCE
-    if isinstance(f, Bottom):
-        return
-    if isinstance(f, (Eq, Lt, Apart)):
-        term_sort(f.left, language)
-        term_sort(f.right, language)
-        return
-    if isinstance(f, In):
-        if not src:
-            raise SortError("membership atoms are source-language only")
-        term_sort(f.element, language)
-        if not isinstance(f.species, SpeciesRef):
-            raise SortError(f"not a species reference: {f.species!r}")
-        return
-    if isinstance(f, SpeciesEq):
-        if not src:
-            raise SortError("species equality is source-language only")
-        for ref in (f.left, f.right):
-            if not isinstance(ref, SpeciesRef):
-                raise SortError(f"not a species reference: {ref!r}")
-        return
-    if isinstance(f, (And, Or, Implies)):
-        _check_formula(f.left, language)
-        _check_formula(f.right, language)
-        return
-    if isinstance(f, (Exists, Forall)):
-        if src:
-            if f.sort is Sort.SPECIES:
-                species_binder_index(f.var)
-            elif f.sort is not Sort.NAT:
+def term_sort(t: Term, language: Language) -> Sort:
+    """The ambient sort, which every legal term has; raises SortError
+    when t is illegal in the language."""
+    _check(t, Term, language)
+    return AMBIENT_SORT[language]
+
+
+def _check(node: Node, kind: type, language: Language) -> None:
+    """Raise the first SortError, in pre-order, of node at a position of
+    the given kind in language."""
+    ambient = AMBIENT_SORT[language]
+    shapes = _SHAPES[language]
+    binder_sorts, binder_error = _BINDERS[language]
+    nodes, kinds = [node], [kind]
+    while nodes:
+        node, kind = nodes.pop(), kinds.pop()
+        cls = type(node)
+        shape = shapes.get(cls)
+        if shape is None or cls.__base__ is not kind:
+            if cls.__base__ is kind and cls in _ONE_LANGUAGE:
+                raise SortError(_ONE_LANGUAGE[cls][1].format(node))
+            raise SortError(f"not a {_KIND_NAMES[kind]}: {node!r}")
+        if cls is Var:
+            if node.sort is not ambient:
                 raise SortError(
-                    f"source quantifiers bind Nat or Species, got {f.sort.value}"
-                )
-        elif f.sort is not Sort.REAL:
-            raise SortError(f"target quantifiers bind Real, got {f.sort.value}")
-        _check_formula(f.body, language)
-        return
-    if isinstance(f, DefinedQuant):
-        if src:
-            raise SortError("defined quantifiers belong to the target language")
-        _check_formula(f.body, language)
-        return
-    raise SortError(f"not a formula: {f!r}")
+                    f"variable {node.name!r} has sort {node.sort.value}, "
+                    f"but {language.value} terms have sort {ambient.value}")
+        elif shape:
+            if cls is Exists or cls is Forall:
+                if node.sort not in binder_sorts:
+                    raise SortError(binder_error.format(node.sort.value))
+                if node.sort is Sort.SPECIES:
+                    species_binder_index(node.var)
+            get, child_kinds = shape
+            nodes += get(node)
+            kinds += child_kinds
 
 
 def infer_term_sort(t: Term) -> Optional[Sort]:
-    """Sort a term commits to, or None when only numerals occur."""
-    if isinstance(t, Var):
+    """Sort a term commits to, or None when only numerals occur: a
+    variable commits to its sort, a class of one language to that
+    language's ambient sort."""
+    cls = type(t)
+    if cls.__base__ is not Term or cls not in _CHILDREN:
+        raise SortError(f"not a term: {t!r}")
+    if cls is Var:
         return t.sort
-    if isinstance(t, NatConst):
-        return None
-    if isinstance(t, RealConst):
-        return Sort.REAL
-    if isinstance(t, (Pair, Succ)):
-        return Sort.NAT
-    if isinstance(t, (Add, Mul)):
-        lo = infer_term_sort(t.left)
-        hi = infer_term_sort(t.right)
-        if lo is not None and hi is not None and lo is not hi:
-            raise SortError(f"mixed-sort term: {t!r}")
-        return lo or hi
-    raise SortError(f"not a term: {t!r}")
+    if cls in _ONE_LANGUAGE:
+        return AMBIENT_SORT[_ONE_LANGUAGE[cls][0]]
+    sorts = {infer_term_sort(child) for child in children(t)} - {None}
+    if len(sorts) > 1:
+        raise SortError(f"mixed-sort term: {t!r}")
+    return sorts.pop() if sorts else None
 
 
 # ---------------------------------------------------------------------------
@@ -382,18 +369,6 @@ class FreeVars:
     nat: frozenset[str]
     species: frozenset[int]
     real: frozenset[str]
-
-
-def term_var_names(t: Term) -> frozenset[str]:
-    out: set[str] = set()
-    stack: list[Node] = [t]
-    while stack:
-        node = stack.pop()
-        if type(node) is Var:
-            out.add(node.name)
-        else:
-            stack.extend(children(node))
-    return frozenset(out)
 
 
 def free_vars(f: Formula) -> FreeVars:
@@ -426,9 +401,9 @@ def is_closed(f: Formula) -> bool:
     return not (fv.nat or fv.species or fv.real)
 
 
-def all_var_names(f: Formula) -> frozenset[str]:
-    """Every term-variable name occurring in f, free or bound, plus all
-    non-species binder names."""
+def all_var_names(f: Node) -> frozenset[str]:
+    """Every term-variable name occurring in f, a formula or a term, free
+    or bound, plus all non-species binder names."""
     names: set[str] = set()
     stack: list[Node] = [f]
     while stack:
@@ -479,13 +454,6 @@ def fresh_name(base: str, forbidden: Iterable[str]) -> str:
 # Substitution
 
 
-def substitute_term(t: Term, name: str, replacement: Term) -> Term:
-    if isinstance(t, Var):
-        return replacement if t.name == name else t
-    return rebuild(t, [substitute_term(c, name, replacement)
-                       for c in children(t)])
-
-
 def substitute(f: Formula, name: str, sort: Sort, replacement: Term) -> Formula:
     """Capture-avoiding substitution of replacement for the free variable
     (name, sort); clashing binders are renamed with a counter suffix."""
@@ -495,11 +463,11 @@ def substitute(f: Formula, name: str, sort: Sort, replacement: Term) -> Formula:
             f"cannot substitute a {rsort.value} term for the "
             f"{sort.value} variable {name!r}"
         )
-    repl_names = term_var_names(replacement)
+    repl_names = all_var_names(replacement)
 
     def walk(node: Node) -> Node:
-        if isinstance(node, Term):
-            return substitute_term(node, name, replacement)
+        if isinstance(node, Var):
+            return replacement if node.name == name else node
         if isinstance(node, _QUANTIFIERS):
             binder_sort = _bound_sort(node)
             if binder_sort is not Sort.SPECIES:

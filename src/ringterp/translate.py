@@ -135,10 +135,6 @@ def sentinel_formula(name: str = "y") -> Formula:
     return Or(Eq(y, ZERO), Apart(y, ZERO))
 
 
-def _sentinel_shape(t: Term) -> Formula:
-    return Or(Eq(t, ZERO), Apart(t, ZERO))
-
-
 def nat_core_formula(x: str = "x", y: str = "y", u: str = "u", v: str = "v",
                      w: str = "w", w1: str = "w1") -> Formula:
     """Sentinel-weakened description of x as a positive natural.
@@ -150,12 +146,11 @@ def nat_core_formula(x: str = "x", y: str = "y", u: str = "u", v: str = "v",
     w1 (w apart from w1 or w1 * v = u + v forced fails the sentinel).
     """
     vx = Var(x, Sort.REAL)
-    vy = Var(y, Sort.REAL)
     vu = Var(u, Sort.REAL)
     vv = Var(v, Sort.REAL)
     vw = Var(w, Sort.REAL)
     vw1 = Var(w1, Sort.REAL)
-    b = _sentinel_shape(vy)
+    b = sentinel_formula(y)
     ratio_clause = Implies(
         Or(neg(Eq(vv, vu)), neg(Eq(Mul(vx, vv), vu))), b
     )
@@ -288,10 +283,9 @@ class _Translator:
         raise TranslationError(f"not a source term: {t!r}")
 
     def coding_pair(self, ref: SpeciesRef) -> tuple[Term, Term]:
+        first, second = self.coding_names(ref)
         if isinstance(ref, SpeciesVar):
-            first, second = self.vm.pair_for_var(ref.index)
             return Var(first, Sort.REAL), Var(second, Sort.REAL)
-        first, second = self.vm.pair_for_const(ref.index)
         return RealConst(first), RealConst(second)
 
     def membership(self, element: Term, ref: SpeciesRef) -> Formula:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import re
 import shutil
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from ringterp.cli import main
 from ringterp.goldens import (
     MEMBERSHIP_AS_WRITTEN, MEMBERSHIP_NORMALIZED, NAT_CORE, NAT_PREDICATE,
     SENTINEL,
@@ -201,6 +203,41 @@ class TestEncode:
         assert "error" in proc.stderr
 
 
+STRUCTURE = [
+    "nats: 0 1 2 3",
+    "species: 1 singleton 2 moment 3",
+    "species: 2 full",
+    "orientation: as-written",
+    "precision: k=16 horizon=96",
+    "sentinel: y",
+]
+
+
+def _mutated_structures() -> list:
+    """STRUCTURE with one fault each: a repeated line or precision field,
+    a precision field without =, a number not in ASCII digits, or an
+    empty value."""
+    mutants = []
+
+    def mutant(i: int, *lines: str) -> None:
+        mutants.append(pytest.param(
+            [*STRUCTURE[:i], *lines, *STRUCTURE[i + 1:]], id="|".join(lines)))
+
+    for i, line in enumerate(STRUCTURE):
+        key = line.partition(":")[0]
+        if key != "species":
+            mutant(i, line, line)
+        mutant(i, key + ":")
+        for number in re.finditer("[0-9]+", line):
+            for bad in ("\u0663", "\u00b2", "+3", "1_0"):
+                mutant(i, line[:number.start()] + bad + line[number.end():])
+    for fields in ("k=16 horizon=96 k=8", "horizon=96 k=16 horizon=9",
+                   "k horizon=96", "k=16 horizon"):
+        mutant(STRUCTURE.index("precision: k=16 horizon=96"),
+               "precision: " + fields)
+    return mutants
+
+
 class TestEval:
     @pytest.fixture()
     def structure_file(self, tmp_path):
@@ -285,6 +322,8 @@ class TestEval:
         ("precision: horizon=20", "missing k="),
         ("precision: x=1", "missing k= and horizon="),
         ("nats: 0 1 \u0663", "expected digits 0-9, got '\u0663'"),
+        ("precision: k", "expected field=value, got 'k'"),
+        ("precision: k=8 horizon=20 k=30", "field k= listed twice"),
     ])
     def test_structure_line_errors_are_one_line(self, tmp_path, line,
                                                 message):
@@ -296,6 +335,21 @@ class TestEval:
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             1, "", f"ringterp: error: bad structure line {line!r}: "
                    f"{message}\n")
+
+    @pytest.mark.parametrize("lines", _mutated_structures())
+    def test_mutated_structures_fail_on_one_line(self, tmp_path, capsys,
+                                                 lines):
+        """In process, as the command runs it: exit 1, nothing on
+        stdout and exactly one line on stderr."""
+        structure = tmp_path / "mutant.txt"
+        structure.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        formula = self.write_formula(tmp_path, "(bot)")
+        code = main(["eval", "--structure", str(structure),
+                     "--formula", formula])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith("ringterp: error: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_sentinel_flag_is_validated(self, structure_file, tmp_path):
         formula = self.write_formula(tmp_path, "(bot)")

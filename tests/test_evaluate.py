@@ -22,11 +22,12 @@ from ringterp.syntax import (
     BOT, Add, And, Apart, Bottom, DefinedQuant, Eq, Exists, Forall, Formula,
     Implies, In, Language, Lt, Mul, NatConst, Or, Pair, QuantKind, RealConst,
     SortError, SpeciesConst, SpeciesEq, SpeciesVar, Succ, Term, Var, Sort,
-    check_formula, children, rebuild, species_binder_index, term_var_names,
+    all_var_names, children, rebuild, species_binder_index,
 )
 from ringterp.translate import (
     Expansion, Orientation, TranslationConfig, TranslationError, translate,
 )
+from test_syntax import reference_check_formula
 
 
 def structure(**kwargs) -> FiniteStructure:
@@ -407,6 +408,32 @@ class TestStructureText:
             parse_structure(f"nats: 0\n{line}\n")
         assert str(err.value) == f"bad structure line {line!r}: missing {missing}"
 
+    @pytest.mark.parametrize("text, message", [
+        ("nats: 0 5\nnats: 1\n", "more than one nats: line"),
+        ("orientation: as-written\norientation: normalized\n",
+         "more than one orientation: line"),
+        ("precision: k=8 horizon=20\nprecision: k=9 horizon=20\n",
+         "more than one precision: line"),
+        ("sentinel: y\nsentinel: z\n", "more than one sentinel: line"),
+        ("precision: k=8 horizon=20 k=30\n",
+         "bad structure line 'precision: k=8 horizon=20 k=30': "
+         "field k= listed twice"),
+        ("precision: horizon=20 k=8 horizon=9\n",
+         "bad structure line 'precision: horizon=20 k=8 horizon=9': "
+         "field horizon= listed twice"),
+        ("precision: k\n",
+         "bad structure line 'precision: k': expected field=value, got 'k'"),
+        ("precision: k=8 horizon\n", "bad structure line "
+         "'precision: k=8 horizon': expected field=value, got 'horizon'"),
+        ("species:\n", "bad species line 'species:'"),
+        ("sentinel:\n", "sentinel must be one name, got ''"),
+        ("sentinel: y z\n", "sentinel must be one name, got 'y z'"),
+    ])
+    def test_repeated_and_malformed_lines_are_named(self, text, message):
+        with pytest.raises(StructureError) as err:
+            parse_structure("nats: 0\n" + text)
+        assert str(err.value) == message
+
 
 def is_existential_positive(f: Formula) -> bool:
     if isinstance(f, (Bottom, Eq, Lt, Apart, In, SpeciesEq)):
@@ -441,15 +468,15 @@ class TestDomainMonotonicity:
 
 # ---------------------------------------------------------------------------
 # The tree-walking evaluator the closure compiler replaced, kept as the
-# reference of a differential test: check_formula first, then one
-# isinstance dispatch per node and per quantifier instance.  Every
-# formula must give the same value, or an error of the same type with
-# the same message.
+# reference of a differential test: the reference sort checker of
+# test_syntax first, then one isinstance dispatch per node and per
+# quantifier instance.  Every formula must give the same value, or an
+# error of the same type with the same message.
 
 
 def reference_eval(f: Formula, s: FiniteStructure, language: Language,
                    env=None) -> bool:
-    check_formula(f, language)
+    reference_check_formula(f, language)
     if language is Language.SOURCE:
         return _reference_source(f, s, dict(env or {}), {})
     return _reference_target(f, s, dict(env or {}))
@@ -565,7 +592,7 @@ def _reference_target(f: Formula, s: FiniteStructure, env: dict) -> bool:
         return False
     if isinstance(f, (Eq, Lt, Apart)):
         if s.sentinel not in env and s.sentinel in (
-                term_var_names(f.left) | term_var_names(f.right)):
+                all_var_names(f.left) | all_var_names(f.right)):
             return s.sentinel_true
         a = _reference_target_term(f.left, s, env)
         b = _reference_target_term(f.right, s, env)

@@ -184,6 +184,15 @@ class TestSpecs:
         with pytest.raises(ValueError):
             parse_alpha_spec(spec)
 
+    @pytest.mark.parametrize("member", [
+        "\u0663", "+3", "1_0", "-1", "3 @2", "3@\u0662", "3@+2", "3@-2",
+    ])
+    def test_members_are_ascii_digits(self, member):
+        spec = f"members:1,{member}"
+        with pytest.raises(ValueError) as err:
+            parse_alpha_spec(spec)
+        assert str(err.value) == f"bad member {member!r} in {spec!r}"
+
     @pytest.mark.parametrize("spec, expect", [
         ("never", Schedule.never()),
         ("phi:0", Schedule.phi_proved(0)),
@@ -198,6 +207,14 @@ class TestSpecs:
     def test_bad_schedule_specs(self, spec):
         with pytest.raises(ValueError):
             parse_schedule_spec(spec)
+
+    @pytest.mark.parametrize("spec", [
+        "phi:\u0662", "phi:1_0", "phi:+2", "phi:-1", "notphi: 3", "phi:",
+    ])
+    def test_proof_moments_are_ascii_digits(self, spec):
+        with pytest.raises(ValueError) as err:
+            parse_schedule_spec(spec)
+        assert str(err.value) == f"bad proof moment in {spec!r}"
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):

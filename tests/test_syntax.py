@@ -1,21 +1,23 @@
 """Tests for the abstract syntax layer: sorting, substitution, scoping."""
 
 import itertools
+from typing import Optional
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringterp.sexpr import (
     format_formula, format_term, parse_formula, parse_term,
 )
 from ringterp.syntax import (
-    BOT, Add, And, Apart, Bottom, DefinedQuant, Eq, Exists, Forall, Formula,
-    Implies, In, Language, Lt, Mul, NatConst, Node, Or, Pair, QuantKind,
-    RealConst, Sort, SortError, SpeciesConst, SpeciesEq, SpeciesRef,
-    SpeciesVar, Succ, Term, Var, alpha_equal, check_formula, children,
-    free_vars, fresh_name, is_closed, neg, normalize_apart, rebuild,
-    species_binder_index, species_binder_name, substitute, term_sort,
+    AMBIENT_SORT, BOT, Add, And, Apart, Bottom, DefinedQuant, Eq, Exists,
+    Forall, Formula, Implies, In, Language, Lt, Mul, NatConst, Node, Or,
+    Pair, QuantKind, RealConst, Sort, SortError, SpeciesConst, SpeciesEq,
+    SpeciesRef, SpeciesVar, Succ, Term, Var, alpha_equal, check_formula,
+    children, free_vars, fresh_name, infer_term_sort, is_closed, neg,
+    normalize_apart, rebuild, species_binder_index, species_binder_name,
+    substitute, term_sort,
 )
 
 x = Var("x", Sort.NAT)
@@ -81,6 +83,15 @@ class TestSorting:
     def test_nat_const_rejects_negative(self):
         with pytest.raises(ValueError):
             NatConst(-1)
+
+    def test_only_the_table_classes_are_nodes(self):
+        class Shadow(Var):
+            __slots__ = ()
+
+        with pytest.raises(SortError, match=r"^not a term: Var\(name='x'"):
+            check_formula(Eq(Shadow("x", Sort.NAT), x), "source")
+        with pytest.raises(SortError, match="^not a species reference: <"):
+            check_formula(In(x, SpeciesRef()), "source")
 
     @pytest.mark.parametrize("name", ["X\u0663", "X\u00b2", "X1\n", "x1"])
     def test_species_binder_indices_are_ascii_digits(self, name):
@@ -359,3 +370,173 @@ def test_round_trip_cases_cover_every_class_and_both_languages():
             stack.extend(children(top))
     assert covered == set(NODES)
     assert {language for _, language in cases} == set(Language)
+
+
+# ---------------------------------------------------------------------------
+# The hand-written sort checker the rule table and its walker replaced,
+# kept as the reference of a differential test: one isinstance chain per
+# function.  The evaluator's differential test checks sorts with it too.
+
+
+def reference_term_sort(t: Term, language: Language) -> Sort:
+    ambient = AMBIENT_SORT[language]
+    if isinstance(t, Var):
+        if t.sort is not ambient:
+            raise SortError(
+                f"variable {t.name!r} has sort {t.sort.value}, "
+                f"but {language.value} terms have sort {ambient.value}"
+            )
+        return ambient
+    if isinstance(t, NatConst):
+        return ambient
+    if isinstance(t, RealConst):
+        if language is not Language.TARGET:
+            raise SortError(f"real constant {t.name!r} is target-language only")
+        return Sort.REAL
+    if isinstance(t, (Add, Mul)):
+        reference_term_sort(t.left, language)
+        reference_term_sort(t.right, language)
+        return ambient
+    if isinstance(t, Pair):
+        if language is not Language.SOURCE:
+            raise SortError("pairing is a source-language operation")
+        reference_term_sort(t.left, language)
+        reference_term_sort(t.right, language)
+        return Sort.NAT
+    if isinstance(t, Succ):
+        if language is not Language.SOURCE:
+            raise SortError("succ is a source-language operation")
+        reference_term_sort(t.arg, language)
+        return Sort.NAT
+    raise SortError(f"not a term: {t!r}")
+
+
+def reference_check_formula(f: Formula, language: Language | str) -> None:
+    _reference_check_formula(f, Language(language))
+
+
+def _reference_check_formula(f: Formula, language: Language) -> None:
+    src = language is Language.SOURCE
+    if isinstance(f, Bottom):
+        return
+    if isinstance(f, (Eq, Lt, Apart)):
+        reference_term_sort(f.left, language)
+        reference_term_sort(f.right, language)
+        return
+    if isinstance(f, In):
+        if not src:
+            raise SortError("membership atoms are source-language only")
+        reference_term_sort(f.element, language)
+        if not isinstance(f.species, SpeciesRef):
+            raise SortError(f"not a species reference: {f.species!r}")
+        return
+    if isinstance(f, SpeciesEq):
+        if not src:
+            raise SortError("species equality is source-language only")
+        for ref in (f.left, f.right):
+            if not isinstance(ref, SpeciesRef):
+                raise SortError(f"not a species reference: {ref!r}")
+        return
+    if isinstance(f, (And, Or, Implies)):
+        _reference_check_formula(f.left, language)
+        _reference_check_formula(f.right, language)
+        return
+    if isinstance(f, (Exists, Forall)):
+        if src:
+            if f.sort is Sort.SPECIES:
+                species_binder_index(f.var)
+            elif f.sort is not Sort.NAT:
+                raise SortError(
+                    f"source quantifiers bind Nat or Species, got {f.sort.value}"
+                )
+        elif f.sort is not Sort.REAL:
+            raise SortError(f"target quantifiers bind Real, got {f.sort.value}")
+        _reference_check_formula(f.body, language)
+        return
+    if isinstance(f, DefinedQuant):
+        if src:
+            raise SortError("defined quantifiers belong to the target language")
+        _reference_check_formula(f.body, language)
+        return
+    raise SortError(f"not a formula: {f!r}")
+
+
+def reference_infer_term_sort(t: Term) -> Optional[Sort]:
+    if isinstance(t, Var):
+        return t.sort
+    if isinstance(t, NatConst):
+        return None
+    if isinstance(t, RealConst):
+        return Sort.REAL
+    if isinstance(t, (Pair, Succ)):
+        return Sort.NAT
+    if isinstance(t, (Add, Mul)):
+        lo = reference_infer_term_sort(t.left)
+        hi = reference_infer_term_sort(t.right)
+        if lo is not None and hi is not None and lo is not hi:
+            raise SortError(f"mixed-sort term: {t!r}")
+        return lo or hi
+    raise SortError(f"not a term: {t!r}")
+
+
+_NAMES = ["x", "y", "X0", "X1", "X12", "Y1"]
+_JUNK = [0, "x", None, (), Sort.NAT]
+_FOREIGN = {Language.SOURCE: {RealConst, DefinedQuant},
+            Language.TARGET: {Pair, Succ, In, SpeciesEq}}
+
+
+@st.composite
+def _asts(draw, language, kind=Formula, depth=4):
+    """A node of the given kind, drawn from the node table, mostly of a
+    class of language and with sorts the language allows.  Now and then
+    a node is of a class of the other language, a child is of another
+    kind or no node at all, and a variable or a binder has another sort."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.one_of(st.sampled_from(_JUNK),
+                              _asts(language, depth=depth - 1),
+                              _asts(language, Term, depth - 1),
+                              _asts(language, SpeciesRef, depth - 1)))
+    # Mostly inner nodes down to the last level, so that trees are big.
+    classes = [cls for cls in NODES if cls.__base__ is kind]
+    inner = depth > 0 and draw(st.integers(0, 3)) > 0
+    classes = [cls for cls in classes
+               if bool(cls.child_kinds) is inner] or classes
+    if draw(st.integers(0, 9)):
+        classes = [cls for cls in classes if cls not in _FOREIGN[language]]
+    cls = draw(st.sampled_from(classes))
+    if cls is Var or language is Language.TARGET:
+        sorts = [AMBIENT_SORT[language]]
+    else:
+        sorts = [Sort.NAT, Sort.SPECIES]
+    fields = {"name": st.sampled_from(_NAMES), "var": st.sampled_from(_NAMES),
+              "sort": st.sampled_from(sorts * 3 + list(Sort)),
+              "value": st.integers(0, 3), "index": st.integers(0, 2),
+              "kind": st.sampled_from(QuantKind)}
+    data = [draw(fields[name]) for name in cls.data_fields]
+    kids = [draw(_asts(language, child, depth - 1))
+            for child in cls.child_kinds]
+    return cls(*data, *kids)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the type is part of what is compared
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(Language), st.sampled_from([Formula, Term]), st.data())
+def test_sort_rules_match_the_reference_checker(drawn_for, kind, data):
+    """check_formula and term_sort in both languages, and infer_term_sort,
+    on formulas and terms alike: each gives the reference's result or
+    its first error, by type and message."""
+    node = data.draw(_asts(drawn_for, kind))
+    for language in Language:
+        assert (_outcome(check_formula, node, language)
+                == _outcome(reference_check_formula, node, language))
+        assert (_outcome(term_sort, node, language)
+                == _outcome(reference_term_sort, node, language))
+    assert (_outcome(infer_term_sort, node)
+            == _outcome(reference_infer_term_sort, node))

@@ -31,6 +31,7 @@ from .kripke import (
     parse_schedule_spec, parse_trace, simulate,
 )
 from .manifest import render_manifest
+from .pairing import parse_natural
 from .reals import InsufficientHorizon, Precision
 from .sexpr import ParseError, format_formula, parse_formula
 from .selftest import format_table, run_all
@@ -232,9 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_spec_type(parse_alpha_spec),
                    default=ChoiceSeq.one(),
                    help="evidence stream spec (default: total)")
-    p.add_argument("--horizon", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds", type=int, default=1,
+    p.add_argument("--horizon", type=_spec_type(parse_natural), default=64)
+    p.add_argument("--seed", type=_spec_type(parse_natural), default=0)
+    p.add_argument("--seeds", type=_spec_type(parse_natural), default=1,
                    help="number of consecutive seeds to run")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_simulate)

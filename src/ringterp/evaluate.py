@@ -44,7 +44,7 @@ from .syntax import (
     Sort, SpeciesConst, SpeciesEq, SpeciesRef, SpeciesVar, Succ, Term, Var,
     check_formula, species_binder_index, term_sort,
 )
-from .translate import ORIENTATION_NAMES, Orientation
+from .translate import ORIENTATION_NAMES, Orientation, pair_for_const
 
 
 class EvalError(ValueError):
@@ -106,12 +106,11 @@ class FiniteStructure:
         for i, enc in self.species.items():
             if not isinstance(enc, SpeciesEncoding):
                 raise StructureError(f"species {i} is not an encoding")
+            first, second = pair_for_const(i)
             if orientation is Orientation.AS_WRITTEN:
-                self.const_gens[f"a{i}"] = enc.v
-                self.const_gens[f"b{i}"] = enc.u
+                self.const_gens[first], self.const_gens[second] = enc.v, enc.u
             else:
-                self.const_gens[f"a{i}"] = enc.u
-                self.const_gens[f"b{i}"] = enc.v
+                self.const_gens[first], self.const_gens[second] = enc.u, enc.v
             reals.extend([enc.u, enc.v])
         self.real_domain = tuple(reals)
         precision = precision if precision is not None else Precision()

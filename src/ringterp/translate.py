@@ -38,11 +38,10 @@ from typing import Iterable, Mapping, Optional
 from .pairing import bounded_op
 from .syntax import (
     ATOMS, Add, And, Apart, Bottom, DefinedQuant, Eq, Exists, Forall, Formula,
-    Implies, In, Language, Lt, Mul, NatConst, Node, ONE, Or, Pair, QuantKind,
+    Implies, In, Language, Lt, Mul, NatConst, ONE, Or, Pair, QuantKind,
     RealConst, Sort, SpeciesEq, SpeciesRef, SpeciesVar, Succ, Term, Var,
-    ZERO, all_var_names, check_formula, children, fresh_name, neg,
-    normalize_apart, rebuild, species_binder_index, species_binder_name,
-    species_indices,
+    ZERO, all_var_names, check_formula, children, fresh_name, neg, rebuild,
+    species_binder_index, species_indices,
 )
 
 
@@ -75,20 +74,25 @@ class TranslationConfig:
     orientation: Orientation = Orientation.AS_WRITTEN
 
 
+def pair_for_const(index: int) -> tuple[str, str]:
+    """Names of the real constants coding species constant index, which
+    the finite evaluator interprets."""
+    return f"a{index}", f"b{index}"
+
+
 @dataclass(frozen=True)
 class VarMap:
     """Names the translation may use on the target side.
 
-    species_vars and species_consts map a species index to the pair of
-    real names coding it; unmapped indices default to (u<i>, v<i>) for
-    variables and (a<i>, b<i>) for constants.  The sentinel is the free
-    real variable of the sentinel disjunction.  Names are never adjusted
-    silently: validate_for raises when they collide with each other or
-    with any variable of the formula.
+    species_vars maps a species variable index to the pair of real names
+    coding it; unmapped indices default to (u<i>, v<i>).  Species
+    constants are always coded by pair_for_const.  The sentinel is the
+    free real variable of the sentinel disjunction.  Names are never
+    adjusted silently: validate raises when they collide with each other
+    or with any variable of the formula.
     """
 
     species_vars: Optional[Mapping[int, tuple[str, str]]] = None
-    species_consts: Optional[Mapping[int, tuple[str, str]]] = None
     sentinel: str = "y"
 
     def pair_for_var(self, index: int) -> tuple[str, str]:
@@ -97,27 +101,24 @@ class VarMap:
             return first, second
         return f"u{index}", f"v{index}"
 
-    def pair_for_const(self, index: int) -> tuple[str, str]:
-        if self.species_consts is not None and index in self.species_consts:
-            first, second = self.species_consts[index]
-            return first, second
-        return f"a{index}", f"b{index}"
-
-    def validate_for(self, f: Formula) -> None:
-        var_idx, const_idx = species_indices(f)
-        names = [self.sentinel]
-        for i in sorted(var_idx):
-            names.extend(self.pair_for_var(i))
-        for i in sorted(const_idx):
-            names.extend(self.pair_for_const(i))
+    def validate(self, var_indices: Iterable[int],
+                 const_indices: Iterable[int], names: set[str]) -> None:
+        """Check the sentinel and the names coding the species indices a
+        formula uses against each other (the first name assigned twice
+        is the error), then against the formula's variable names."""
+        coding = [self.sentinel]
+        for i in sorted(var_indices):
+            coding.extend(self.pair_for_var(i))
+        for i in sorted(const_indices):
+            coding.extend(pair_for_const(i))
         seen: set[str] = set()
-        for name in names:
+        for name in coding:
             if name in seen:
                 raise TranslationError(
                     f"variable map assigns the name {name!r} twice"
                 )
             seen.add(name)
-        clash = seen & all_var_names(f)
+        clash = seen & names
         if clash:
             raise TranslationError(
                 "variable map names collide with formula variables: "
@@ -191,160 +192,144 @@ def nat_predicate(var: str = "x", forbidden: Iterable[str] = ()) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Shadow renaming for species binders
-
-
-def _rename_shadowed_species(f: Node, env: Mapping[int, int],
-                             in_scope: frozenset[int]) -> Node:
-    """Give nested rebindings of a species index a fresh index.
-
-    The choice of fresh index looks only at the binder's scope path and
-    its own body, never at sibling subformulas, so renaming commutes
-    with the connectives.
-    """
-    if isinstance(f, SpeciesVar):
-        index = env.get(f.index, f.index)
-        return f if index == f.index else SpeciesVar(index)
-    if not (isinstance(f, (Exists, Forall)) and f.sort is Sort.SPECIES):
-        # Terms hold no species references, so they are not visited.
-        return rebuild(f, [c if isinstance(c, Term)
-                           else _rename_shadowed_species(c, env, in_scope)
-                           for c in children(f)])
-    index = species_binder_index(f.var)
-    if index in in_scope:
-        used = set(in_scope) | {index}
-        body_vars, body_consts = species_indices(f.body)
-        used |= body_vars | body_consts
-        new = 0
-        while new in used:
-            new += 1
-    else:
-        new = index
-    env2 = {**env, index: new}
-    body = _rename_shadowed_species(f.body, env2, in_scope | {new})
-    return type(f)(species_binder_name(new), f.sort, body)
-
-
-# ---------------------------------------------------------------------------
 # The translation proper
 
 
 def _eval_closed_nat(t: Term) -> Optional[int]:
-    """Value of a closed source nat term, or None if a variable occurs.
-
-    Raises TranslationError when a product or pair could exceed
-    MAX_TERM_BITS bits.
-    """
+    """Value of a closed source nat term, or None if a variable occurs;
+    raises TranslationError when a product or pair could exceed
+    MAX_TERM_BITS bits."""
     if isinstance(t, NatConst):
         return t.value
     if isinstance(t, Var):
         return None
+    args = [_eval_closed_nat(c) for c in children(t)]
+    if None in args:
+        return None
     if isinstance(t, Succ):
-        a = _eval_closed_nat(t.arg)
-        return None if a is None else a + 1
-    if isinstance(t, (Add, Mul, Pair)):
-        a = _eval_closed_nat(t.left)
-        b = _eval_closed_nat(t.right)
-        if a is None or b is None:
-            return None
-        if isinstance(t, Add):
-            return a + b
-        try:
-            return bounded_op("*" if isinstance(t, Mul) else "pair", a, b)
-        except OverflowError as exc:
-            raise TranslationError(str(exc)) from None
-    raise TranslationError(f"not a source term: {t!r}")
+        return args[0] + 1
+    if isinstance(t, Add):
+        return args[0] + args[1]
+    try:
+        return bounded_op("*" if isinstance(t, Mul) else "pair", *args)
+    except OverflowError as exc:
+        raise TranslationError(str(exc)) from None
 
 
 class _Translator:
+    """One pre-order pass over a well-sorted source formula.
+
+    tau(f, env, in_scope) unfolds apartness where it meets it.  env maps
+    a species index to its renamed index, in_scope holds the renamed
+    indices bound on the path; a binder whose index is in scope gets the
+    least index outside in_scope and its own body's species indices, so
+    renaming never looks at siblings and commutes with the connectives.
+    The pass records the names and the renamed species indices the
+    variable map is checked against.  A pair term that cannot be folded
+    adds its names and the first such error is kept in error, so that
+    the walk goes on to record the names of the whole formula.
+    """
+
     def __init__(self, vm: VarMap, config: TranslationConfig) -> None:
         self.vm = vm
-        self.config = config
+        self.swap = config.orientation is Orientation.QUOTIENT_NORMALIZED
+        self.sentinel = sentinel_formula(vm.sentinel)
+        self.names: set[str] = set()
+        self.var_indices: set[int] = set()
+        self.const_indices: set[int] = set()
+        self.error: Optional[TranslationError] = None
 
     def term(self, t: Term) -> Term:
         if isinstance(t, Var):
+            self.names.add(t.name)
             return Var(t.name, Sort.REAL)
         if isinstance(t, NatConst):
             return t
         if isinstance(t, Succ):
             return Add(self.term(t.arg), ONE)
-        if isinstance(t, Add):
-            return Add(self.term(t.left), self.term(t.right))
-        if isinstance(t, Mul):
-            return Mul(self.term(t.left), self.term(t.right))
+        if isinstance(t, (Add, Mul)):
+            return type(t)(self.term(t.left), self.term(t.right))
         if isinstance(t, Pair):
-            value = _eval_closed_nat(t)
-            if value is None:
-                raise TranslationError(
-                    "pairing of terms with variables has no ring translation;"
-                    " only closed pair terms can be folded to a numeral"
-                )
-            return NatConst(value)
+            try:
+                value = _eval_closed_nat(t)
+                if value is None:
+                    raise TranslationError(
+                        "pairing of terms with variables has no ring "
+                        "translation; only closed pair terms can be folded "
+                        "to a numeral"
+                    )
+                return NatConst(value)
+            except TranslationError as exc:
+                self.names |= all_var_names(t)
+                self.error = self.error or exc
+                return ZERO  # discarded: translate raises self.error
         raise TranslationError(f"not a source term: {t!r}")
 
-    def coding_pair(self, ref: SpeciesRef) -> tuple[Term, Term]:
-        first, second = self.coding_names(ref)
+    def coding_pair(self, ref: SpeciesRef,
+                    env: Mapping[int, int]) -> tuple[Term, Term]:
         if isinstance(ref, SpeciesVar):
+            index = env.get(ref.index, ref.index)
+            self.var_indices.add(index)
+            first, second = self.vm.pair_for_var(index)
             return Var(first, Sort.REAL), Var(second, Sort.REAL)
+        self.const_indices.add(ref.index)
+        first, second = pair_for_const(ref.index)
         return RealConst(first), RealConst(second)
 
-    def membership(self, element: Term, ref: SpeciesRef) -> Formula:
-        first, second = self.coding_pair(ref)
-        if self.config.orientation is Orientation.QUOTIENT_NORMALIZED:
+    def membership(self, element: Term, coding: tuple[Term, Term]) -> Formula:
+        first, second = coding
+        if self.swap:
             first, second = second, first
-        claim = Eq(Mul(self.term(element), first), second)
-        return Implies(neg(claim), self.sentinel)
+        return Implies(neg(Eq(Mul(element, first), second)), self.sentinel)
 
-    @property
-    def sentinel(self) -> Formula:
-        return sentinel_formula(self.vm.sentinel)
-
-    def tau(self, f: Formula) -> Formula:
+    def tau(self, f: Formula, env: Mapping[int, int],
+            in_scope: frozenset[int]) -> Formula:
         if isinstance(f, Bottom):
             return self.sentinel
         if isinstance(f, Eq):
             return Or(Eq(self.term(f.left), self.term(f.right)), self.sentinel)
         if isinstance(f, Lt):
             return Or(Lt(self.term(f.left), self.term(f.right)), self.sentinel)
+        if isinstance(f, Apart):
+            a, b = self.term(f.left), self.term(f.right)
+            return Or(Or(Lt(a, b), self.sentinel), Or(Lt(b, a), self.sentinel))
         if isinstance(f, In):
-            return self.membership(f.element, f.species)
+            coding = self.coding_pair(f.species, env)
+            return self.membership(self.term(f.element), coding)
         if isinstance(f, SpeciesEq):
-            return self.species_eq(f.left, f.right)
-        if isinstance(f, And):
-            return And(self.tau(f.left), self.tau(f.right))
-        if isinstance(f, Or):
-            return Or(self.tau(f.left), self.tau(f.right))
-        if isinstance(f, Implies):
-            return Implies(self.tau(f.left), self.tau(f.right))
+            # forallN x (x in left <-> x in right), x fresh for the names
+            # of the two coding pairs and the sentinel.
+            left = self.coding_pair(f.left, env)
+            right = self.coding_pair(f.right, env)
+            x = fresh_name("x", {self.vm.sentinel,
+                                 *(t.name for t in left + right)})
+            in_left = self.membership(Var(x, Sort.REAL), left)
+            in_right = self.membership(Var(x, Sort.REAL), right)
+            return DefinedQuant(QuantKind.FORALL_NAT, x, And(
+                Implies(in_left, in_right), Implies(in_right, in_left)))
+        if isinstance(f, (And, Or, Implies)):
+            return type(f)(self.tau(f.left, env, in_scope),
+                           self.tau(f.right, env, in_scope))
         if isinstance(f, (Exists, Forall)):
             exists = isinstance(f, Exists)
             if f.sort is Sort.NAT:
+                self.names.add(f.var)
                 kind = QuantKind.EXISTS_NAT if exists else QuantKind.FORALL_NAT
-                return DefinedQuant(kind, f.var, self.tau(f.body))
-            index = species_binder_index(f.var)
-            first, second = self.vm.pair_for_var(index)
+                return DefinedQuant(kind, f.var,
+                                    self.tau(f.body, env, in_scope))
+            index = new = species_binder_index(f.var)
+            if index in in_scope:
+                body_vars, body_consts = species_indices(f.body)
+                used = in_scope | body_vars | body_consts
+                new = 0
+                while new in used:
+                    new += 1
+            self.var_indices.add(new)
+            body = self.tau(f.body, {**env, index: new}, in_scope | {new})
+            first, second = self.vm.pair_for_var(new)
             kind = QuantKind.EXISTS_REAL if exists else QuantKind.FORALL_REAL
-            return DefinedQuant(
-                kind, first, DefinedQuant(kind, second, self.tau(f.body))
-            )
+            return DefinedQuant(kind, first, DefinedQuant(kind, second, body))
         raise TranslationError(f"cannot translate {f!r}")
-
-    def species_eq(self, left: SpeciesRef, right: SpeciesRef) -> Formula:
-        forbidden = {self.vm.sentinel}
-        for ref in (left, right):
-            forbidden.update(self.coding_names(ref))
-        x = fresh_name("x", forbidden)
-        element = Var(x, Sort.NAT)
-        both_ways = And(
-            Implies(In(element, left), In(element, right)),
-            Implies(In(element, right), In(element, left)),
-        )
-        return self.tau(Forall(x, Sort.NAT, both_ways))
-
-    def coding_names(self, ref: SpeciesRef) -> tuple[str, str]:
-        if isinstance(ref, SpeciesVar):
-            return self.vm.pair_for_var(ref.index)
-        return self.vm.pair_for_const(ref.index)
 
 
 def expand_defined(f: Formula, sentinel: str = "y") -> Formula:
@@ -374,19 +359,24 @@ def translate(f: Formula, vm: Optional[VarMap] = None,
               config: Optional[TranslationConfig] = None) -> Formula:
     """Translate a source formula into the ordered-ring language.
 
-    The formula must be well sorted for the source language.  Apartness
-    atoms are unfolded first, nested rebindings of a species index are
-    renamed, and the variable map is checked against the (renamed)
-    formula; name collisions raise TranslationError rather than being
-    repaired silently.
+    The formula must be well sorted for the source language.  One pass,
+    _Translator.tau, then unfolds apartness atoms, renames nested
+    rebindings of a species index and translates, recording the names
+    the variable map is checked against after it.  The first error wins
+    in this order: the source SortError; the variable map's, a name
+    assigned twice and then names colliding with formula variables; the
+    first pair term that cannot be folded.  Name collisions raise rather
+    than being repaired silently.
     """
     vm = vm if vm is not None else VarMap()
     config = config if config is not None else TranslationConfig()
     check_formula(f, Language.SOURCE)
-    f = normalize_apart(f)
-    f = _rename_shadowed_species(f, {}, frozenset())
-    vm.validate_for(f)
-    out = _Translator(vm, config).tau(f)
+    translator = _Translator(vm, config)
+    out = translator.tau(f, {}, frozenset())
+    vm.validate(translator.var_indices, translator.const_indices,
+                translator.names)
+    if translator.error is not None:
+        raise translator.error
     if config.expansion is Expansion.FULL:
         out = expand_defined(out, vm.sentinel)
     check_formula(out, Language.TARGET)

@@ -161,6 +161,28 @@ class TestSimulate:
             "ringterp simulate: error: argument --alpha: candidate 100000000")
         assert "more than the limit of 4194304" in proc.stderr
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--horizon", "١_٢"), ("--horizon", "1_2"), ("--horizon", "-1"),
+        ("--horizon", " 12"), ("--seed", "-3"), ("--seed", "+7"),
+        ("--seed", "٧"), ("--seeds", "+1"), ("--seeds", "-1"),
+        ("--seeds", "²"),
+    ])
+    def test_numbers_are_ascii_digits(self, capsys, flag, value):
+        """In process: one usage line naming the flag, exit 2, no trace."""
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--schedule", "phi:2", flag, value])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err == (f"ringterp simulate: error: argument {flag}: "
+                       f"expected digits 0-9, got {value!r}\n")
+
+    def test_ascii_numbers_are_recorded_as_given(self):
+        proc = run_cli("simulate", "--schedule", "phi:2", "--seed", "7",
+                       "--horizon", "12", "--seeds", "2")
+        assert proc.returncode == 0
+        for flag in ("--horizon=12", "--seed=7", "--seeds=2"):
+            assert f"# flag: {flag}\n" in proc.stdout
+
     def test_there_is_no_jobs_option(self):
         proc = run_cli("simulate", "--schedule", "phi:2", "--seeds", "2",
                        "--jobs", "2")

@@ -1,9 +1,12 @@
 """Tests for the ring translation of two-sorted formulas."""
 
 import hashlib
+import importlib
+from collections import Counter
+from typing import Mapping, Optional
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringterp.corpus import corpus_formulas
@@ -11,11 +14,15 @@ from ringterp.goldens import (
     MEMBERSHIP_AS_WRITTEN, MEMBERSHIP_NORMALIZED, NAT_CORE, NAT_PREDICATE,
     SENTINEL, TAU_BOTTOM,
 )
+from ringterp.pairing import bounded_op
 from ringterp.sexpr import format_formula, parse_formula
 from ringterp.syntax import (
-    And, DefinedQuant, Exists, Forall, Formula, Implies, In, Language, Or,
-    QuantKind, Sort, SpeciesConst, SpeciesVar, Var, alpha_equal, free_vars,
-    is_closed,
+    ATOMS, Add, And, Apart, Bottom, DefinedQuant, Eq, Exists, Forall, Formula,
+    Implies, In, Language, Lt, Mul, NatConst, Node, ONE, Or, Pair, QuantKind,
+    RealConst, Sort, SpeciesEq, SpeciesConst, SpeciesRef, SpeciesVar, Succ,
+    Term, Var, all_var_names, alpha_equal, check_formula, children,
+    fresh_name, free_vars, is_closed, neg, rebuild, species_binder_index,
+    species_binder_name, species_indices,
 )
 from ringterp.translate import (
     Expansion, Orientation, TranslationConfig, TranslationError, VarMap,
@@ -145,6 +152,12 @@ class TestSpeciesEquality:
         assert isinstance(got, DefinedQuant)
         assert got.var == "x_3"
 
+    def test_fresh_element_may_reuse_a_formula_name(self):
+        # x is fresh for the coding names and the sentinel only; it may
+        # reuse a name of the formula, which it does not capture.
+        f = src("(and (= x 0) (seq X1 X2))")
+        assert translate(f).right.var == "x"
+
 
 class TestHomomorphism:
     @pytest.mark.parametrize("connective", ["and", "or", "imp"])
@@ -209,6 +222,24 @@ class TestVarMap:
             translate(src("(in u1 X1)"))
 
 
+class TestErrorOrder:
+    def test_a_name_clash_wins_over_an_open_pair(self):
+        f = src("(and (= (pair n 1) 0) (in (pair 1 m) X1))")
+        with pytest.raises(TranslationError, match="^pairing of terms"):
+            translate(f)
+        with pytest.raises(TranslationError, match="collide.*: m$"):
+            translate(f, VarMap(species_vars={1: ("m", "q")}))
+
+    def test_the_first_failing_pair_is_reported(self):
+        huge = 1 << 3000
+        f = src(f"(and (= (pair n 1) 0) (= 0 (pair {huge} 0)))")
+        with pytest.raises(TranslationError, match="^pairing of terms"):
+            translate(f)
+        f = src(f"(= (pair (pair n 1) (pair {huge} 0)) 0)")
+        with pytest.raises(TranslationError, match="of 3001 and 0 bits"):
+            translate(f)
+
+
 class TestShadowing:
     def test_nested_rebinding_gets_a_fresh_index(self):
         f = src("(exists (X0 Species) (and (in 0 X0) "
@@ -223,6 +254,43 @@ class TestShadowing:
                 "(and (in 0 X0) (in 1 X1))))")
         out = translate(f)
         assert is_closed(out) or free_vars(out).real == {"y"}
+
+    def test_triply_nested_rebinding(self):
+        # The inner X0 avoids 0, in scope, and 1, a constant of its body;
+        # the innermost avoids 0 and 2, in scope, and the same constant.
+        f = src("(forall (X0 Species) (exists (X0 Species) (and (in 0 X0) "
+                "(forall (X0 Species) (seq X0 (sconst 1))))))")
+        got = translate(f)
+        inner = got.body.body
+        assert [got.var, inner.var, inner.body.body.right.var] == [
+            "u0", "u2", "u3"]
+        assert got == reference_translate(f)
+
+
+class TestWork:
+    """Time-free guard: between its source and its target check,
+    translate walks a formula once.  normalize_apart, all_var_names and
+    species_indices never run on the corpus, which rebinds no species
+    index and holds no open pair."""
+
+    HELPERS = ("check_formula", "normalize_apart", "all_var_names",
+               "species_indices")
+
+    def test_one_walk_per_translation(self, monkeypatch):
+        formulas = corpus_formulas(200)
+        calls = Counter()
+        for module in map(importlib.import_module,
+                          ("ringterp.syntax", "ringterp.translate")):
+            for name in self.HELPERS:
+                if hasattr(module, name):
+                    def counted(*args, _fn=getattr(module, name), _n=name):
+                        calls[_n] += 1
+                        return _fn(*args)
+                    monkeypatch.setattr(module, name, counted)
+        for expansion in Expansion:
+            for f in formulas:
+                translate(f, config=TranslationConfig(expansion))
+        assert calls == Counter(check_formula=2 * 2 * len(formulas))
 
 
 class TestSourceValidation:
@@ -255,3 +323,306 @@ def test_corpus_translations_print_byte_for_byte_as_pinned():
     assert digest.hexdigest() == (
         "6c6f1cc87959449b273990916c478bcd50c6ba680873481f8510274b72e504bb"
     )
+
+
+# ---------------------------------------------------------------------------
+# The pipeline of separate walks that translate replaced, frozen as the
+# reference of the differential test below: apartness unfolded, species
+# binders renamed and the variable map checked, each by a walk of its
+# own, before tau.  Constants are coded by a<i>, b<i>.
+
+
+def reference_normalize_apart(f: Formula) -> Formula:
+    if isinstance(f, Apart):
+        return Or(Lt(f.left, f.right), Lt(f.right, f.left))
+    if type(f) in ATOMS:
+        return f
+    return rebuild(f, [reference_normalize_apart(c) for c in children(f)])
+
+
+def reference_rename_shadowed_species(f: Node, env: Mapping[int, int],
+                                      in_scope: frozenset[int]) -> Node:
+    if isinstance(f, SpeciesVar):
+        index = env.get(f.index, f.index)
+        return f if index == f.index else SpeciesVar(index)
+    if not (isinstance(f, (Exists, Forall)) and f.sort is Sort.SPECIES):
+        return rebuild(f, [c if isinstance(c, Term)
+                           else reference_rename_shadowed_species(
+                               c, env, in_scope)
+                           for c in children(f)])
+    index = species_binder_index(f.var)
+    if index in in_scope:
+        used = set(in_scope) | {index}
+        body_vars, body_consts = species_indices(f.body)
+        used |= body_vars | body_consts
+        new = 0
+        while new in used:
+            new += 1
+    else:
+        new = index
+    env2 = {**env, index: new}
+    body = reference_rename_shadowed_species(f.body, env2, in_scope | {new})
+    return type(f)(species_binder_name(new), f.sort, body)
+
+
+def reference_const_pair(index: int) -> tuple[str, str]:
+    return f"a{index}", f"b{index}"
+
+
+def reference_validate_for(vm: VarMap, f: Formula) -> None:
+    var_idx, const_idx = species_indices(f)
+    names = [vm.sentinel]
+    for i in sorted(var_idx):
+        names.extend(vm.pair_for_var(i))
+    for i in sorted(const_idx):
+        names.extend(reference_const_pair(i))
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise TranslationError(
+                f"variable map assigns the name {name!r} twice"
+            )
+        seen.add(name)
+    clash = seen & all_var_names(f)
+    if clash:
+        raise TranslationError(
+            "variable map names collide with formula variables: "
+            + ", ".join(sorted(clash))
+        )
+
+
+def _reference_eval_closed_nat(t: Term) -> Optional[int]:
+    if isinstance(t, NatConst):
+        return t.value
+    if isinstance(t, Var):
+        return None
+    if isinstance(t, Succ):
+        a = _reference_eval_closed_nat(t.arg)
+        return None if a is None else a + 1
+    if isinstance(t, (Add, Mul, Pair)):
+        a = _reference_eval_closed_nat(t.left)
+        b = _reference_eval_closed_nat(t.right)
+        if a is None or b is None:
+            return None
+        if isinstance(t, Add):
+            return a + b
+        try:
+            return bounded_op("*" if isinstance(t, Mul) else "pair", a, b)
+        except OverflowError as exc:
+            raise TranslationError(str(exc)) from None
+    raise TranslationError(f"not a source term: {t!r}")
+
+
+class ReferenceTranslator:
+    def __init__(self, vm: VarMap, config: TranslationConfig) -> None:
+        self.vm = vm
+        self.config = config
+
+    def term(self, t: Term) -> Term:
+        if isinstance(t, Var):
+            return Var(t.name, Sort.REAL)
+        if isinstance(t, NatConst):
+            return t
+        if isinstance(t, Succ):
+            return Add(self.term(t.arg), ONE)
+        if isinstance(t, Add):
+            return Add(self.term(t.left), self.term(t.right))
+        if isinstance(t, Mul):
+            return Mul(self.term(t.left), self.term(t.right))
+        if isinstance(t, Pair):
+            value = _reference_eval_closed_nat(t)
+            if value is None:
+                raise TranslationError(
+                    "pairing of terms with variables has no ring translation;"
+                    " only closed pair terms can be folded to a numeral"
+                )
+            return NatConst(value)
+        raise TranslationError(f"not a source term: {t!r}")
+
+    def coding_pair(self, ref: SpeciesRef) -> tuple[Term, Term]:
+        first, second = self.coding_names(ref)
+        if isinstance(ref, SpeciesVar):
+            return Var(first, Sort.REAL), Var(second, Sort.REAL)
+        return RealConst(first), RealConst(second)
+
+    def membership(self, element: Term, ref: SpeciesRef) -> Formula:
+        first, second = self.coding_pair(ref)
+        if self.config.orientation is Orientation.QUOTIENT_NORMALIZED:
+            first, second = second, first
+        claim = Eq(Mul(self.term(element), first), second)
+        return Implies(neg(claim), self.sentinel)
+
+    @property
+    def sentinel(self) -> Formula:
+        return sentinel_formula(self.vm.sentinel)
+
+    def tau(self, f: Formula) -> Formula:
+        if isinstance(f, Bottom):
+            return self.sentinel
+        if isinstance(f, Eq):
+            return Or(Eq(self.term(f.left), self.term(f.right)), self.sentinel)
+        if isinstance(f, Lt):
+            return Or(Lt(self.term(f.left), self.term(f.right)), self.sentinel)
+        if isinstance(f, In):
+            return self.membership(f.element, f.species)
+        if isinstance(f, SpeciesEq):
+            return self.species_eq(f.left, f.right)
+        if isinstance(f, And):
+            return And(self.tau(f.left), self.tau(f.right))
+        if isinstance(f, Or):
+            return Or(self.tau(f.left), self.tau(f.right))
+        if isinstance(f, Implies):
+            return Implies(self.tau(f.left), self.tau(f.right))
+        if isinstance(f, (Exists, Forall)):
+            exists = isinstance(f, Exists)
+            if f.sort is Sort.NAT:
+                kind = QuantKind.EXISTS_NAT if exists else QuantKind.FORALL_NAT
+                return DefinedQuant(kind, f.var, self.tau(f.body))
+            index = species_binder_index(f.var)
+            first, second = self.vm.pair_for_var(index)
+            kind = QuantKind.EXISTS_REAL if exists else QuantKind.FORALL_REAL
+            return DefinedQuant(
+                kind, first, DefinedQuant(kind, second, self.tau(f.body))
+            )
+        raise TranslationError(f"cannot translate {f!r}")
+
+    def species_eq(self, left: SpeciesRef, right: SpeciesRef) -> Formula:
+        forbidden = {self.vm.sentinel}
+        for ref in (left, right):
+            forbidden.update(self.coding_names(ref))
+        x = fresh_name("x", forbidden)
+        element = Var(x, Sort.NAT)
+        both_ways = And(
+            Implies(In(element, left), In(element, right)),
+            Implies(In(element, right), In(element, left)),
+        )
+        return self.tau(Forall(x, Sort.NAT, both_ways))
+
+    def coding_names(self, ref: SpeciesRef) -> tuple[str, str]:
+        if isinstance(ref, SpeciesVar):
+            return self.vm.pair_for_var(ref.index)
+        return reference_const_pair(ref.index)
+
+
+def reference_translate(f: Formula, vm: Optional[VarMap] = None,
+                        config: Optional[TranslationConfig] = None) -> Formula:
+    vm = vm if vm is not None else VarMap()
+    config = config if config is not None else TranslationConfig()
+    check_formula(f, Language.SOURCE)
+    f = reference_normalize_apart(f)
+    f = reference_rename_shadowed_species(f, {}, frozenset())
+    reference_validate_for(vm, f)
+    out = ReferenceTranslator(vm, config).tau(f)
+    if config.expansion is Expansion.FULL:
+        out = expand_defined(out, vm.sentinel)
+    check_formula(out, Language.TARGET)
+    return out
+
+
+# Formula variables drawn per example from one of two pools: names no
+# map of _var_maps uses, or names that collide with the default sentinel
+# (y), default coding names (u<i>, v<i>), constant names (a<i>) and
+# fresh names (x, x_1).
+_CLEAN_NAMES = ["n", "k", "m"]
+_COLLIDING_NAMES = ["n", "x", "y", "u0", "v1", "a0", "x_1"]
+_MAP_NAMES = ["p", "q", "r", "x", "y", "u1", "v0", "x_1", "x_2"]
+# 3,000 bits: pairing it, or multiplying two of it, exceeds MAX_TERM_BITS.
+_HUGE = 1 << 3000
+
+
+@st.composite
+def _source_terms(draw, names, open_pairs, depth=3):
+    """A nat term over names; unless open_pairs, every pair is closed."""
+    if depth == 0 or draw(st.integers(0, 2)) == 0:
+        if names and draw(st.integers(0, 2)) == 0:
+            return Var(draw(st.sampled_from(names)), Sort.NAT)
+        return NatConst(draw(st.sampled_from([0, 1, 2, 5, 9, _HUGE])))
+    cls = draw(st.sampled_from([Succ, Add, Mul, Pair]))
+    if cls is Pair and not open_pairs:
+        names = []
+    return cls(*[draw(_source_terms(names, open_pairs, depth - 1))
+                 for _ in cls.child_kinds])
+
+
+# Variables mostly of index 0, the index binders rebind most.
+_species_refs = st.one_of(
+    st.builds(SpeciesVar, st.sampled_from([0, 0, 1, 2])),
+    st.builds(SpeciesVar, st.sampled_from([0, 0, 1, 2])),
+    st.builds(SpeciesConst, st.integers(0, 3)),
+)
+
+
+@st.composite
+def _source_formulas(draw, names, open_pairs, depth=5):
+    """Well-sorted source formulas whose species binders reuse the
+    indices 0-2, so that nested and triply nested rebindings are common,
+    with every atom and closed, oversized and, if open_pairs, open
+    pairs."""
+    terms = _source_terms(names, open_pairs)
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        cls = draw(st.sampled_from([Bottom, Eq, Lt, Apart, Apart, In, In,
+                                    In, SpeciesEq, SpeciesEq]))
+        if cls is Bottom:
+            return Bottom()
+        if cls is In:
+            return In(draw(terms), draw(_species_refs))
+        if cls is SpeciesEq:
+            return SpeciesEq(draw(_species_refs), draw(_species_refs))
+        return cls(draw(terms), draw(terms))
+    cls = draw(st.sampled_from([And, Or, Implies, Exists, Forall, Exists,
+                                Forall]))
+    if cls in (And, Or, Implies):
+        return cls(draw(_source_formulas(names, open_pairs, depth - 1)),
+                   draw(_source_formulas(names, open_pairs, depth - 1)))
+    body = draw(_source_formulas(names, open_pairs, depth - 1))
+    if draw(st.integers(0, 2)):
+        # Half the species binders use their variable first thing.
+        index = draw(st.sampled_from([0, 0, 0, 1, 2]))
+        if draw(st.booleans()):
+            body = And(In(draw(terms), SpeciesVar(index)), body)
+        return cls(species_binder_name(index), Sort.SPECIES, body)
+    return cls(draw(st.sampled_from(names)), Sort.NAT, body)
+
+
+@st.composite
+def _var_maps(draw):
+    """Mostly the default map; otherwise coding pairs and a sentinel that
+    may collide with each other and with formula variables."""
+    if draw(st.integers(0, 2)):
+        return VarMap()
+    pairs = st.tuples(st.sampled_from(_MAP_NAMES), st.sampled_from(_MAP_NAMES))
+    return VarMap(
+        species_vars=draw(st.dictionaries(st.integers(0, 4), pairs,
+                                          max_size=3)),
+        sentinel=draw(st.sampled_from(["y", "x", "x", "z", "p", "u0"])),
+    )
+
+
+@st.composite
+def _translation_cases(draw):
+    """A source formula and a variable map; a third of the formulas
+    draw their variables from the colliding pool, half hold open pairs."""
+    names = draw(st.sampled_from([_CLEAN_NAMES, _CLEAN_NAMES,
+                                  _COLLIDING_NAMES]))
+    return draw(_source_formulas(names, draw(st.booleans()))), draw(_var_maps())
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the type is part of what is compared
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400)
+@given(_translation_cases())
+def test_translation_matches_the_reference_pipeline(case):
+    """In every expansion and orientation: the reference's output, or
+    its first error by type and message."""
+    f, vm = case
+    for orientation in Orientation:
+        for expansion in Expansion:
+            config = TranslationConfig(expansion, orientation)
+            assert (_outcome(translate, f, vm, config)
+                    == _outcome(reference_translate, f, vm, config))

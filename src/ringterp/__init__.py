@@ -40,7 +40,7 @@ from .syntax import (
     alpha_equal, free_vars, is_closed, neg, normalize_apart, substitute,
 )
 from .translate import (
-    Expansion, Orientation, TranslationConfig, TranslationError, VarMap,
+    Expansion, Orientation, TranslationConfig, TranslationError,
     expand_defined, nat_core_formula, nat_predicate, sentinel_formula,
     translate,
 )
@@ -55,7 +55,7 @@ __all__ = [
     "Schedule", "ScheduleKind", "Sort", "SortError", "SpeciesConst",
     "SpeciesEncoding", "SpeciesEq", "SpeciesVar", "StructureError", "Succ",
     "Term", "TraceError", "TranslationConfig", "TranslationError", "Var",
-    "VarMap", "add", "adaptive_precision", "alpha_equal", "apart_at",
+    "add", "adaptive_precision", "alpha_equal", "apart_at",
     "check_conjuncts", "check_modulus", "encode_run", "encode_silent",
     "encode_stabilized", "eq_at", "eval_formula", "expand_defined",
     "format_formula", "format_structure", "format_term", "format_trace",

@@ -32,7 +32,7 @@ from .kripke import (
 )
 from .manifest import render_manifest
 from .pairing import parse_natural
-from .reals import InsufficientHorizon, Precision
+from .reals import InsufficientHorizon
 from .sexpr import ParseError, format_formula, parse_formula
 from .selftest import format_table, run_all
 from .syntax import Language, SortError
@@ -192,6 +192,12 @@ def _spec_type(parse: Callable[[str], T]) -> Callable[[str], T]:
     return convert
 
 
+def _positive(text: str) -> int:
+    if parse_natural(text) == 0:
+        raise ValueError(f"expected a number of at least 1, got {text!r}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors take one stderr line; -h still prints the usage."""
 
@@ -233,9 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_spec_type(parse_alpha_spec),
                    default=ChoiceSeq.one(),
                    help="evidence stream spec (default: total)")
-    p.add_argument("--horizon", type=_spec_type(parse_natural), default=64)
+    p.add_argument("--horizon", type=_spec_type(_positive), default=64)
     p.add_argument("--seed", type=_spec_type(parse_natural), default=0)
-    p.add_argument("--seeds", type=_spec_type(parse_natural), default=1,
+    p.add_argument("--seeds", type=_spec_type(_positive), default=1,
                    help="number of consecutive seeds to run")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_simulate)

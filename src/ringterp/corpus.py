@@ -27,7 +27,7 @@ from .syntax import (
     NatConst, Or, Pair, Sort, SpeciesConst, SpeciesEq, SpeciesRef, SpeciesVar,
     Succ, Term, Var, is_closed, species_binder_name,
 )
-from .translate import Orientation
+from .translate import SENTINEL, Orientation
 
 NAT_DOMAIN = (0, 1, 2, 3)
 
@@ -46,7 +46,7 @@ def collapse_structure(orientation: Orientation = Orientation.AS_WRITTEN,
         for index, (moment, value) in SPECIES_SINGLETONS.items()
     }
     return FiniteStructure(NAT_DOMAIN, species, orientation, precision,
-                           "y", sentinel_true)
+                           SENTINEL, sentinel_true)
 
 
 class _FormulaGen:

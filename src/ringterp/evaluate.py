@@ -44,7 +44,7 @@ from .syntax import (
     Sort, SpeciesConst, SpeciesEq, SpeciesRef, SpeciesVar, Succ, Term, Var,
     check_formula, species_binder_index, term_sort,
 )
-from .translate import ORIENTATION_NAMES, Orientation, pair_for_const
+from .translate import ORIENTATION_NAMES, SENTINEL, Orientation, pair_for_const
 
 
 class EvalError(ValueError):
@@ -84,7 +84,7 @@ class FiniteStructure:
                  species: Optional[Mapping[int, SpeciesEncoding]] = None,
                  orientation: Orientation = Orientation.AS_WRITTEN,
                  precision: Optional[Precision] = None,
-                 sentinel: str = "y",
+                 sentinel: str = SENTINEL,
                  sentinel_true: bool = False) -> None:
         domain = tuple(sorted(set(nat_domain)))
         if not domain:
@@ -592,7 +592,7 @@ def parse_structure(text: str, sentinel_true: bool = False) -> FiniteStructure:
     species: dict[int, SpeciesEncoding] = {}
     orientation = Orientation.AS_WRITTEN
     precision = Precision()
-    sentinel = "y"
+    sentinel = SENTINEL
     seen: set[str] = set()
     for raw in text.splitlines():
         line = raw.strip()

@@ -593,17 +593,18 @@ def parse_trace(text: str) -> RunResult:
         schedule = parse_schedule_spec(summary["schedule"])
     except ValueError as exc:
         raise TraceError(f"bad summary value: {exc}") from None
+    # horizon + 1 moments and 15 other lines, checked before the costly re-run.
+    if len(lines) != horizon + 16:
+        raise TraceError(
+            f"trace does not match its own parameters: "
+            f"{len(lines)} lines recorded, {horizon + 16} expected"
+        )
     run = simulate(alpha, schedule, horizon, seed)
     expected = _normalize(format_trace(run))
     if lines != expected:
-        for got, want in zip(lines, expected):
-            if got != want:
-                raise TraceError(
-                    f"trace does not match its own parameters: "
-                    f"got {got!r}, expected {want!r}"
-                )
+        got, want = next(p for p in zip(lines, expected) if p[0] != p[1])
         raise TraceError(
             f"trace does not match its own parameters: "
-            f"{len(lines)} lines recorded, {len(expected)} expected"
+            f"got {got!r}, expected {want!r}"
         )
     return run

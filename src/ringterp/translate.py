@@ -24,8 +24,9 @@ language pins down the naturals among the reals.  Species quantifiers
 bind the two coding reals (existsR/forallR in macro mode, plain real
 quantifiers after expansion).
 
-Fresh names are always chosen locally, from the node being processed
-and the variable map alone, so translating a compound formula gives the
+The names are fixed, as in the paper: y, u<i>, v<i> coding X<i> and
+a<i>, b<i> coding (sconst i).  A formula using a name its translation
+needs is rejected, and translating a compound formula gives the
 compound of the translations byte for byte.
 """
 
@@ -46,7 +47,7 @@ from .syntax import (
 
 
 class TranslationError(ValueError):
-    """The formula or variable map cannot be translated as requested."""
+    """The formula cannot be translated as requested."""
 
 
 class Expansion(enum.Enum):
@@ -74,70 +75,33 @@ class TranslationConfig:
     orientation: Orientation = Orientation.AS_WRITTEN
 
 
+# The free real variable of the sentinel disjunction.
+SENTINEL = "y"
+
+
+def pair_for_var(index: int) -> tuple[str, str]:
+    """Names of the real variables coding species variable index."""
+    return f"u{index}", f"v{index}"
+
+
 def pair_for_const(index: int) -> tuple[str, str]:
     """Names of the real constants coding species constant index, which
     the finite evaluator interprets."""
     return f"a{index}", f"b{index}"
 
 
-@dataclass(frozen=True)
-class VarMap:
-    """Names the translation may use on the target side.
-
-    species_vars maps a species variable index to the pair of real names
-    coding it; unmapped indices default to (u<i>, v<i>).  Species
-    constants are always coded by pair_for_const.  The sentinel is the
-    free real variable of the sentinel disjunction.  Names are never
-    adjusted silently: validate raises when they collide with each other
-    or with any variable of the formula.
-    """
-
-    species_vars: Optional[Mapping[int, tuple[str, str]]] = None
-    sentinel: str = "y"
-
-    def pair_for_var(self, index: int) -> tuple[str, str]:
-        if self.species_vars is not None and index in self.species_vars:
-            first, second = self.species_vars[index]
-            return first, second
-        return f"u{index}", f"v{index}"
-
-    def validate(self, var_indices: Iterable[int],
-                 const_indices: Iterable[int], names: set[str]) -> None:
-        """Check the sentinel and the names coding the species indices a
-        formula uses against each other (the first name assigned twice
-        is the error), then against the formula's variable names."""
-        coding = [self.sentinel]
-        for i in sorted(var_indices):
-            coding.extend(self.pair_for_var(i))
-        for i in sorted(const_indices):
-            coding.extend(pair_for_const(i))
-        seen: set[str] = set()
-        for name in coding:
-            if name in seen:
-                raise TranslationError(
-                    f"variable map assigns the name {name!r} twice"
-                )
-            seen.add(name)
-        clash = seen & names
-        if clash:
-            raise TranslationError(
-                "variable map names collide with formula variables: "
-                + ", ".join(sorted(clash))
-            )
-
-
 # ---------------------------------------------------------------------------
 # Sentinel and the naturals-among-the-reals predicate
 
 
-def sentinel_formula(name: str = "y") -> Formula:
+def sentinel_formula(name: str = SENTINEL) -> Formula:
     """The sentinel disjunction (or (= name 0) (apart name 0))."""
     y = Var(name, Sort.REAL)
     return Or(Eq(y, ZERO), Apart(y, ZERO))
 
 
-def nat_core_formula(x: str = "x", y: str = "y", u: str = "u", v: str = "v",
-                     w: str = "w", w1: str = "w1") -> Formula:
+def nat_core_formula(x: str = "x", y: str = SENTINEL, u: str = "u",
+                     v: str = "v", w: str = "w", w1: str = "w1") -> Formula:
     """Sentinel-weakened description of x as a positive natural.
 
     Relative to witnesses u, v it says, with every clause weakened to
@@ -169,7 +133,7 @@ def nat_core_formula(x: str = "x", y: str = "y", u: str = "u", v: str = "v",
     return And(neg(Lt(vx, ONE)), And(ratio_clause, chain_clause))
 
 
-_NAT_PREDICATE_BASES = ("y", "u", "v", "w", "w1")
+_NAT_PREDICATE_BASES = (SENTINEL, "u", "v", "w", "w1")
 
 
 def nat_predicate(var: str = "x", forbidden: Iterable[str] = ()) -> Formula:
@@ -224,19 +188,17 @@ class _Translator:
     indices bound on the path; a binder whose index is in scope gets the
     least index outside in_scope and its own body's species indices, so
     renaming never looks at siblings and commutes with the connectives.
-    The pass records the names and the renamed species indices the
-    variable map is checked against.  A pair term that cannot be folded
-    adds its names and the first such error is kept in error, so that
-    the walk goes on to record the names of the whole formula.
+    It records the formula's variable names in names and the names it
+    emits in coding.  A pair term that cannot be folded adds its names
+    and the first such error is kept in error, so that the walk goes on
+    to record the names of the whole formula.
     """
 
-    def __init__(self, vm: VarMap, config: TranslationConfig) -> None:
-        self.vm = vm
+    def __init__(self, config: TranslationConfig) -> None:
         self.swap = config.orientation is Orientation.QUOTIENT_NORMALIZED
-        self.sentinel = sentinel_formula(vm.sentinel)
+        self.sentinel = sentinel_formula()
         self.names: set[str] = set()
-        self.var_indices: set[int] = set()
-        self.const_indices: set[int] = set()
+        self.coding: set[str] = {SENTINEL}
         self.error: Optional[TranslationError] = None
 
     def term(self, t: Term) -> Term:
@@ -268,12 +230,11 @@ class _Translator:
     def coding_pair(self, ref: SpeciesRef,
                     env: Mapping[int, int]) -> tuple[Term, Term]:
         if isinstance(ref, SpeciesVar):
-            index = env.get(ref.index, ref.index)
-            self.var_indices.add(index)
-            first, second = self.vm.pair_for_var(index)
+            first, second = pair_for_var(env.get(ref.index, ref.index))
+            self.coding.update((first, second))
             return Var(first, Sort.REAL), Var(second, Sort.REAL)
-        self.const_indices.add(ref.index)
         first, second = pair_for_const(ref.index)
+        self.coding.update((first, second))
         return RealConst(first), RealConst(second)
 
     def membership(self, element: Term, coding: tuple[Term, Term]) -> Formula:
@@ -297,15 +258,11 @@ class _Translator:
             coding = self.coding_pair(f.species, env)
             return self.membership(self.term(f.element), coding)
         if isinstance(f, SpeciesEq):
-            # forallN x (x in left <-> x in right), x fresh for the names
-            # of the two coding pairs and the sentinel.
-            left = self.coding_pair(f.left, env)
-            right = self.coding_pair(f.right, env)
-            x = fresh_name("x", {self.vm.sentinel,
-                                 *(t.name for t in left + right)})
-            in_left = self.membership(Var(x, Sort.REAL), left)
-            in_right = self.membership(Var(x, Sort.REAL), right)
-            return DefinedQuant(QuantKind.FORALL_NAT, x, And(
+            # forallN x (x in left <-> x in right); no coding name is x.
+            in_left, in_right = (
+                self.membership(Var("x", Sort.REAL), self.coding_pair(r, env))
+                for r in (f.left, f.right))
+            return DefinedQuant(QuantKind.FORALL_NAT, "x", And(
                 Implies(in_left, in_right), Implies(in_right, in_left)))
         if isinstance(f, (And, Or, Implies)):
             return type(f)(self.tau(f.left, env, in_scope),
@@ -324,15 +281,15 @@ class _Translator:
                 new = 0
                 while new in used:
                     new += 1
-            self.var_indices.add(new)
             body = self.tau(f.body, {**env, index: new}, in_scope | {new})
-            first, second = self.vm.pair_for_var(new)
+            first, second = pair_for_var(new)
+            self.coding.update((first, second))
             kind = QuantKind.EXISTS_REAL if exists else QuantKind.FORALL_REAL
             return DefinedQuant(kind, first, DefinedQuant(kind, second, body))
         raise TranslationError(f"cannot translate {f!r}")
 
 
-def expand_defined(f: Formula, sentinel: str = "y") -> Formula:
+def expand_defined(f: Formula) -> Formula:
     """Rewrite defined quantifiers into plain real quantifiers.
 
     existsN x body becomes exists x (nat_predicate(x) and body), forallN
@@ -343,41 +300,42 @@ def expand_defined(f: Formula, sentinel: str = "y") -> Formula:
     if type(f) in ATOMS:
         return f
     if not isinstance(f, DefinedQuant):
-        return rebuild(f, [expand_defined(c, sentinel) for c in children(f)])
-    body = expand_defined(f.body, sentinel)
+        return rebuild(f, [expand_defined(c) for c in children(f)])
+    body = expand_defined(f.body)
     if f.kind is QuantKind.EXISTS_REAL:
         return Exists(f.var, Sort.REAL, body)
     if f.kind is QuantKind.FORALL_REAL:
         return Forall(f.var, Sort.REAL, body)
-    psi = nat_predicate(f.var, forbidden=(sentinel,))
+    psi = nat_predicate(f.var, forbidden=(SENTINEL,))
     if f.kind is QuantKind.EXISTS_NAT:
         return Exists(f.var, Sort.REAL, And(psi, body))
     return Forall(f.var, Sort.REAL, Implies(psi, body))
 
 
-def translate(f: Formula, vm: Optional[VarMap] = None,
+def translate(f: Formula,
               config: Optional[TranslationConfig] = None) -> Formula:
     """Translate a source formula into the ordered-ring language.
 
     The formula must be well sorted for the source language.  One pass,
     _Translator.tau, then unfolds apartness atoms, renames nested
-    rebindings of a species index and translates, recording the names
-    the variable map is checked against after it.  The first error wins
-    in this order: the source SortError; the variable map's, a name
-    assigned twice and then names colliding with formula variables; the
-    first pair term that cannot be folded.  Name collisions raise rather
-    than being repaired silently.
+    rebindings of a species index and translates.  The first error wins
+    in this order: the source SortError; a formula variable named like
+    one the translation emits (y, u<i>, v<i>, a<i> or b<i>), which is
+    never renamed silently; the first pair term that cannot be folded.
     """
-    vm = vm if vm is not None else VarMap()
     config = config if config is not None else TranslationConfig()
     check_formula(f, Language.SOURCE)
-    translator = _Translator(vm, config)
+    translator = _Translator(config)
     out = translator.tau(f, {}, frozenset())
-    vm.validate(translator.var_indices, translator.const_indices,
-                translator.names)
+    clash = translator.coding & translator.names
+    if clash:
+        raise TranslationError(
+            "variable map names collide with formula variables: "
+            + ", ".join(sorted(clash))
+        )
     if translator.error is not None:
         raise translator.error
     if config.expansion is Expansion.FULL:
-        out = expand_defined(out, vm.sentinel)
+        out = expand_defined(out)
     check_formula(out, Language.TARGET)
     return out

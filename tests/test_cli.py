@@ -176,6 +176,17 @@ class TestSimulate:
         assert err == (f"ringterp simulate: error: argument {flag}: "
                        f"expected digits 0-9, got {value!r}\n")
 
+    @pytest.mark.parametrize("flag", ["--horizon", "--seeds"])
+    @pytest.mark.parametrize("value", ["0", "00"])
+    def test_zero_horizon_and_seeds_are_usage_errors(self, capsys, flag,
+                                                     value):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--schedule", "phi:2", flag, value])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err == (f"ringterp simulate: error: argument {flag}: "
+                       f"expected a number of at least 1, got {value!r}\n")
+
     def test_ascii_numbers_are_recorded_as_given(self):
         proc = run_cli("simulate", "--schedule", "phi:2", "--seed", "7",
                        "--horizon", "12", "--seeds", "2")
@@ -223,6 +234,15 @@ class TestEncode:
         proc = run_cli("encode", "--from-run", str(trace))
         assert proc.returncode == 1
         assert "error" in proc.stderr
+
+    def test_trace_claiming_a_huge_horizon_fails_before_simulating(self):
+        trace = run_cli("simulate", "--schedule", "phi:2", "--horizon", "3")
+        text = trace.stdout.replace("horizon=3", "horizon=1000000000000")
+        proc = run_cli("encode", "--from-run", "-", stdin=text)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            "ringterp: error: trace does not match its own parameters: "
+            "19 lines recorded, 1000000000016 expected\n")
 
 
 STRUCTURE = [

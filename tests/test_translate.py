@@ -25,7 +25,7 @@ from ringterp.syntax import (
     species_binder_name, species_indices,
 )
 from ringterp.translate import (
-    Expansion, Orientation, TranslationConfig, TranslationError, VarMap,
+    Expansion, Orientation, TranslationConfig, TranslationError,
     expand_defined, nat_core_formula, nat_predicate, sentinel_formula,
     translate,
 )
@@ -146,15 +146,9 @@ class TestSpeciesEquality:
         want = translate(Forall("x", Sort.NAT, both))
         assert got == want
 
-    def test_fresh_element_avoids_coding_names(self):
-        vm = VarMap(species_vars={1: ("x", "x_1")}, sentinel="x_2")
-        got = translate(src("(seq X1 X1)"), vm=vm)
-        assert isinstance(got, DefinedQuant)
-        assert got.var == "x_3"
-
     def test_fresh_element_may_reuse_a_formula_name(self):
-        # x is fresh for the coding names and the sentinel only; it may
-        # reuse a name of the formula, which it does not capture.
+        # No coding name is x, so the element is always x; it may reuse
+        # a name of the formula, which it does not capture.
         f = src("(and (= x 0) (seq X1 X2))")
         assert translate(f).right.var == "x"
 
@@ -196,30 +190,15 @@ class TestHomomorphism:
         assert free_vars(out).real == {"x", "u2", "v2", "y"}
 
 
-class TestVarMap:
-    def test_custom_names_are_used(self):
-        vm = VarMap(species_vars={1: ("p", "q")}, sentinel="z")
-        got = printed(translate(src("(in x X1)"), vm=vm))
-        assert got == "(imp (not (= (* x p) q)) (or (= z 0) (apart z 0)))"
-
-    def test_duplicate_names_are_rejected(self):
-        vm = VarMap(species_vars={1: ("p", "p")})
-        with pytest.raises(TranslationError):
-            translate(src("(in x X1)"), vm=vm)
-
-    def test_sentinel_collision_is_rejected(self):
-        vm = VarMap(species_vars={1: ("y", "q")})
-        with pytest.raises(TranslationError):
-            translate(src("(in x X1)"), vm=vm)
-
-    def test_collision_with_formula_variables_is_rejected(self):
-        vm = VarMap(species_vars={1: ("x", "q")})
-        with pytest.raises(TranslationError):
-            translate(src("(in x X1)"), vm=vm)
-
-    def test_default_names_can_also_collide(self):
-        with pytest.raises(TranslationError):
-            translate(src("(in u1 X1)"))
+class TestReservedNames:
+    @pytest.mark.parametrize("name, species", [
+        ("u1", "X1"), ("v1", "X1"), ("a2", "(sconst 2)"),
+        ("b2", "(sconst 2)"), ("y", "X1"), ("y", "(sconst 2)"),
+    ])
+    def test_coding_names_collide_with_formula_variables(self, name,
+                                                         species):
+        with pytest.raises(TranslationError, match=f"collide.*: {name}$"):
+            translate(src(f"(in {name} {species})"))
 
 
 class TestErrorOrder:
@@ -227,8 +206,9 @@ class TestErrorOrder:
         f = src("(and (= (pair n 1) 0) (in (pair 1 m) X1))")
         with pytest.raises(TranslationError, match="^pairing of terms"):
             translate(f)
-        with pytest.raises(TranslationError, match="collide.*: m$"):
-            translate(f, VarMap(species_vars={1: ("m", "q")}))
+        f = src("(and (= (pair n 1) 0) (in (pair 1 u1) X1))")
+        with pytest.raises(TranslationError, match="collide.*: u1$"):
+            translate(f)
 
     def test_the_first_failing_pair_is_reported(self):
         huge = 1 << 3000
@@ -332,6 +312,16 @@ def test_corpus_translations_print_byte_for_byte_as_pinned():
 # own, before tau.  Constants are coded by a<i>, b<i>.
 
 
+class ReferenceVarMap:
+    """The variable map translate once took, with its default names:
+    the sentinel y and u<i>, v<i> for species variable i."""
+
+    sentinel = "y"
+
+    def pair_for_var(self, index: int) -> tuple[str, str]:
+        return f"u{index}", f"v{index}"
+
+
 def reference_normalize_apart(f: Formula) -> Formula:
     if isinstance(f, Apart):
         return Or(Lt(f.left, f.right), Lt(f.right, f.left))
@@ -369,7 +359,7 @@ def reference_const_pair(index: int) -> tuple[str, str]:
     return f"a{index}", f"b{index}"
 
 
-def reference_validate_for(vm: VarMap, f: Formula) -> None:
+def reference_validate_for(vm: ReferenceVarMap, f: Formula) -> None:
     var_idx, const_idx = species_indices(f)
     names = [vm.sentinel]
     for i in sorted(var_idx):
@@ -414,7 +404,8 @@ def _reference_eval_closed_nat(t: Term) -> Optional[int]:
 
 
 class ReferenceTranslator:
-    def __init__(self, vm: VarMap, config: TranslationConfig) -> None:
+    def __init__(self, vm: ReferenceVarMap,
+                 config: TranslationConfig) -> None:
         self.vm = vm
         self.config = config
 
@@ -504,9 +495,9 @@ class ReferenceTranslator:
         return reference_const_pair(ref.index)
 
 
-def reference_translate(f: Formula, vm: Optional[VarMap] = None,
+def reference_translate(f: Formula,
                         config: Optional[TranslationConfig] = None) -> Formula:
-    vm = vm if vm is not None else VarMap()
+    vm = ReferenceVarMap()
     config = config if config is not None else TranslationConfig()
     check_formula(f, Language.SOURCE)
     f = reference_normalize_apart(f)
@@ -514,18 +505,17 @@ def reference_translate(f: Formula, vm: Optional[VarMap] = None,
     reference_validate_for(vm, f)
     out = ReferenceTranslator(vm, config).tau(f)
     if config.expansion is Expansion.FULL:
-        out = expand_defined(out, vm.sentinel)
+        out = expand_defined(out)
     check_formula(out, Language.TARGET)
     return out
 
 
 # Formula variables drawn per example from one of two pools: names no
-# map of _var_maps uses, or names that collide with the default sentinel
-# (y), default coding names (u<i>, v<i>), constant names (a<i>) and
-# fresh names (x, x_1).
+# translation uses, or names that collide with the sentinel (y), coding
+# names (u<i>, v<i>), constant names (a<i>), the element of species
+# equality (x) and the name it took when x was taken (x_1).
 _CLEAN_NAMES = ["n", "k", "m"]
 _COLLIDING_NAMES = ["n", "x", "y", "u0", "v1", "a0", "x_1"]
-_MAP_NAMES = ["p", "q", "r", "x", "y", "u1", "v0", "x_1", "x_2"]
 # 3,000 bits: pairing it, or multiplying two of it, exceeds MAX_TERM_BITS.
 _HUGE = 1 << 3000
 
@@ -585,26 +575,12 @@ def _source_formulas(draw, names, open_pairs, depth=5):
 
 
 @st.composite
-def _var_maps(draw):
-    """Mostly the default map; otherwise coding pairs and a sentinel that
-    may collide with each other and with formula variables."""
-    if draw(st.integers(0, 2)):
-        return VarMap()
-    pairs = st.tuples(st.sampled_from(_MAP_NAMES), st.sampled_from(_MAP_NAMES))
-    return VarMap(
-        species_vars=draw(st.dictionaries(st.integers(0, 4), pairs,
-                                          max_size=3)),
-        sentinel=draw(st.sampled_from(["y", "x", "x", "z", "p", "u0"])),
-    )
-
-
-@st.composite
 def _translation_cases(draw):
-    """A source formula and a variable map; a third of the formulas
-    draw their variables from the colliding pool, half hold open pairs."""
+    """A source formula; a third of the formulas draw their variables
+    from the colliding pool, half hold open pairs."""
     names = draw(st.sampled_from([_CLEAN_NAMES, _CLEAN_NAMES,
                                   _COLLIDING_NAMES]))
-    return draw(_source_formulas(names, draw(st.booleans()))), draw(_var_maps())
+    return draw(_source_formulas(names, draw(st.booleans())))
 
 
 def _outcome(fn, *args):
@@ -617,12 +593,11 @@ def _outcome(fn, *args):
 
 @settings(max_examples=400)
 @given(_translation_cases())
-def test_translation_matches_the_reference_pipeline(case):
+def test_translation_matches_the_reference_pipeline(f):
     """In every expansion and orientation: the reference's output, or
     its first error by type and message."""
-    f, vm = case
     for orientation in Orientation:
         for expansion in Expansion:
             config = TranslationConfig(expansion, orientation)
-            assert (_outcome(translate, f, vm, config)
-                    == _outcome(reference_translate, f, vm, config))
+            assert (_outcome(translate, f, config)
+                    == _outcome(reference_translate, f, config))

@@ -23,22 +23,20 @@ from .encoder import (
     MembershipStatus, SpeciesEncoding, adaptive_precision, encode_run,
     quotient_status,
 )
-from .evaluate import (
-    EvalError, PrecisionError, StructureError, eval_formula, parse_structure,
-)
+from .evaluate import PrecisionError, eval_formula, parse_structure
 from .kripke import (
-    ChoiceSeq, TraceError, format_trace, parse_alpha_spec,
-    parse_schedule_spec, parse_trace, simulate,
+    ChoiceSeq, format_trace, parse_alpha_spec, parse_schedule_spec,
+    parse_trace, simulate,
 )
 from .manifest import render_manifest
 from .pairing import parse_natural
 from .reals import InsufficientHorizon
-from .sexpr import ParseError, format_formula, parse_formula
+from .sexpr import format_formula, parse_formula
 from .selftest import format_table, run_all
-from .syntax import Language, SortError
+from .syntax import Language
 from .translate import (
-    ORIENTATION_NAMES, Expansion, TranslationConfig, TranslationError,
-    nat_core_formula, nat_predicate, translate,
+    ORIENTATION_NAMES, Expansion, TranslationConfig, nat_core_formula,
+    nat_predicate, translate,
 )
 
 T = TypeVar("T")
@@ -46,12 +44,9 @@ T = TypeVar("T")
 TOOL_NAME = "ringterp"
 TOOL = f"{TOOL_NAME} {__version__}"
 
-# OSError covers input files that cannot be read and --out paths that
-# cannot be written.
-_DOMAIN_ERRORS = (
-    ParseError, SortError, TranslationError, TraceError, StructureError,
-    EvalError, PrecisionError, InsufficientHorizon, ValueError, OSError,
-)
+# The other domain errors subclass ValueError.  OSError covers input
+# files that cannot be read and --out paths that cannot be written.
+_DOMAIN_ERRORS = (PrecisionError, InsufficientHorizon, ValueError, OSError)
 
 
 def _read(path: str) -> str:

@@ -21,13 +21,12 @@ from typing import Optional
 
 from .encoder import encode_stabilized
 from .evaluate import FiniteStructure
-from .reals import Precision
 from .syntax import (
     Add, And, Apart, BOT, Eq, Exists, Forall, Formula, Implies, In, Lt, Mul,
     NatConst, Or, Pair, Sort, SpeciesConst, SpeciesEq, SpeciesRef, SpeciesVar,
     Succ, Term, Var, is_closed, species_binder_name,
 )
-from .translate import SENTINEL, Orientation
+from .translate import Orientation
 
 NAT_DOMAIN = (0, 1, 2, 3)
 
@@ -38,15 +37,14 @@ DEFAULT_SEED = 20240814
 
 
 def collapse_structure(orientation: Orientation = Orientation.AS_WRITTEN,
-                       sentinel_true: bool = False,
-                       precision: Optional[Precision] = None) -> FiniteStructure:
+                       sentinel_true: bool = False) -> FiniteStructure:
     """The structure the shipped corpus is evaluated over."""
     species = {
         index: encode_stabilized(moment, value)
         for index, (moment, value) in SPECIES_SINGLETONS.items()
     }
-    return FiniteStructure(NAT_DOMAIN, species, orientation, precision,
-                           SENTINEL, sentinel_true)
+    return FiniteStructure(NAT_DOMAIN, species, orientation,
+                           sentinel_true=sentinel_true)
 
 
 class _FormulaGen:
@@ -153,13 +151,13 @@ class _FormulaGen:
         return make(var, Sort.NAT, body)
 
 
-def corpus_formulas(count: int = 200, seed: int = DEFAULT_SEED,
-                    depth: int = 4) -> list[Formula]:
-    """Deterministic list of closed source formulas."""
+def corpus_formulas(count: int = 200,
+                    seed: int = DEFAULT_SEED) -> list[Formula]:
+    """Deterministic list of closed source formulas of depth at most 4."""
     rng = random.Random(seed)
     out: list[Formula] = []
     while len(out) < count:
-        f = _FormulaGen(rng).formula(depth, [], [], 3, 1)
+        f = _FormulaGen(rng).formula(4, [], [], 3, 1)
         if not is_closed(f):
             raise AssertionError(f"corpus generated an open formula: {f!r}")
         out.append(f)

@@ -52,11 +52,6 @@ class SpeciesEncoding:
     def kind(self) -> str:
         return "full" if self.stabilized is None else "singleton"
 
-    @property
-    def member_value(self) -> Optional[int]:
-        """The single member for a singleton encoding, None for full."""
-        return None if self.stabilized is None else self.stabilized[1]
-
 
 def _cutover_unit_fraction(denom: int, start: int, name: str) -> RealGen:
     """Generator for 1/denom that reports 0 before stage start.

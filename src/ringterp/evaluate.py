@@ -76,15 +76,14 @@ class FiniteStructure:
     The precision's k is raised to the gap_digits of every species
     constant, so that a candidate next to a singleton's member is not
     witnessed equal to it; the horizon is kept as given.
-    sentinel_true fixes how target atoms mentioning the sentinel
-    variable are forced.
+    sentinel_true (keyword-only) fixes how target atoms mentioning the
+    unbound sentinel variable translate.SENTINEL are forced.
     """
 
     def __init__(self, nat_domain: Iterable[int],
                  species: Optional[Mapping[int, SpeciesEncoding]] = None,
                  orientation: Orientation = Orientation.AS_WRITTEN,
-                 precision: Optional[Precision] = None,
-                 sentinel: str = SENTINEL,
+                 precision: Optional[Precision] = None, *,
                  sentinel_true: bool = False) -> None:
         domain = tuple(sorted(set(nat_domain)))
         if not domain:
@@ -96,7 +95,6 @@ class FiniteStructure:
         if any(i < 0 for i in self.species):
             raise StructureError("species indices must be nonnegative")
         self.orientation = orientation
-        self.sentinel = sentinel
         self.sentinel_true = sentinel_true
         self.family_bound = max(domain)
 
@@ -477,7 +475,7 @@ class _Compiler:
         if cls is Var and t.sort is Sort.REAL:
             slot = scope.get(t.name)
             if slot is None:
-                if t.name == s.sentinel:
+                if t.name == SENTINEL:
                     self.forced = True
                 return _failing(f"unbound variable {t.name!r}")
             e = self.slots
@@ -573,7 +571,7 @@ def format_structure(s: FiniteStructure) -> str:
             lines.append(f"species: {i} singleton {value} moment {moment}")
     lines.append(f"orientation: {s.orientation.value}")
     lines.append(f"precision: k={s.precision.k} horizon={s.precision.horizon}")
-    lines.append(f"sentinel: {s.sentinel}")
+    lines.append(f"sentinel: {SENTINEL}")
     return "\n".join(lines) + "\n"
 
 
@@ -584,15 +582,15 @@ def parse_structure(text: str, sentinel_true: bool = False) -> FiniteStructure:
     Required: `nats: n n ...`.  Optional: `species: <i> full` or
     `species: <i> singleton <k> moment <m>` (repeatable),
     `orientation: as-written|quotient-normalized`,
-    `precision: k=<k> horizon=<h>`, and `sentinel: <name>`.  Every key
-    but `species` appears at most once, and so does each precision
-    field.  Numbers are ASCII digits.
+    `precision: k=<k> horizon=<h>`, and `sentinel: y` (the sentinel is
+    fixed; another name is an error).  Every key but `species` appears
+    at most once, and so does each precision field.  Numbers are ASCII
+    digits.
     """
     nats: Optional[list[int]] = None
     species: dict[int, SpeciesEncoding] = {}
     orientation = Orientation.AS_WRITTEN
     precision = Precision()
-    sentinel = SENTINEL
     seen: set[str] = set()
     for raw in text.splitlines():
         line = raw.strip()
@@ -649,17 +647,16 @@ def parse_structure(text: str, sentinel_true: bool = False) -> FiniteStructure:
                         f"unknown precision fields {sorted(fields)}"
                     )
             elif key == "sentinel":
-                if len(value.split()) != 1:
+                if value != SENTINEL:
                     raise StructureError(
-                        f"sentinel must be one name, got {value!r}")
-                sentinel = value
+                        f"sentinel must be {SENTINEL}, got {value!r}")
             else:
                 raise StructureError(f"unknown structure key {key!r}")
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             if isinstance(exc, StructureError):
                 raise
             raise StructureError(f"bad structure line {line!r}: {exc}") from None
     if nats is None:
         raise StructureError("structure needs a nats: line")
     return FiniteStructure(nats, species, orientation, precision,
-                           sentinel, sentinel_true)
+                           sentinel_true=sentinel_true)

@@ -117,12 +117,6 @@ class ChoiceSeq:
         return cls((), (1,))
 
     @classmethod
-    def total(cls) -> "ChoiceSeq":
-        """Stream coding the full species: every candidate is a member,
-        witnessed at every stage."""
-        return cls.one()
-
-    @classmethod
     def from_members(cls, members: Iterable[tuple[int, int]]) -> "ChoiceSeq":
         """Stream coding a finite species from (candidate, witness stage)
         pairs: alpha(pair(p, k)) = 1 exactly for the listed (k, p)."""
@@ -404,12 +398,13 @@ def simulate(alpha: ChoiceSeq, schedule: Schedule, horizon: int,
 
 
 def run_total(schedule: Schedule, horizon: int, seed: int) -> RunResult:
-    """Run against the full species, where every draw finds its witness.
+    """Run against the full species, ChoiceSeq.one(): every candidate
+    is a member, witnessed at every stage, so every draw finds it.
 
     On a schedule proving the statement at t this stabilizes at exactly
     max(t, 1), the first moment a draw is permitted.
     """
-    return simulate(ChoiceSeq.total(), schedule, horizon, seed)
+    return simulate(ChoiceSeq.one(), schedule, horizon, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +462,7 @@ def check_conjuncts(run: RunResult) -> ConjunctReport:
         cannot.
     C4 (members get acknowledged): each member of the species is
         eventually drawn and confirmed or the proof event resolves the
-        obligation; per-member verdicts are combined.
+        obligation; every member in 1..horizon gets the same verdict.
     C5 (the sequence stabilizes): once beta is nonzero it keeps that
         value ever after.
     """
@@ -492,16 +487,12 @@ def check_conjuncts(run: RunResult) -> ConjunctReport:
 
     c3 = ConjunctStatus.HOLDS if decided else ConjunctStatus.UNDETERMINED
 
-    per_member: list[ConjunctStatus] = []
-    for k in range(1, run.horizon + 1):
-        if not run.alpha.is_member(k):
-            per_member.append(ConjunctStatus.VACUOUS)
-        elif run.fired or decided:
-            per_member.append(ConjunctStatus.HOLDS)
-        else:
-            per_member.append(ConjunctStatus.UNDETERMINED)
-    c4 = max(per_member, key=_SEVERITY.__getitem__,
-             default=ConjunctStatus.VACUOUS)
+    if not any(run.alpha.is_member(k) for k in range(1, run.horizon + 1)):
+        c4 = ConjunctStatus.VACUOUS
+    elif run.fired or decided:
+        c4 = ConjunctStatus.HOLDS
+    else:
+        c4 = ConjunctStatus.UNDETERMINED
 
     c5 = ConjunctStatus.HOLDS
     locked: Optional[int] = None

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 
+from ringterp import __version__
 from ringterp.manifest import render_manifest
 from ringterp.selftest import (
     CriterionResult, check_absorption, check_collapse, check_encoder,
@@ -87,7 +88,7 @@ def test_criterion_7_replay_determinism(capsys):
 
     assert translation_bytes() == translation_bytes()
 
-    stamp = {"tool": "ringterp 0.1.0", "subcommand": "translate"}
+    stamp = {"tool": f"ringterp {__version__}", "subcommand": "translate"}
     a = render_manifest(stamp["tool"], stamp["subcommand"], {}, {"in": b"x"})
     b = render_manifest(stamp["tool"], stamp["subcommand"], {}, {"in": b"x"})
     assert a == b

@@ -257,8 +257,8 @@ STRUCTURE = [
 
 def _mutated_structures() -> list:
     """STRUCTURE with one fault each: a repeated line or precision field,
-    a precision field without =, a number not in ASCII digits, or an
-    empty value."""
+    a precision field without =, a number not in ASCII digits, an empty
+    value, or a sentinel other than y."""
     mutants = []
 
     def mutant(i: int, *lines: str) -> None:
@@ -277,6 +277,8 @@ def _mutated_structures() -> list:
                    "k horizon=96", "k=16 horizon"):
         mutant(STRUCTURE.index("precision: k=16 horizon=96"),
                "precision: " + fields)
+    for name in ("z", "Y"):
+        mutant(STRUCTURE.index("sentinel: y"), "sentinel: " + name)
     return mutants
 
 

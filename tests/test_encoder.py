@@ -39,7 +39,6 @@ class TestClosedForms:
     def test_silent_run_encodes_zero_pair(self):
         enc = encode_silent()
         assert enc.kind == "full"
-        assert enc.member_value is None
         assert enc.u.at(10) == 0
         assert enc.v.at(10) == 0
 

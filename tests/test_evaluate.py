@@ -25,7 +25,8 @@ from ringterp.syntax import (
     all_var_names, children, rebuild, species_binder_index,
 )
 from ringterp.translate import (
-    Expansion, Orientation, TranslationConfig, TranslationError, translate,
+    SENTINEL, Expansion, Orientation, TranslationConfig, TranslationError,
+    translate,
 )
 from test_syntax import reference_check_formula
 
@@ -202,11 +203,17 @@ class TestSentinelForcing:
         assert not ev("(exists (y Real) (and (< 0 y) (< y 0)))", st,
                       Language.TARGET)
 
-    def test_custom_sentinel_name(self):
-        st = structure(sentinel="z", sentinel_true=True)
-        assert ev("(= z 1)", st, Language.TARGET)
-        with pytest.raises(EvalError):
-            ev("(= y 1)", st, Language.TARGET)
+    def test_a_sentinel_line_other_than_y_is_rejected(self):
+        with pytest.raises(StructureError) as err:
+            parse_structure("nats: 0 1 2 3\nsentinel: z\n")
+        assert str(err.value) == "sentinel must be y, got 'z'"
+
+    def test_sentinel_true_is_keyword_only(self):
+        # An old positional call passed the sentinel name in this place.
+        with pytest.raises(TypeError):
+            FiniteStructure((0, 1), {}, Orientation.AS_WRITTEN, None, True)
+        with pytest.raises(TypeError):
+            structure(sentinel="z")
 
 
 class TestConstructionChecks:
@@ -336,13 +343,12 @@ class TestConstructionChecks:
 class TestStructureText:
     def test_round_trip(self):
         st = structure(orientation=Orientation.QUOTIENT_NORMALIZED,
-                       precision=Precision(20, 80), sentinel="z")
+                       precision=Precision(20, 80))
         text = format_structure(st)
         back = parse_structure(text)
         assert back.nat_domain == st.nat_domain
         assert back.orientation is st.orientation
         assert back.precision == st.precision
-        assert back.sentinel == st.sentinel
         assert {i: e.stabilized for i, e in back.species.items()} \
             == {i: e.stabilized for i, e in st.species.items()}
 
@@ -426,8 +432,8 @@ class TestStructureText:
         ("precision: k=8 horizon\n", "bad structure line "
          "'precision: k=8 horizon': expected field=value, got 'horizon'"),
         ("species:\n", "bad species line 'species:'"),
-        ("sentinel:\n", "sentinel must be one name, got ''"),
-        ("sentinel: y z\n", "sentinel must be one name, got 'y z'"),
+        ("sentinel:\n", "sentinel must be y, got ''"),
+        ("sentinel: y z\n", "sentinel must be y, got 'y z'"),
     ])
     def test_repeated_and_malformed_lines_are_named(self, text, message):
         with pytest.raises(StructureError) as err:
@@ -591,7 +597,7 @@ def _reference_target(f: Formula, s: FiniteStructure, env: dict) -> bool:
     if isinstance(f, Bottom):
         return False
     if isinstance(f, (Eq, Lt, Apart)):
-        if s.sentinel not in env and s.sentinel in (
+        if SENTINEL not in env and SENTINEL in (
                 all_var_names(f.left) | all_var_names(f.right)):
             return s.sentinel_true
         a = _reference_target_term(f.left, s, env)

@@ -327,6 +327,18 @@ class TestConjuncts:
         )
         assert check_conjuncts(forged).c5 is ConjunctStatus.VIOLATED
 
+    @pytest.mark.parametrize("horizon, schedule, expect", [
+        (4, Schedule.phi_proved(1), ConjunctStatus.VACUOUS),
+        (5, Schedule.phi_proved(1), ConjunctStatus.HOLDS),
+        (5, Schedule.never(), ConjunctStatus.UNDETERMINED),
+    ])
+    def test_members_up_to_the_horizon_decide_c4(self, horizon, schedule,
+                                                 expect):
+        # The only member is candidate 5, so C4 sees it from horizon 5 on.
+        run = simulate(parse_alpha_spec("members:5@0"), schedule, horizon,
+                       seed=1)
+        assert check_conjuncts(run).c4 is expect
+
     def test_report_dict_shape(self):
         run = run_total(Schedule.phi_proved(1), 10, seed=0)
         d = check_conjuncts(run).as_dict()

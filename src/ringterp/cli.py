@@ -20,8 +20,7 @@ from typing import Callable, Mapping, NoReturn, Optional, Sequence, TypeVar
 
 from . import __version__
 from .encoder import (
-    MembershipStatus, SpeciesEncoding, adaptive_precision, encode_run,
-    quotient_status,
+    SpeciesEncoding, adaptive_precision, encode_run, membership_profile,
 )
 from .evaluate import PrecisionError, eval_formula, parse_structure
 from .kripke import (
@@ -125,8 +124,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     text = _read(args.from_run)
     run = parse_trace(text)
     enc = encode_run(run)
-    confirm_prec = adaptive_precision(enc, k=16)
-    escalate_prec = adaptive_precision(enc, k=24)
+    prec = adaptive_precision(enc)
     lines = ["# ringterp encoding v1", f"kind: {enc.kind}"]
     if enc.stabilized is not None:
         lines.append(f"moment: {enc.stabilized[0]}")
@@ -134,13 +132,8 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     lines.append(_describe_generator(enc, "u"))
     lines.append(_describe_generator(enc, "v"))
     lines.append("quotient-status:")
-    for n in range(21):
-        status = quotient_status(enc, n, confirm_prec)
-        used = confirm_prec.k
-        if status is MembershipStatus.UNDETERMINED:
-            status = quotient_status(enc, n, escalate_prec)
-            used = escalate_prec.k
-        lines.append(f"{n} {status.value} k={used}")
+    for n, status in membership_profile(enc, 20, prec).items():
+        lines.append(f"{n} {status.value} k={prec.k}")
     body = "\n".join(lines) + "\n"
     return _finish(args, "encode", body, {}, {"from-run": text.encode()})
 
@@ -164,9 +157,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
     results = run_all()
-    body = format_table(results)
-    stamp = render_manifest(TOOL, "selftest", {}, {})
-    _write(args.out, body + stamp)
+    _finish(args, "selftest", format_table(results), {}, {})
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -104,29 +104,27 @@ class FiniteStructure:
         for i, enc in self.species.items():
             if not isinstance(enc, SpeciesEncoding):
                 raise StructureError(f"species {i} is not an encoding")
-            first, second = pair_for_const(i)
-            if orientation is Orientation.AS_WRITTEN:
-                self.const_gens[first], self.const_gens[second] = enc.v, enc.u
-            else:
-                self.const_gens[first], self.const_gens[second] = enc.u, enc.v
+            # The translated atom n * scaled = other reads n * v = u.
+            scaled, other = orientation.orient(*pair_for_const(i))
+            self.const_gens[scaled], self.const_gens[other] = enc.v, enc.u
             reals.extend([enc.u, enc.v])
         self.real_domain = tuple(reals)
         precision = precision if precision is not None else Precision()
         k = max([precision.k] + [gap_digits(e) for e in self.species.values()])
         self.precision = replace(precision, k=k)
 
-        self._memo: dict[tuple, tuple] = {}
+        self._memo: dict[tuple, object] = {}
         self._family: Optional[tuple[frozenset[int], ...]] = None
         self._verify()
 
     # -- construction checks ------------------------------------------------
 
     def _verify(self) -> None:
-        seen: set[int] = set()
+        seen: set[RealGen] = set()
         for g in self.real_domain:
-            if id(g) in seen:
+            if g in seen:
                 continue
-            seen.add(id(g))
+            seen.add(g)
             try:
                 ok = check_certified(g, self.precision)
             except InsufficientHorizon as exc:
@@ -176,18 +174,16 @@ class FiniteStructure:
              *extra: object) -> object:
         """op(a, b, *extra), computed once per operation and operands.
 
-        Generators are keyed by object identity: every generator reaching
-        here is either a domain generator or the memoized result of an
-        operation, so identities are stable for the structure's lifetime
-        (each entry keeps its operands alive).  A natural scalar is keyed
-        by value; extra (the precision) is fixed per structure.
+        The key is (op, a, b) itself.  RealGen defines no equality, so a
+        generator hashes by identity, and the key keeps it alive for the
+        structure's lifetime; a natural scalar is keyed by value.  extra
+        (the precision) is fixed per structure.
         """
-        key = (op, a if isinstance(a, int) else id(a), id(b))
+        key = (op, a, b)
         hit = self._memo.get(key)
         if hit is None:
-            hit = (a, b, op(a, b, *extra))
-            self._memo[key] = hit
-        return hit[2]
+            hit = self._memo[key] = op(a, b, *extra)
+        return hit
 
     def eq_witness(self, a: RealGen, b: RealGen) -> bool:
         """eq_at at the structure's precision, memoized per generator pair."""
@@ -217,12 +213,11 @@ class FiniteStructure:
         as extensions over 0..family_bound, deduplicated in first-seen
         order."""
         if self._family is None:
-            as_written = self.orientation is Orientation.AS_WRITTEN
             sets: list[frozenset[int]] = []
             seen: set[frozenset[int]] = set()
             for ga in self.real_domain:
                 for gb in self.real_domain:
-                    scaled, other = (ga, gb) if as_written else (gb, ga)
+                    scaled, other = self.orientation.orient(ga, gb)
                     members = frozenset(
                         n for n in range(self.family_bound + 1)
                         if self.relation_holds(n, scaled, other)

@@ -15,12 +15,14 @@ The evidence streams used here are eventually periodic (a finite prefix
 followed by a repeating pattern), which makes membership and totality
 of A genuinely decidable: pair(p, k) modulo the pattern length is
 periodic in each argument with period twice the pattern length, so a
-finite scan settles the existential.  Each stream answers membership
-from a witness index built once, on first use: one pass over the set
-bits of the prefix, unpairing each into its (stage, candidate) pair,
-gives every candidate witnessed inside the prefix its least stage;
-any other candidate is settled by at most 2 * len(default) stages of
-the repeating pattern.  A membership query therefore costs
+finite scan settles the existential.  A stream keeps its prefix and
+its pattern as bytes, one 0 or 1 per position, the form in which specs
+are read and printed.  Each stream answers membership from a witness
+index built once, on first use: one pass over the set bits of the
+prefix, found by bytes.find and each unpaired into its (stage,
+candidate) pair, gives every candidate witnessed inside the prefix its
+least stage; any other candidate is settled by at most 2 * len(default)
+stages of the repeating pattern.  A membership query therefore costs
 O(len(default)) after an O(len(prefix)) set-up, and a run, its conjunct
 check and its trace round trip are linear in the horizon.  Streams
 spell out at most MAX_STREAM_BITS bits.
@@ -58,8 +60,6 @@ class TraceError(ValueError):
 # instead of an allocation of gigabytes.
 MAX_STREAM_BITS = 2**22
 
-_BITS = frozenset((0, 1))
-_BIT_CHARS = frozenset("01")
 _BITS_TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 _TEXT_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -70,13 +70,6 @@ def _check_stream_size(bits: int, what: str) -> None:
             f"{what} needs {bits} stream bits, more than the limit of "
             f"{MAX_STREAM_BITS}"
         )
-
-
-def _bit_bytes(bits: tuple[int, ...]) -> bytes:
-    try:
-        return bytes(bits)
-    except TypeError:  # accepted bits that are not ints, such as 1.0
-        return bytes(map(int, bits))
 
 
 def _least_root(n: int) -> int:
@@ -90,31 +83,39 @@ def _least_root(n: int) -> int:
 @dataclass(frozen=True)
 class ChoiceSeq:
     """Eventually periodic binary stream: prefix bits, then a repeating
-    default pattern."""
+    default pattern.
 
-    prefix: tuple[int, ...]
-    default: tuple[int, ...]
+    Both fields are bytes holding one bit, 0 or 1, per position.  The
+    constructor also takes any sequence of the ints 0 and 1 (bools
+    count) and converts it once.
+    """
+
+    prefix: bytes
+    default: bytes
 
     def __post_init__(self) -> None:
         if not self.default:
             raise ValueError("default pattern must be nonempty")
         _check_stream_size(len(self.prefix) + len(self.default), "the stream")
-        bits = self.prefix + self.default
         try:
-            ok = _BITS.issuperset(bits)
-        except TypeError:  # an unhashable entry is no bit either
+            prefix, default = bytes(self.prefix), bytes(self.default)
+            ok = not (prefix + default).translate(None, b"\x00\x01")
+        except (TypeError, ValueError):  # an entry is not even a byte
             ok = False
         if not ok:
-            bit = next(b for b in bits if b not in (0, 1))
+            bit = next(b for b in (*self.prefix, *self.default)
+                       if not (isinstance(b, int) and b in (0, 1)))
             raise ValueError(f"stream bits must be 0 or 1, got {bit!r}")
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "default", default)
 
     @classmethod
     def zero(cls) -> "ChoiceSeq":
-        return cls((), (0,))
+        return cls(b"", b"\x00")
 
     @classmethod
     def one(cls) -> "ChoiceSeq":
-        return cls((), (1,))
+        return cls(b"", b"\x01")
 
     @classmethod
     def from_members(cls, members: Iterable[tuple[int, int]]) -> "ChoiceSeq":
@@ -141,7 +142,7 @@ class ChoiceSeq:
         prefix = bytearray(last + 1)
         for pos in positions:
             prefix[pos] = 1
-        return cls(tuple(prefix), (0,))
+        return cls(prefix, b"\x00")
 
     def at(self, i: int) -> int:
         if i < 0:
@@ -160,12 +161,11 @@ class ChoiceSeq:
         with p, so the first bit seen for k carries its least stage.
         """
         table: dict[int, int] = {}
-        bits = _bit_bytes(self.prefix)
-        i = bits.find(1)
+        i = self.prefix.find(1)
         while i >= 0:
             p, k = unpair(i)
             table.setdefault(k, p)
-            i = bits.find(1, i + 1)
+            i = self.prefix.find(1, i + 1)
         return table
 
     def first_witness(self, k: int) -> Optional[int]:
@@ -222,16 +222,17 @@ class ChoiceSeq:
         return all(self.is_member(k) for k in range(1, k0 + period))
 
     def canonical_spec(self) -> str:
-        prefix, default = (_bit_bytes(bits).translate(_BITS_TO_TEXT).decode()
+        prefix, default = (bits.translate(_BITS_TO_TEXT).decode()
                            for bits in (self.prefix, self.default))
         return f"prefix:{prefix};default:{default}"
 
 
-def _parse_bits(text: str, what: str) -> tuple[int, ...]:
+def _parse_bits(text: str, what: str) -> bytes:
     _check_stream_size(len(text), f"the {what}")
-    if not _BIT_CHARS.issuperset(text):
+    raw = text.encode("ascii", "replace")
+    if raw.translate(None, b"01"):  # some character is neither 0 nor 1
         raise ValueError(f"{what} must be a string of 0s and 1s, got {text!r}")
-    return tuple(text.encode("ascii").translate(_TEXT_TO_BITS))
+    return raw.translate(_TEXT_TO_BITS)
 
 
 def parse_alpha_spec(spec: str) -> ChoiceSeq:
@@ -329,9 +330,7 @@ def parse_schedule_spec(spec: str) -> Schedule:
             t = parse_natural(t_text)
         except ValueError:
             raise ValueError(f"bad proof moment in {spec!r}") from None
-        if head == "phi":
-            return Schedule.phi_proved(t)
-        return Schedule.not_phi_proved(t)
+        return Schedule(ScheduleKind(head), t)
     raise ValueError(f"unrecognized schedule spec {spec!r}")
 
 
@@ -578,8 +577,8 @@ def parse_trace(text: str) -> RunResult:
         if key not in summary:
             raise TraceError(f"summary is missing {key!r}")
     try:
-        horizon = int(summary["horizon"])
-        seed = int(summary["seed"])
+        horizon = parse_natural(summary["horizon"])
+        seed = parse_natural(summary["seed"])
         alpha = parse_alpha_spec(summary["alpha"])
         schedule = parse_schedule_spec(summary["schedule"])
     except ValueError as exc:

@@ -14,8 +14,8 @@ from .corpus import collapse_structure, corpus_formulas
 from .encoder import MembershipStatus, encode_stabilized, quotient_status
 from .evaluate import eval_formula
 from .kripke import (
-    ChoiceSeq, ConjunctStatus, RunResult, Schedule, check_conjuncts,
-    format_trace, parse_alpha_spec, run_total, simulate,
+    ChoiceSeq, ConjunctStatus, RunResult, Schedule, ScheduleKind,
+    check_conjuncts, format_trace, parse_alpha_spec, run_total, simulate,
 )
 from .manifest import render_manifest
 from .reals import (
@@ -258,9 +258,10 @@ def check_simulator() -> CriterionResult:
             problems.append("C5")
         if run.fired and not run.alpha.is_member(run.stabilized[1]):
             problems.append("value outside species")
-        if run.schedule.kind.value != "phi" and run.fired:
+        proved = run.schedule.kind is ScheduleKind.PHI_PROVED
+        if not proved and run.fired:
             problems.append("fired without a proof event")
-        if run.schedule.kind.value == "phi":
+        if proved:
             eligible += 1
             if run.fired:
                 stabilized_eligible += 1

@@ -35,8 +35,8 @@ from .syntax import (
     AMBIENT_SORT, Add, And, Apart, BOT, Bottom, DefinedQuant, Eq, Exists,
     Forall, Formula, Implies, In, Language, Lt, Mul, NatConst, Node, Or,
     Pair, QuantKind, RealConst, Sort, SpeciesConst, SpeciesEq, SpeciesRef,
-    SpeciesVar, Succ, Term, Var, children, species_binder_index,
-    species_binder_name,
+    SpeciesVar, Succ, Term, Var, _KIND_NAMES, children,
+    species_binder_index, species_binder_name,
 )
 
 
@@ -72,8 +72,6 @@ _CLASSES = {head: cls for cls, head in _HEADS.items()}
 _FIXED = {kind: frozenset(cls for cls in _HEADS
                           if issubclass(cls, kind) and not cls.data_fields)
           for kind in (Term, Formula)}
-_KIND_NAMES = {Term: "term", SpeciesRef: "species reference",
-               Formula: "formula"}
 
 # A token is a parenthesis or a run of other non-space characters; a #
 # comment matches as a whole with an empty group and is dropped.

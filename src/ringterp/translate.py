@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, TypeVar
 
 from .pairing import bounded_op
 from .syntax import (
@@ -44,6 +44,9 @@ from .syntax import (
     ZERO, all_var_names, check_formula, children, fresh_name, neg, rebuild,
     species_binder_index, species_indices,
 )
+
+
+T = TypeVar("T")
 
 
 class TranslationError(ValueError):
@@ -58,6 +61,14 @@ class Expansion(enum.Enum):
 class Orientation(enum.Enum):
     AS_WRITTEN = "as-written"
     QUOTIENT_NORMALIZED = "quotient-normalized"
+
+    def orient(self, first: T, second: T) -> tuple[T, T]:
+        """(scaled, other) of a coding pair: membership of n reads
+        n * scaled = other, with the first of the pair scaled as
+        written and the second once quotient-normalized."""
+        if self is Orientation.AS_WRITTEN:
+            return first, second
+        return second, first
 
 
 # Names an orientation may be given by, on the command line and in
@@ -195,7 +206,7 @@ class _Translator:
     """
 
     def __init__(self, config: TranslationConfig) -> None:
-        self.swap = config.orientation is Orientation.QUOTIENT_NORMALIZED
+        self.orientation = config.orientation
         self.sentinel = sentinel_formula()
         self.names: set[str] = set()
         self.coding: set[str] = {SENTINEL}
@@ -238,10 +249,8 @@ class _Translator:
         return RealConst(first), RealConst(second)
 
     def membership(self, element: Term, coding: tuple[Term, Term]) -> Formula:
-        first, second = coding
-        if self.swap:
-            first, second = second, first
-        return Implies(neg(Eq(Mul(element, first), second)), self.sentinel)
+        scaled, other = self.orientation.orient(*coding)
+        return Implies(neg(Eq(Mul(element, scaled), other)), self.sentinel)
 
     def tau(self, f: Formula, env: Mapping[int, int],
             in_scope: frozenset[int]) -> Formula:

@@ -13,7 +13,9 @@ from ringterp.goldens import (
     MEMBERSHIP_AS_WRITTEN, MEMBERSHIP_NORMALIZED, NAT_CORE, NAT_PREDICATE,
     SENTINEL,
 )
-from ringterp.kripke import parse_trace
+from ringterp.kripke import (
+    ChoiceSeq, format_trace, parse_schedule_spec, parse_trace, simulate,
+)
 from ringterp.pairing import MAX_TERM_BITS
 from ringterp.sexpr import MAX_NESTING
 
@@ -243,6 +245,25 @@ class TestEncode:
         assert proc.stderr == (
             "ringterp: error: trace does not match its own parameters: "
             "19 lines recorded, 1000000000016 expected\n")
+
+    @pytest.mark.parametrize("seed, line, bad", [
+        (-1, "seed=-1", "-1"),
+        (2, "seed=2", "+2"),
+        (2, "horizon=5", "+5"),
+        (2, "horizon=5", "\u0665"),
+    ])
+    def test_trace_numbers_are_ascii_naturals(self, tmp_path, capsys, seed,
+                                              line, bad):
+        # The library simulates any int seed, but its trace is no valid
+        # input: simulate --seed refuses the same value.
+        run = simulate(ChoiceSeq.one(), parse_schedule_spec("phi:2"), 5, seed)
+        key = line.partition("=")[0]
+        trace = tmp_path / "run.trace"
+        trace.write_text(format_trace(run).replace(line, f"{key}={bad}"))
+        assert main(["encode", "--from-run", str(trace)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "ringterp: error: bad summary value: "
+                              f"expected digits 0-9, got {bad!r}\n")
 
 
 STRUCTURE = [

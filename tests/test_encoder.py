@@ -137,3 +137,16 @@ class TestAdaptivePrecision:
             assert n == value
         if status is MembershipStatus.EXCLUDED:
             assert n != value
+
+    def test_audit_rows_of_traced_runs_are_decided(self):
+        # A run stabilizes at moment m on a candidate drawn from 1..m, so
+        # the encode audit (candidates 0..20 at adaptive_precision) needs
+        # no second precision for any such pair.
+        for m in range(1, 41):
+            for value in range(1, m + 1):
+                enc = encode_stabilized(m, value)
+                profile = membership_profile(enc, 20, adaptive_precision(enc))
+                assert MembershipStatus.UNDETERMINED not in profile.values()
+                confirmed = [n for n, status in profile.items()
+                             if status is MembershipStatus.CONFIRMED]
+                assert confirmed == ([value] if value <= 20 else [])

@@ -1,6 +1,9 @@
 """Tests for choice sequence streams, schedules, simulation and traces."""
 
 import hashlib
+from dataclasses import dataclass
+from functools import cached_property
+from math import isqrt
 
 import pytest
 from hypothesis import given
@@ -12,7 +15,7 @@ from ringterp.kripke import (
     TraceError, check_conjuncts, format_trace, parse_alpha_spec,
     parse_schedule_spec, parse_trace, run_total, simulate,
 )
-from ringterp.pairing import pair
+from ringterp.pairing import pair, unpair
 
 member_lists = st.lists(
     st.tuples(st.integers(min_value=1, max_value=12),
@@ -127,10 +130,20 @@ class TestChoiceSeq:
         assert parse_alpha_spec(spec) == alpha
 
     def test_bits_equal_to_0_or_1_are_bits(self):
-        alpha = ChoiceSeq((0.0, 1.0, True), (False,))
+        alpha = ChoiceSeq((0, 1, True), (False,))
         assert alpha.first_witness(1) == 0
         assert alpha.first_witness(0) == 1
         assert alpha.canonical_spec() == "prefix:011;default:0"
+        assert alpha == ChoiceSeq(b"\x00\x01\x01", b"\x00")
+        with pytest.raises(ValueError, match=r"got 1\.0$"):
+            ChoiceSeq((0, 1.0), (0,))
+
+    def test_fields_are_bytes(self):
+        for alpha in (ChoiceSeq((0, 1), [1]), ChoiceSeq.zero(),
+                      ChoiceSeq.from_members([(2, 1)]),
+                      parse_alpha_spec("prefix:01;default:1")):
+            assert type(alpha.prefix) is bytes
+            assert type(alpha.default) is bytes
 
     def test_bit_errors_name_the_first_bad_entry(self):
         with pytest.raises(ValueError, match="got 2$"):
@@ -139,6 +152,143 @@ class TestChoiceSeq:
             ChoiceSeq((0,), (1, "x"))
         with pytest.raises(ValueError, match=r"got \[1\]$"):
             ChoiceSeq(([1],), (0,))
+        with pytest.raises(ValueError, match="got 256$"):
+            ChoiceSeq((0, 1), (256, 2))
+        with pytest.raises(ValueError, match="got 2$"):
+            ChoiceSeq(b"\x00\x02", b"\x00")
+
+    def test_errors_keep_their_order(self, monkeypatch):
+        monkeypatch.setattr(kripke, "MAX_STREAM_BITS", 16)
+        with pytest.raises(ValueError, match="default pattern must be"):
+            ChoiceSeq((2,), ())
+        with pytest.raises(ValueError, match="the stream needs 17"):
+            ChoiceSeq((2,) * 16, (0,))
+
+
+# The tuple-backed stream that ChoiceSeq replaced, frozen as the
+# reference of the differential test below: its fields were tuples of
+# ints, converted to bytes for every index build and every spec.
+_REF_BITS = frozenset((0, 1))
+_REF_BITS_TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+_REF_TEXT_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _ref_bit_bytes(bits: tuple) -> bytes:
+    try:
+        return bytes(bits)
+    except TypeError:
+        return bytes(map(int, bits))
+
+
+def _ref_least_root(n: int) -> int:
+    if n <= 0:
+        return 0
+    s = (isqrt(8 * n + 1) - 1) // 2
+    return s if s * (s + 1) // 2 == n else s + 1
+
+
+@dataclass(frozen=True)
+class ReferenceChoiceSeq:
+    prefix: tuple
+    default: tuple
+
+    def __post_init__(self) -> None:
+        if not self.default:
+            raise ValueError("default pattern must be nonempty")
+        bits = self.prefix + self.default
+        if not _REF_BITS.issuperset(bits):
+            bit = next(b for b in bits if b not in (0, 1))
+            raise ValueError(f"stream bits must be 0 or 1, got {bit!r}")
+
+    @classmethod
+    def from_members(cls, members) -> "ReferenceChoiceSeq":
+        positions = [pair(p, k) for k, p in members]
+        if not positions:
+            return cls((), (0,))
+        prefix = bytearray(max(positions) + 1)
+        for pos in positions:
+            prefix[pos] = 1
+        return cls(tuple(prefix), (0,))
+
+    @classmethod
+    def from_spec(cls, spec: str) -> "ReferenceChoiceSeq":
+        prefix_text, default_text = (
+            part.split(":")[1] for part in spec.split(";"))
+        return cls(*(tuple(text.encode("ascii").translate(_REF_TEXT_TO_BITS))
+                     for text in (prefix_text, default_text)))
+
+    def at(self, i: int) -> int:
+        if i < len(self.prefix):
+            return self.prefix[i]
+        return self.default[(i - len(self.prefix)) % len(self.default)]
+
+    @cached_property
+    def _prefix_witnesses(self) -> dict:
+        table: dict = {}
+        bits = _ref_bit_bytes(self.prefix)
+        i = bits.find(1)
+        while i >= 0:
+            p, k = unpair(i)
+            table.setdefault(k, p)
+            i = bits.find(1, i + 1)
+        return table
+
+    def first_witness(self, k: int):
+        p = self._prefix_witnesses.get(k)
+        if p is not None:
+            return p
+        if 1 not in self.default:
+            return None
+        size, period = len(self.prefix), len(self.default)
+        p0 = max(_ref_least_root(size - k) - k, 0)
+        if 0 not in self.default:
+            return p0
+        for p in range(p0, p0 + 2 * period):
+            if self.default[(pair(p, k) - size) % period] == 1:
+                return p
+        return None
+
+    def is_member(self, k: int) -> bool:
+        return self.first_witness(k) is not None
+
+    def is_total(self) -> bool:
+        period = 2 * len(self.default)
+        k0 = max(_ref_least_root(len(self.prefix) + 1) - 1, 1)
+        return all(self.is_member(k) for k in range(1, k0 + period))
+
+    def canonical_spec(self) -> str:
+        prefix, default = (_ref_bit_bytes(bits).translate(_REF_BITS_TO_TEXT)
+                           .decode() for bits in (self.prefix, self.default))
+        return f"prefix:{prefix};default:{default}"
+
+
+def assert_streams_agree(alpha: ChoiceSeq, ref: ReferenceChoiceSeq) -> None:
+    assert alpha.prefix == bytes(ref.prefix)
+    assert alpha.default == bytes(ref.default)
+    for i in range(len(ref.prefix) + 2 * len(ref.default) + 2):
+        assert alpha.at(i) == ref.at(i)
+    for k in range(61):
+        assert alpha.first_witness(k) == ref.first_witness(k)
+        assert alpha.is_member(k) is ref.is_member(k)
+    assert alpha.is_total() is ref.is_total()
+    spec = alpha.canonical_spec()
+    assert spec == ref.canonical_spec()
+    assert parse_alpha_spec(spec) == alpha
+    assert ReferenceChoiceSeq.from_spec(spec) == ref
+
+
+class TestBytesAgainstTuples:
+    @given(prefix=st.lists(st.sampled_from([0, 1, False, True]), max_size=40),
+           default=st.lists(st.sampled_from([0, 1, False, True]),
+                            min_size=1, max_size=6))
+    def test_periodic_streams_agree(self, prefix, default):
+        assert_streams_agree(ChoiceSeq(prefix, default),
+                             ReferenceChoiceSeq(tuple(prefix), tuple(default)))
+
+    @given(members=member_lists)
+    def test_member_streams_agree(self, members):
+        assert_streams_agree(ChoiceSeq.from_members(members),
+                             ReferenceChoiceSeq.from_members(members))
 
 
 class TestStreamLimit:
@@ -179,6 +329,7 @@ class TestSpecs:
 
     @pytest.mark.parametrize("spec", [
         "", "wibble", "members:", "members:x", "prefix:01", "prefix:2;default:0",
+        "prefix:\u0661;default:0", "prefix:\x01;default:0",
     ])
     def test_bad_alpha_specs(self, spec):
         with pytest.raises(ValueError):

@@ -9,14 +9,14 @@ encodes the singleton species {k}.
 
 A run that never fired is encoded as the degenerate pair u = v = 0.
 The quotient relation n * 0 = 0 holds for every n, so read classically
-a silent run encodes the full species; bounded checks confirm every
+a silent run encodes the full species; quotient_status confirms every
 candidate against that pair.
 
-quotient_status decides membership the way everything else in the
-package does: by bounded witness search.  Confirmed and excluded both
-rest on a found witness; undetermined means the precision or horizon
-was too small to produce one, not that the answer is unknown in
-principle.
+quotient_status decides membership by bounded witness search, or, for
+a pair of naturals, by the exact verdict that search would find.
+Confirmed and excluded both rest on a witness; undetermined means the
+precision or horizon was too small to produce one, not that the answer
+is unknown in principle.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .kripke import RunResult
-from .reals import Precision, RealGen, eq_at, from_nat, lt_at, nat_scalar
+from .reals import Precision, RealGen, eq_at, from_nat, lt_at, nat_relation, \
+    nat_scalar
 
 
 class MembershipStatus(enum.Enum):
@@ -109,12 +110,16 @@ def quotient_status(enc: SpeciesEncoding, n: int,
     silent prefix where both generators are still 0, which would let the
     prefix itself pass as an equality witness for any candidate.  Longer
     windows necessarily reach informative stages, so this cannot happen
-    once the horizon clears the cutover.
+    once the horizon clears the cutover.  A pair of naturals, such as a
+    silent encoding's, gets the searches' verdict from nat_relation.
     """
     if n < 0:
         raise ValueError("candidates are nonnegative")
     if enc.stabilized is not None and prec.horizon < enc.stabilized[0]:
         return MembershipStatus.UNDETERMINED
+    exact = nat_relation(n, enc.v, enc.u)
+    if exact is not None:
+        return MembershipStatus.CONFIRMED if exact else MembershipStatus.EXCLUDED
     scaled = nat_scalar(n, enc.v)
     if eq_at(scaled, enc.u, prec):
         return MembershipStatus.CONFIRMED

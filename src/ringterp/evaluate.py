@@ -16,16 +16,16 @@ A strict-order atom without a witness evaluates false, which is the
 documented reading of lt_at.
 
 Species quantifiers of the source language range over the family of
-species definable from the structure's generator pairs: for each
-ordered pair (a, b) of domain generators, the set of candidates n with
-n * a = b witnessed (orientation determining which side is scaled),
-deduplicated.  The target side of a translated species quantifier runs
-over exactly the same ordered pairs, so the two sides see the same
-family by construction.  The family is decided for candidates up to
-max(nat_domain); asking a family species about a larger candidate
-raises PrecisionError.  Species constants, by contrast, have exact
-extensions (a singleton, or the full species for a silent encoding)
-and answer for every candidate.
+species definable from the structure's generator pairs: for each ordered
+pair (a, b) of domain generators, the set of candidates n with n * a = b
+witnessed (orientation determining which side is scaled, and a pair of
+naturals decided from its exact values), deduplicated.  The target side
+of a translated species quantifier runs over exactly the same ordered
+pairs, so the two sides see the same family by construction.  The family
+is decided for candidates up to max(nat_domain); asking a family species
+about a larger candidate raises PrecisionError.  Species constants, by
+contrast, have exact extensions (a singleton, or the full species for a
+silent encoding) and answer for every candidate.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .encoder import MembershipStatus, SpeciesEncoding, encode_silent, \
     encode_stabilized, gap_digits, quotient_status
 from .pairing import bounded_op, parse_natural
 from .reals import InsufficientHorizon, Precision, RealGen, add, \
-    check_certified, eq_at, from_nat, lt_at, mul, nat_scalar
+    check_certified, eq_at, from_nat, lt_at, mul, nat_relation, nat_scalar
 from .syntax import (
     Add, And, Apart, Bottom, DefinedQuant, Eq, Exists, Forall, Formula,
     Implies, In, Language, Lt, Mul, NatConst, Or, Pair, QuantKind, RealConst,
@@ -195,7 +195,11 @@ class FiniteStructure:
 
     def relation_holds(self, n: int, scaled: RealGen, other: RealGen) -> bool:
         """Decide n * scaled = other by bounded witness, aborting when
-        neither equality nor apartness is witnessed."""
+        neither equality nor apartness is witnessed; two naturals get
+        that verdict from nat_relation, which never raises."""
+        exact = nat_relation(n, scaled, other)
+        if exact is not None:
+            return exact
         left = self.memo(nat_scalar, n, scaled)
         if self.eq_witness(left, other):
             return True
@@ -211,7 +215,7 @@ class FiniteStructure:
     def species_family(self) -> tuple[frozenset[int], ...]:
         """Species definable from ordered pairs of domain generators,
         as extensions over 0..family_bound, deduplicated in first-seen
-        order."""
+        order.  A pair of naturals costs no search (relation_holds)."""
         if self._family is None:
             sets: list[frozenset[int]] = []
             seen: set[frozenset[int]] = set()

@@ -99,7 +99,8 @@ class ChoiceSeq:
         _check_stream_size(len(self.prefix) + len(self.default), "the stream")
         try:
             prefix, default = bytes(self.prefix), bytes(self.default)
-            ok = not (prefix + default).translate(None, b"\x00\x01")
+            ok = not (prefix.translate(None, b"\x00\x01")
+                      or default.translate(None, b"\x00\x01"))
         except (TypeError, ValueError):  # an entry is not even a byte
             ok = False
         if not ok:

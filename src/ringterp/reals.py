@@ -19,8 +19,10 @@ counterexample while True only covers the range inspected.
 
 The searches read stage lists (RealGen.stages), which library
 generators build once, bottom up, and user-supplied ones fill stage by
-stage through the checked RealGen.at.  eq_at and lt_at count runs of
-passing stages; check_modulus scans each distinct promised stage once.
+stage through the checked RealGen.at.  eq_at and lt_at first test
+stage horizon, which every witness window holds; check_modulus scans
+each distinct promised stage once.  nat_relation decides n * a = b for
+two from_nat generators from their recorded values, without a search.
 
 A library constructor whose promise holds by construction also records
 a slack floor: a proven lower bound, for every stage x, on the least
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 
 class InsufficientHorizon(Exception):
@@ -82,11 +84,12 @@ class RealGen:
     slack_floor, which only from_nat, from_unit_fraction and the
     encoder's cutover unit fraction pass, maps a stage to a proven lower
     bound on its slack (see the module docstring); check_certified
-    reads it instead of scanning.
+    reads it instead of scanning.  _nat, which only from_nat sets, is
+    the natural the generator denotes, or None; nat_relation reads it.
     """
 
     __slots__ = ("_approx", "_hint", "name", "_memo", "_hint_memo",
-                 "_vector", "_stages", "_slack_floor")
+                 "_vector", "_stages", "_slack_floor", "_nat")
 
     def __init__(self, approx: Callable[[int], int],
                  hint: Callable[[int], int], name: str = "", *,
@@ -100,6 +103,7 @@ class RealGen:
         self._vector = vector
         self._stages: list[int] = []
         self._slack_floor = slack_floor
+        self._nat: Optional[int] = None
 
     def at(self, x: int) -> int:
         if not isinstance(x, int) or x < 0:
@@ -152,9 +156,11 @@ def from_nat(n: int) -> RealGen:
     """The natural number n as a generator: stage value n * 2^x, exact."""
     if n < 0:
         raise ValueError("from_nat takes a natural number")
-    return RealGen(lambda x: n << x, lambda k: 0, name=str(n),
-                   vector=lambda top: [n << x for x in range(top + 1)],
-                   slack_floor=lambda x: math.inf)
+    g = RealGen(lambda x: n << x, lambda k: 0, name=str(n),
+                vector=lambda top: [n << x for x in range(top + 1)],
+                slack_floor=lambda x: math.inf)
+    g._nat = n
+    return g
 
 
 def from_unit_fraction(q: int) -> RealGen:
@@ -224,25 +230,23 @@ def nat_scalar(n: int, g: RealGen) -> RealGen:
     )
 
 
-def _has_run(passes: Iterable[bool], horizon: int) -> bool:
+def _has_run(passes: Callable[[int], bool], horizon: int) -> bool:
     """Do horizon + 1 consecutive stages of 0 .. 2 * horizon pass?
 
-    "Some window of that width has every stage passing" is read off a
-    run counter.  It stops at the first witness, and at the first
-    failing stage from stage horizon on, after which too few stages
-    remain to complete a run.
+    passes(i) tests stage i.  Every such window holds stage horizon, so
+    a failure there refutes them all.  Otherwise the run of passing
+    stages through it is followed down to its first stage, then up
+    until it has horizon + 1 stages or meets a failing one.
     """
-    run = 0
-    for i, ok in enumerate(passes):
-        if ok:
-            run += 1
-            if run > horizon:
-                return True
-        elif i >= horizon:
+    if not passes(horizon):
+        return False
+    first = horizon
+    while first and passes(first - 1):
+        first -= 1
+    for i in range(horizon + 1, first + horizon + 1):
+        if not passes(i):
             return False
-        else:
-            run = 0
-    return False
+    return True
 
 
 def eq_at(a: RealGen, b: RealGen, prec: Precision) -> bool:
@@ -256,8 +260,8 @@ def eq_at(a: RealGen, b: RealGen, prec: Precision) -> bool:
     """
     top, k = 2 * prec.horizon, prec.k
     sa, sb = a.stages(top), b.stages(top)
-    return _has_run((sa[i] == sb[i] or i - abs(sa[i] - sb[i]).bit_length() >= k
-                     for i in range(top + 1)), prec.horizon)
+    return _has_run(lambda i: sa[i] == sb[i]
+                    or i - abs(sa[i] - sb[i]).bit_length() >= k, prec.horizon)
 
 
 def lt_at(a: RealGen, b: RealGen, prec: Precision) -> bool:
@@ -272,8 +276,19 @@ def lt_at(a: RealGen, b: RealGen, prec: Precision) -> bool:
     """
     top, k = 2 * prec.horizon, prec.k
     sa, sb = a.stages(top), b.stages(top)
-    return _has_run((sb[i] > sa[i] and i - (sb[i] - sa[i]).bit_length() < k
-                     for i in range(top + 1)), prec.horizon)
+    return _has_run(lambda i: sb[i] > sa[i]
+                    and i - (sb[i] - sa[i]).bit_length() < k, prec.horizon)
+
+
+def nat_relation(n: int, scaled: RealGen, other: RealGen) -> Optional[bool]:
+    """n * scaled = other for two from_nat generators, else None: the
+    searches' verdict at every precision, which never raises.  The stage
+    values (n * a) << x and b << x are exact, so eq_at witnesses
+    n * a == b, and otherwise every stage separates, one way, at level
+    -bits(|n * a - b|) < k, so lt_at is witnessed."""
+    if scaled._nat is None or other._nat is None:
+        return None
+    return n * scaled._nat == other._nat
 
 
 def apart_at(a: RealGen, b: RealGen, prec: Precision) -> bool:

@@ -5,14 +5,43 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ringterp.encoder import (
-    MembershipStatus, adaptive_precision, encode_run, encode_silent,
-    encode_stabilized, membership_profile, quotient_status,
+    MembershipStatus, SpeciesEncoding, adaptive_precision, encode_run,
+    encode_silent, encode_stabilized, membership_profile, quotient_status,
 )
 from ringterp.kripke import ChoiceSeq, Schedule, run_total, simulate
-from ringterp.reals import Precision, check_modulus, eq_at, from_unit_fraction
+from ringterp.reals import (
+    Precision, check_modulus, eq_at, from_nat, from_unit_fraction, lt_at,
+    nat_scalar,
+)
 
 moments = st.integers(min_value=1, max_value=40)
 values = st.integers(min_value=1, max_value=12)
+
+
+def scanning_status(enc: SpeciesEncoding, n: int,
+                    prec: Precision) -> MembershipStatus:
+    """Reference implementation: quotient_status with every candidate
+    searched, as before pairs of naturals were decided in closed form."""
+    if enc.stabilized is not None and prec.horizon < enc.stabilized[0]:
+        return MembershipStatus.UNDETERMINED
+    scaled = nat_scalar(n, enc.v)
+    if eq_at(scaled, enc.u, prec):
+        return MembershipStatus.CONFIRMED
+    if lt_at(scaled, enc.u, prec) or lt_at(enc.u, scaled, prec):
+        return MembershipStatus.EXCLUDED
+    return MembershipStatus.UNDETERMINED
+
+
+encodings = st.one_of(
+    st.just(encode_silent()),
+    st.builds(encode_stabilized, st.integers(min_value=1, max_value=6),
+              values),
+    # a pair of naturals other than the silent one: v = a, u = a * value
+    st.builds(lambda a, value, moment: SpeciesEncoding(
+        from_nat(a * value), from_nat(a), (moment, value)),
+        st.integers(min_value=0, max_value=5), values,
+        st.integers(min_value=1, max_value=6)),
+)
 
 
 class TestClosedForms:
@@ -73,6 +102,14 @@ class TestQuotientStatus:
         tight = Precision(k=16, horizon=8)
         assert quotient_status(enc, 2, tight) is MembershipStatus.UNDETERMINED
         assert quotient_status(enc, 7, tight) is MembershipStatus.UNDETERMINED
+
+    @given(enc=encodings, k=values, horizon=st.integers(min_value=1,
+                                                          max_value=30))
+    def test_statuses_match_the_scanning_path(self, enc, k, horizon):
+        prec = Precision(k, horizon)
+        for n in range(13):
+            assert quotient_status(enc, n, prec) is scanning_status(
+                enc, n, prec)
 
     def test_candidates_are_nonnegative(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,8 @@ import re
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
 
 from ringterp.corpus import (
     SPECIES_SINGLETONS, collapse_structure, corpus_formulas,
@@ -130,6 +132,88 @@ class TestSourceQuantifiers:
         st = FiniteStructure((0, 1, 2))
         with pytest.raises(PrecisionError):
             ev("(exists (X0 Species) (in (+ 2 2) X0))", st)
+
+
+def scanning_family(s: FiniteStructure) -> tuple[frozenset[int], ...]:
+    """Reference implementation: the species family with every pair
+    decided by nat_scalar, eq_at and lt_at, as before pairs of naturals
+    were decided in closed form."""
+    prec, sets = s.precision, []
+    for ga in s.real_domain:
+        for gb in s.real_domain:
+            scaled, other = s.orientation.orient(ga, gb)
+            members = set()
+            for n in range(s.family_bound + 1):
+                left = reals.nat_scalar(n, scaled)
+                if reals.eq_at(left, other, prec):
+                    members.add(n)
+                elif not (reals.lt_at(left, other, prec)
+                          or reals.lt_at(other, left, prec)):
+                    raise PrecisionError(
+                        f"relation {n} * {scaled.name or '?'} = "
+                        f"{other.name or '?'} undetermined at k={prec.k}, "
+                        f"horizon={prec.horizon}")
+            if frozenset(members) not in sets:
+                sets.append(frozenset(members))
+    return tuple(sets)
+
+
+species_maps = hs.dictionaries(
+    hs.integers(min_value=0, max_value=3),
+    hs.one_of(hs.builds(encode_silent),
+              hs.builds(encode_stabilized, hs.integers(1, 6),
+                        hs.integers(1, 12))),
+    max_size=2)
+
+
+class TestFamilyOfNaturals:
+    """Pairs of naturals are decided in closed form, with the verdicts,
+    family order and errors of the scanning path."""
+
+    @given(domain=hs.sets(hs.integers(0, 12), min_size=1, max_size=5),
+           species=species_maps, orientation=hs.sampled_from(Orientation),
+           k=hs.integers(1, 12), horizon=hs.integers(2, 24))
+    def test_family_matches_the_scanning_path(self, domain, species,
+                                              orientation, k, horizon):
+        try:
+            s = FiniteStructure(domain, species, orientation,
+                                Precision(k, horizon))
+        except (PrecisionError, StructureError):
+            return
+        assert (outcome(lambda: s.species_family)
+                == outcome(scanning_family, s))
+
+    @pytest.mark.parametrize("domain, species, orientation, k, horizon", [
+        ((2, 5, 12), {0: (2, 6), 1: (2, 11)}, Orientation.AS_WRITTEN, 5, 11),
+        ((7, 11), {0: (3, 9), 1: (4, 4)}, Orientation.AS_WRITTEN, 6, 11),
+        ((8,), {0: (1, 3), 1: (6, 12)}, Orientation.QUOTIENT_NORMALIZED,
+         10, 12),
+        ((0, 4, 10), {0: (6, 1), 1: (1, 2)}, Orientation.AS_WRITTEN, 6, 8),
+    ])
+    def test_undecided_pairs_raise_as_the_scanning_path(
+            self, domain, species, orientation, k, horizon):
+        s = FiniteStructure(domain, {i: encode_stabilized(*run) for i, run
+                                     in species.items()},
+                            orientation, Precision(k, horizon))
+        got = outcome(lambda: s.species_family)
+        assert got[0] is PrecisionError
+        assert got == outcome(scanning_family, s)
+
+    def test_pairs_of_naturals_run_no_search(self, monkeypatch):
+        calls = []
+        for target in ("ringterp.evaluate.eq_at", "ringterp.evaluate.lt_at",
+                       "ringterp.encoder.eq_at", "ringterp.encoder.lt_at"):
+            search = getattr(reals, target.rsplit(".", 1)[1])
+            monkeypatch.setattr(target, lambda *args, search=search: (
+                calls.append(args) or search(*args)))
+        # the family of a naturals-only structure, and _verify of a
+        # silent species, whose pair is from_nat(0), from_nat(0)
+        FiniteStructure(range(13)).species_family
+        FiniteStructure((0, 1, 2), {0: encode_silent(), 1: encode_silent()})
+        assert calls == []
+        # a singleton's pairs are still searched
+        FiniteStructure((0, 1), {1: encode_stabilized(2, 1)}).species_family
+        assert calls
 
 
 class TestTargetEvaluation:

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from ringterp.encoder import encode_stabilized
 from ringterp.reals import (
-    InsufficientHorizon, Precision, RealGen, _slack, add, apart_at,
+    InsufficientHorizon, Precision, RealGen, _has_run, _slack, add, apart_at,
     check_certified, check_modulus, eq_at, from_nat, from_unit_fraction,
-    lt_at, mul, nat_scalar,
+    lt_at, mul, nat_relation, nat_scalar,
 )
 from ringterp.selftest import generator_corpus
 
@@ -82,6 +82,40 @@ def deque_lt_at(a: RealGen, b: RealGen, prec: Precision) -> bool:
         d = b.at(i) - a.at(i)
         levels.append(math.inf if d <= 0 else max(0, i - d.bit_length() + 1))
     return _window_ok(levels, prec.horizon + 1, want_min=False, bound=prec.k)
+
+
+def counter_has_run(passes, horizon: int) -> bool:
+    """Reference implementation: the run counter over an iterator of
+    bools, read from stage 0 up, that the stage-horizon search replaced."""
+    run = 0
+    for i, ok in enumerate(passes):
+        if ok:
+            run += 1
+            if run > horizon:
+                return True
+        elif i >= horizon:
+            return False
+        else:
+            run = 0
+    return False
+
+
+def counter_eq_at(a: RealGen, b: RealGen, prec: Precision) -> bool:
+    """Reference implementation: eq_at over counter_has_run."""
+    top, k = 2 * prec.horizon, prec.k
+    sa, sb = a.stages(top), b.stages(top)
+    return counter_has_run((sa[i] == sb[i]
+                            or i - abs(sa[i] - sb[i]).bit_length() >= k
+                            for i in range(top + 1)), prec.horizon)
+
+
+def counter_lt_at(a: RealGen, b: RealGen, prec: Precision) -> bool:
+    """Reference implementation: lt_at over counter_has_run."""
+    top, k = 2 * prec.horizon, prec.k
+    sa, sb = a.stages(top), b.stages(top)
+    return counter_has_run((sb[i] > sa[i]
+                            and i - (sb[i] - sa[i]).bit_length() < k
+                            for i in range(top + 1)), prec.horizon)
 
 
 def per_k_check_modulus(g: RealGen, prec: Precision) -> bool:
@@ -490,3 +524,116 @@ class TestWork:
         self.searches(nat_scalar(3, add(g, from_nat(0))))
         assert len(log) <= 2 * self.HORIZON + 1
         assert sorted(log) == sorted(set(log))
+
+
+def listed(values: list, name: str) -> tuple[RealGen, list[int]]:
+    """A user-supplied generator reading its stages from a list (0 past
+    its end), with a log of the stages asked for."""
+    return recorded(lambda x: values[x] if x < len(values) else 0,
+                    lambda k: 0, name)
+
+
+# The stage offsets b - a that the stage lists draw from, before a
+# per-list scale: equal stages, small differences that pass eq_at's test
+# from some stage on, and large ones that pass lt_at's.
+OFFSETS = (0, 0, 0, 1, 2, 3, 7, -1, -3, 1 << 5, 1 << 9, -(1 << 9))
+
+
+@st.composite
+def stage_lists(draw):
+    """A precision with horizon 1..8 and k 1..12, and two stage lists
+    over 0 .. 2 * horizon, one of them sometimes holding a bad value."""
+    horizon = draw(st.integers(min_value=1, max_value=8))
+    k = draw(st.integers(min_value=1, max_value=12))
+    top = 2 * horizon
+    a = draw(st.lists(st.integers(min_value=0, max_value=1 << 10),
+                      min_size=top + 1, max_size=top + 1))
+    scale = draw(st.sampled_from((1, 1 << 6, 1 << 12)))
+    offsets = draw(st.lists(st.sampled_from(OFFSETS),
+                            min_size=top + 1, max_size=top + 1))
+    b = [abs(u + d * scale) for u, d in zip(a, offsets)]
+    bad = draw(st.one_of(st.none(), st.tuples(
+        st.booleans(), st.integers(min_value=0, max_value=top),
+        st.sampled_from([-1, "x", 1.0]))))
+    if bad is not None:
+        in_a, stage, value = bad
+        (a if in_a else b)[stage] = value
+    return Precision(k, horizon), a, b
+
+
+def pattern(text: str):
+    """Stage i passes when text[i] is "1"."""
+    return lambda i: text[i] == "1"
+
+
+class TestSearchFromStageHorizon:
+    """_has_run tests stage horizon first and measures the run through
+    it; the run counter it replaced is the reference."""
+
+    @given(stage_lists())
+    def test_user_generators_match_the_run_counter(self, case):
+        prec, a, b = case
+        for search, reference in ((eq_at, counter_eq_at),
+                                  (lt_at, counter_lt_at)):
+            for first, second in ((a, b), (b, a)):
+                ga, log_a = listed(first, "a")
+                gb, log_b = listed(second, "b")
+                ra, ref_log_a = listed(first, "a")
+                rb, ref_log_b = listed(second, "b")
+                assert (outcome(search, ga, gb, prec)
+                        == outcome(reference, ra, rb, prec))
+                assert (log_a, log_b) == (ref_log_a, ref_log_b)
+
+    @pytest.mark.parametrize("horizon", range(1, 7))
+    def test_every_pass_pattern_matches_the_run_counter(self, horizon):
+        for bits in itertools.product("01", repeat=2 * horizon + 1):
+            text = "".join(bits)
+            assert _has_run(pattern(text), horizon) is counter_has_run(
+                (c == "1" for c in text), horizon), text
+
+    @pytest.mark.parametrize("text, expect", [
+        ("111110101", True),   # the only run is [0, h]
+        ("010011111", True),   # the only run is [h, 2h]
+        ("011110110", False),  # a run of exactly h stages, [1, h]
+        ("000011110", False),  # a run of exactly h stages, [h, 2h - 1]
+        ("111011111", True),   # broken at h - 1: [h, 2h] remains
+        ("111110111", True),   # broken at h + 1: [0, h] remains
+        ("111010111", False),  # broken at h - 1 and at h + 1
+        ("111011110", False),  # broken at h - 1 and at 2h
+        ("011110111", False),  # broken at 0 and at h + 1
+        ("111101111", False),  # broken at h alone
+        ("111111111", True),
+    ])
+    def test_hand_made_patterns(self, text, expect):
+        horizon = 4
+        assert _has_run(pattern(text), horizon) is expect
+        assert counter_has_run((c == "1" for c in text), horizon) is expect
+
+
+naturals = st.integers(min_value=0, max_value=64)
+
+
+class TestNatRelation:
+    """nat_relation gives the scanning path's verdict for two naturals."""
+
+    @given(n=naturals, a=naturals, b=naturals,
+           k=st.integers(min_value=1, max_value=12),
+           horizon=st.integers(min_value=1, max_value=8))
+    def test_closed_form_matches_the_scanning_path(self, n, a, b, k, horizon):
+        prec = Precision(k, horizon)
+        scaled, other = nat_scalar(n, from_nat(a)), from_nat(b)
+        equal = eq_at(scaled, other, prec)
+        below, above = lt_at(scaled, other, prec), lt_at(other, scaled, prec)
+        # never undetermined: exactly one of the three is witnessed
+        assert [equal, below, above].count(True) == 1
+        assert nat_relation(n, from_nat(a), other) is equal is (n * a == b)
+
+    def test_only_from_nat_records_a_value(self):
+        assert from_nat(7)._nat == 7 and from_nat(0)._nat == 0
+        for g in [from_unit_fraction(1), nat_scalar(2, from_nat(3)),
+                  add(from_nat(1), from_nat(2)), mul(from_nat(2), from_nat(3)),
+                  RealGen(lambda x: 3 << x, lambda k: 0, "three"),
+                  encode_stabilized(2, 3).u]:
+            assert g._nat is None
+            assert nat_relation(1, g, from_nat(3)) is None
+            assert nat_relation(1, from_nat(3), g) is None

@@ -12,8 +12,8 @@ The quotient relation n * 0 = 0 holds for every n, so read classically
 a silent run encodes the full species; quotient_status confirms every
 candidate against that pair.
 
-quotient_status decides membership by bounded witness search, or, for
-a pair of naturals, by the exact verdict that search would find.
+quotient_status decides membership by bounded witness search, or by
+the verdict that search would find where exact values prove it.
 Confirmed and excluded both rest on a witness; undetermined means the
 precision or horizon was too small to produce one, not that the answer
 is unknown in principle.
@@ -22,13 +22,12 @@ is unknown in principle.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .kripke import RunResult
-from .reals import Precision, RealGen, eq_at, from_nat, lt_at, nat_relation, \
-    nat_scalar
+from .reals import Precision, RealGen, cutover_unit_fraction, eq_at, \
+    exact_relation, from_nat, lt_at, nat_scalar
 
 
 class MembershipStatus(enum.Enum):
@@ -54,24 +53,6 @@ class SpeciesEncoding:
         return "full" if self.stabilized is None else "singleton"
 
 
-def _cutover_unit_fraction(denom: int, start: int, name: str) -> RealGen:
-    """Generator for 1/denom that reports 0 before stage start.
-
-    From stage start on this is the usual unit fraction approximant, so
-    a modulus hint of k + 2 works once it is also pushed past start, and
-    the unit fraction's slack floor x holds there; before start the
-    generator records no bound (-inf).
-    """
-    return RealGen(
-        lambda x: 0 if x < start else (1 << x) // denom,
-        lambda k: max(k + 2, start),
-        name=name,
-        vector=lambda top: [0] * start + [(1 << x) // denom
-                                          for x in range(start, top + 1)],
-        slack_floor=lambda x: x if x >= start else -math.inf,
-    )
-
-
 def encode_stabilized(moment: int, value: int) -> SpeciesEncoding:
     """Encoding of the singleton species {value} from a run that fired
     at the given moment."""
@@ -79,9 +60,9 @@ def encode_stabilized(moment: int, value: int) -> SpeciesEncoding:
         raise ValueError("runs fire at moment 1 or later")
     if value < 1:
         raise ValueError("stabilized values are positive")
-    u = _cutover_unit_fraction(moment, moment, f"u[m={moment}]")
-    v = _cutover_unit_fraction(moment * value, moment,
-                               f"v[m={moment},k={value}]")
+    u = cutover_unit_fraction(moment, moment, f"u[m={moment}]")
+    v = cutover_unit_fraction(moment * value, moment,
+                              f"v[m={moment},k={value}]")
     return SpeciesEncoding(u, v, (moment, value))
 
 
@@ -110,14 +91,15 @@ def quotient_status(enc: SpeciesEncoding, n: int,
     silent prefix where both generators are still 0, which would let the
     prefix itself pass as an equality witness for any candidate.  Longer
     windows necessarily reach informative stages, so this cannot happen
-    once the horizon clears the cutover.  A pair of naturals, such as a
-    silent encoding's, gets the searches' verdict from nat_relation.
+    once the horizon clears the cutover.  Past it, a candidate whose
+    verdict the generators' exact values prove, such as every candidate
+    of a silent encoding, gets it from exact_relation without a search.
     """
     if n < 0:
         raise ValueError("candidates are nonnegative")
     if enc.stabilized is not None and prec.horizon < enc.stabilized[0]:
         return MembershipStatus.UNDETERMINED
-    exact = nat_relation(n, enc.v, enc.u)
+    exact = exact_relation(n, enc.v, enc.u, prec)
     if exact is not None:
         return MembershipStatus.CONFIRMED if exact else MembershipStatus.EXCLUDED
     scaled = nat_scalar(n, enc.v)

@@ -18,8 +18,8 @@ documented reading of lt_at.
 Species quantifiers of the source language range over the family of
 species definable from the structure's generator pairs: for each ordered
 pair (a, b) of domain generators, the set of candidates n with n * a = b
-witnessed (orientation determining which side is scaled, and a pair of
-naturals decided from its exact values), deduplicated.  The target side
+witnessed (orientation determining which side is scaled, and most
+verdicts read from exact values), deduplicated.  The target side
 of a translated species quantifier runs over exactly the same ordered
 pairs, so the two sides see the same family by construction.  The family
 is decided for candidates up to max(nat_domain); asking a family species
@@ -37,7 +37,8 @@ from .encoder import MembershipStatus, SpeciesEncoding, encode_silent, \
     encode_stabilized, gap_digits, quotient_status
 from .pairing import bounded_op, parse_natural
 from .reals import InsufficientHorizon, Precision, RealGen, add, \
-    check_certified, eq_at, from_nat, lt_at, mul, nat_relation, nat_scalar
+    check_certified, eq_at, exact_equal, exact_relation, from_nat, lt_at, \
+    mul, nat_scalar
 from .syntax import (
     Add, And, Apart, Bottom, DefinedQuant, Eq, Exists, Forall, Formula,
     Implies, In, Language, Lt, Mul, NatConst, Or, Pair, QuantKind, RealConst,
@@ -71,8 +72,11 @@ class FiniteStructure:
     encodings and verified against bounded membership checks during
     construction, as is the modulus promise of every domain generator:
     a library generator (from_nat, or an encoder's cutover unit
-    fraction) by its slack floor, any other by check_modulus's scan
-    (see reals.check_certified).
+    fraction) by the slack floor of its exact record, any other by
+    check_modulus's scan (see reals.check_certified).  A membership
+    verdict against the exact values of a library encoding is the
+    precision's fault (PrecisionError), any other mismatch the
+    encoding's (StructureError).
     The precision's k is raised to the gap_digits of every species
     constant, so that a candidate next to a singleton's member is not
     witnessed equal to it; the horizon is kept as given.
@@ -140,16 +144,21 @@ class FiniteStructure:
                 status = quotient_status(enc, n, self.precision)
                 member = enc.stabilized is None or n == enc.stabilized[1]
                 if status is MembershipStatus.UNDETERMINED:
-                    raise PrecisionError(
-                        f"membership of {n} in species {i} is undetermined "
-                        f"at k={self.precision.k}, "
-                        f"horizon={self.precision.horizon}"
-                    )
-                if (status is MembershipStatus.CONFIRMED) != member:
+                    fault = "undetermined"
+                elif (status is MembershipStatus.CONFIRMED) == member:
+                    continue
+                elif exact_equal(n, enc.v, enc.u) is member:
+                    fault = "witnessed against its exact value"
+                else:
                     raise StructureError(
                         f"species {i} encoding disagrees with its extension "
                         f"at candidate {n}"
                     )
+                raise PrecisionError(
+                    f"membership of {n} in species {i} is {fault} "
+                    f"at k={self.precision.k}, "
+                    f"horizon={self.precision.horizon}"
+                )
 
     # -- derived data -------------------------------------------------------
 
@@ -195,27 +204,33 @@ class FiniteStructure:
 
     def relation_holds(self, n: int, scaled: RealGen, other: RealGen) -> bool:
         """Decide n * scaled = other by bounded witness, aborting when
-        neither equality nor apartness is witnessed; two naturals get
-        that verdict from nat_relation, which never raises."""
-        exact = nat_relation(n, scaled, other)
-        if exact is not None:
-            return exact
+        neither equality nor apartness is witnessed, or when the witness
+        contradicts the exact values of two library atoms.  Where those
+        values prove the witness, exact_relation gives it without a
+        search and never raises."""
+        verdict = exact_relation(n, scaled, other, self.precision)
+        if verdict is not None:
+            return verdict
         left = self.memo(nat_scalar, n, scaled)
         if self.eq_witness(left, other):
-            return True
-        if self.lt_witness(left, other) or self.lt_witness(other, left):
-            return False
-        raise PrecisionError(
-            f"relation {n} * {scaled.name or '?'} = {other.name or '?'} "
-            f"undetermined at k={self.precision.k}, "
-            f"horizon={self.precision.horizon}"
-        )
+            verdict = True
+        elif self.lt_witness(left, other) or self.lt_witness(other, left):
+            verdict = False
+        if verdict is None or exact_equal(n, scaled, other) is (not verdict):
+            fault = ("undetermined" if verdict is None
+                     else "witnessed against its exact value")
+            raise PrecisionError(
+                f"relation {n} * {scaled.name or '?'} = {other.name or '?'} "
+                f"{fault} at k={self.precision.k}, "
+                f"horizon={self.precision.horizon}"
+            )
+        return verdict
 
     @property
     def species_family(self) -> tuple[frozenset[int], ...]:
         """Species definable from ordered pairs of domain generators,
         as extensions over 0..family_bound, deduplicated in first-seen
-        order.  A pair of naturals costs no search (relation_holds)."""
+        order, each candidate decided by relation_holds."""
         if self._family is None:
             sets: list[frozenset[int]] = []
             seen: set[frozenset[int]] = set()

@@ -21,20 +21,20 @@ The searches read stage lists (RealGen.stages), which library
 generators build once, bottom up, and user-supplied ones fill stage by
 stage through the checked RealGen.at.  eq_at and lt_at first test
 stage horizon, which every witness window holds; check_modulus scans
-each distinct promised stage once.  nat_relation decides n * a = b for
-two from_nat generators from their recorded values, without a search.
+each distinct promised stage once.
 
-A library constructor whose promise holds by construction also records
-a slack floor: a proven lower bound, for every stage x, on the least
-x + p - bits(|2^p * xi(x) - xi(x + p)|) over nonzero differences.  The
-promise holds for k at stage x once the floor there reaches k.
-from_nat's differences are all 0, so its floor is infinite; floor(2^x/q)
-differs from 2^-p * floor(2^(x+p)/q) by less than 1, so the unit
-fraction's floor is x (from its cutover on, for the encoder's cutover
-unit fraction).  add, mul, nat_scalar and user-supplied generators have
-none.  check_certified reads the floor where a generator has one and
-scans where it has none; check_modulus always scans and stays the
-reference.
+A library atom (from_nat, from_unit_fraction, cutover_unit_fraction)
+records its exact value (p, q, start): stage x is floor(p * 2^x / q)
+from stage start on and 0 before it, less than 1 below its exact value
+p * 2^x / q.  exact_relation reads two records to give a search's
+verdict where that error proves it.  The record also gives a slack
+floor: a proven lower bound, for every stage x, on the least
+x + j - bits(|2^j * xi(x) - xi(x + j)|) over nonzero differences; the
+promise holds for k at stage x once the floor there reaches k.  Past
+start, 2^j * xi(x) and xi(x + j) differ by less than 2^j, so the floor
+is x (infinite if q = 1, where they are equal) and -inf before start.
+check_certified reads it, and scans a generator without a record;
+check_modulus always scans and stays the reference.
 """
 
 from __future__ import annotations
@@ -81,20 +81,16 @@ class RealGen:
     unchecked.  Without vector (a user-supplied generator, or a library
     one over it), stages(n) asks at() stage by stage.
 
-    slack_floor, which only from_nat, from_unit_fraction and the
-    encoder's cutover unit fraction pass, maps a stage to a proven lower
-    bound on its slack (see the module docstring); check_certified
-    reads it instead of scanning.  _nat, which only from_nat sets, is
-    the natural the generator denotes, or None; nat_relation reads it.
+    _exact is a library atom's record (p, q, start), set after
+    construction, or None (see the module docstring).
     """
 
     __slots__ = ("_approx", "_hint", "name", "_memo", "_hint_memo",
-                 "_vector", "_stages", "_slack_floor", "_nat")
+                 "_vector", "_stages", "_exact")
 
     def __init__(self, approx: Callable[[int], int],
                  hint: Callable[[int], int], name: str = "", *,
-                 vector: Optional[Callable[[int], list[int]]] = None,
-                 slack_floor: Optional[Callable[[int], float]] = None) -> None:
+                 vector: Optional[Callable[[int], list[int]]] = None) -> None:
         self._approx = approx
         self._hint = hint
         self.name = name
@@ -102,8 +98,7 @@ class RealGen:
         self._hint_memo: dict[int, int] = {}
         self._vector = vector
         self._stages: list[int] = []
-        self._slack_floor = slack_floor
-        self._nat: Optional[int] = None
+        self._exact: Optional[tuple[int, int, int]] = None
 
     def at(self, x: int) -> int:
         if not isinstance(x, int) or x < 0:
@@ -157,9 +152,8 @@ def from_nat(n: int) -> RealGen:
     if n < 0:
         raise ValueError("from_nat takes a natural number")
     g = RealGen(lambda x: n << x, lambda k: 0, name=str(n),
-                vector=lambda top: [n << x for x in range(top + 1)],
-                slack_floor=lambda x: math.inf)
-    g._nat = n
+                vector=lambda top: [n << x for x in range(top + 1)])
+    g._exact = (n, 1, 0)
     return g
 
 
@@ -167,9 +161,20 @@ def from_unit_fraction(q: int) -> RealGen:
     """The rational 1/q for q >= 1: stage value floor(2^x / q)."""
     if q < 1:
         raise ValueError("from_unit_fraction takes a positive denominator")
-    return RealGen(lambda x: (1 << x) // q, lambda k: k + 2, name=f"1/{q}",
-                   vector=lambda top: [(1 << x) // q for x in range(top + 1)],
-                   slack_floor=lambda x: x)
+    return cutover_unit_fraction(q, 0, f"1/{q}")
+
+
+def cutover_unit_fraction(q: int, start: int, name: str) -> RealGen:
+    """1/q that reports 0 before stage start (an encoding's generators
+    carry no information before their run fires).  From start on it is
+    the unit fraction's approximant, whose hint k + 2 works once it is
+    also pushed past start."""
+    g = RealGen(lambda x: 0 if x < start else (1 << x) // q,
+                lambda k: max(k + 2, start), name=name,
+                vector=lambda top: [0] * start + [(1 << x) // q for x
+                                                  in range(start, top + 1)])
+    g._exact = (1, q, start)
+    return g
 
 
 def add(a: RealGen, b: RealGen) -> RealGen:
@@ -280,15 +285,39 @@ def lt_at(a: RealGen, b: RealGen, prec: Precision) -> bool:
                     and i - (sb[i] - sa[i]).bit_length() < k, prec.horizon)
 
 
-def nat_relation(n: int, scaled: RealGen, other: RealGen) -> Optional[bool]:
-    """n * scaled = other for two from_nat generators, else None: the
-    searches' verdict at every precision, which never raises.  The stage
-    values (n * a) << x and b << x are exact, so eq_at witnesses
-    n * a == b, and otherwise every stage separates, one way, at level
-    -bits(|n * a - b|) < k, so lt_at is witnessed."""
-    if scaled._nat is None or other._nat is None:
+def exact_relation(n: int, scaled: RealGen, other: RealGen,
+                   prec: Precision) -> Optional[bool]:
+    """The searches' verdict on n * scaled = other where two records
+    prove it and it agrees with the exact values, else None: True for
+    eq_at witnessed, False for lt_at witnessed one way.  Never raises.
+
+    Past both starts, D(x) = other(x) - n * scaled(x) lies at most eps_b
+    below and n * eps_a above 2^x * N / Q, the exact difference, where
+    eps is 0 if q = 1, else 1.  Each stage passes one search: eq_at if
+    |D| * 2^k < 2^x, else lt_at the way D's sign says.  A bound that
+    puts stage h in one puts every later stage there too, so stages
+    h .. 2h witness it and stage h refutes the other two.
+    """
+    a, b, h = scaled._exact, other._exact, prec.horizon
+    if a is None or b is None or h < a[2] or h < b[2]:
         return None
-    return n * scaled._nat == other._nat
+    pa, qa, _ = a
+    pb, qb, _ = b
+    num = pb * qa - n * pa * qb
+    if qa == qb == 1:  # exact stages: the bounds below reduce to this
+        return num == 0
+    eps_a, eps_b = qa != 1, qb != 1
+    if num == 0:
+        return True if max(eps_b, n * eps_a) << prec.k < 1 << h else None
+    err, den = (eps_b if num > 0 else n * eps_a), qa * qb
+    return False if ((abs(num) << h) - err * den) << prec.k >= den << h \
+        else None
+
+
+def exact_equal(n: int, scaled: RealGen, other: RealGen) -> Optional[bool]:
+    """n * scaled = other exactly, from two records, else None."""
+    a, b = scaled._exact, other._exact
+    return None if a is None or b is None else n * a[0] * b[1] == b[0] * a[1]
 
 
 def apart_at(a: RealGen, b: RealGen, prec: Precision) -> bool:
@@ -314,20 +343,24 @@ def check_modulus(g: RealGen, prec: Precision) -> bool:
 
 
 def check_certified(g: RealGen, prec: Precision) -> bool:
-    """check_modulus, with g's slack floor read in place of the scan.
+    """check_modulus, with the slack floor of g's record read in place
+    of the scan.
 
-    A generator without a floor is scanned as check_modulus scans it.
+    A generator without a record is scanned as check_modulus scans it.
     The hints are asked for and checked against the horizon alike, so
     InsufficientHorizon is raised at the same k with the same message.
-    A floor below k at the stage hint(k) fails the check, so a
-    constructor that records a floor must make it reach k there:
-    from_nat's is infinite, and the unit fractions' is x >= k + 2 at
-    their hints.
+    A floor below k at the stage hint(k) fails the check; the library
+    atoms' floors reach k there (infinite, or x >= k + 2 from start on).
     """
-    floor = g._slack_floor
-    if floor is None:
+    if g._exact is None:
         return check_modulus(g, prec)
-    return _check(g, prec, lambda x, k: floor(x))
+    return _check(g, prec, lambda x, k: slack_floor(g, x))
+
+
+def slack_floor(g: RealGen, x: int) -> float:
+    """The slack floor of stage x that g's record proves."""
+    _, q, start = g._exact
+    return -math.inf if x < start else math.inf if q == 1 else x
 
 
 def _check(g: RealGen, prec: Precision,

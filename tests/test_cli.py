@@ -370,6 +370,27 @@ class TestEval:
             assert (proc.returncode, proc.stderr) == (0, "")
             assert body_of(proc.stdout) == "false"
 
+    @pytest.mark.parametrize("horizon, code, stderr", [
+        # 9 * floor(2^x / 9) falls short of 2^x by up to 8, which lt_at
+        # takes for a witness that 9 is no member, against its exact value
+        (8, 1, "ringterp: error: membership of 9 in species 0 is witnessed "
+               "against its exact value at k=6, horizon=8\n"),
+        (9, 1, "ringterp: error: membership of 9 in species 0 is "
+               "undetermined at k=6, horizon=9\n"),
+        (10, 0, ""),
+    ])
+    def test_a_misjudged_member_is_a_precision_error(self, tmp_path, capsys,
+                                                     horizon, code, stderr):
+        structure = tmp_path / "short.txt"
+        structure.write_text("nats: 0 9\n"
+                             "species: 0 singleton 9 moment 1\n"
+                             f"precision: k=1 horizon={horizon}\n")
+        assert main(["eval", "--structure", str(structure), "--formula",
+                     self.write_formula(tmp_path, "(bot)")]) == code
+        out, err = capsys.readouterr()
+        assert err == stderr
+        assert body_of(out) == ("false" if code == 0 else "")
+
     def test_term_bound_is_a_one_line_domain_error(self, structure_file,
                                                    tmp_path):
         deep = "(= " + "(pair 1 " * 26 + "0" + ")" * 26 + " 0)"

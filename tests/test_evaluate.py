@@ -3,6 +3,7 @@
 import random
 import re
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -11,7 +12,10 @@ from hypothesis import strategies as hs
 from ringterp.corpus import (
     SPECIES_SINGLETONS, collapse_structure, corpus_formulas,
 )
-from ringterp.encoder import SpeciesEncoding, encode_silent, encode_stabilized
+from ringterp.encoder import (
+    MembershipStatus, SpeciesEncoding, encode_silent, encode_stabilized,
+    quotient_status,
+)
 from ringterp.evaluate import (
     EvalError, FiniteStructure, PrecisionError, StructureError, eval_formula,
     format_structure, parse_structure,
@@ -134,10 +138,16 @@ class TestSourceQuantifiers:
             ev("(exists (X0 Species) (in (+ 2 2) X0))", st)
 
 
+def exact_value(g: RealGen) -> Fraction:
+    """The rational a library atom denotes, from its record."""
+    return Fraction(*g._exact[:2])
+
+
 def scanning_family(s: FiniteStructure) -> tuple[frozenset[int], ...]:
     """Reference implementation: the species family with every pair
-    decided by nat_scalar, eq_at and lt_at, as before pairs of naturals
-    were decided in closed form."""
+    decided by nat_scalar, eq_at and lt_at, as before any pair was
+    decided from exact values.  A witness that contradicts the exact
+    values raises, as an undecided pair does."""
     prec, sets = s.precision, []
     for ga in s.real_domain:
         for gb in s.real_domain:
@@ -145,14 +155,25 @@ def scanning_family(s: FiniteStructure) -> tuple[frozenset[int], ...]:
             members = set()
             for n in range(s.family_bound + 1):
                 left = reals.nat_scalar(n, scaled)
+                fault = "undetermined"
                 if reals.eq_at(left, other, prec):
-                    members.add(n)
-                elif not (reals.lt_at(left, other, prec)
-                          or reals.lt_at(other, left, prec)):
-                    raise PrecisionError(
-                        f"relation {n} * {scaled.name or '?'} = "
-                        f"{other.name or '?'} undetermined at k={prec.k}, "
-                        f"horizon={prec.horizon}")
+                    verdict = True
+                elif (reals.lt_at(left, other, prec)
+                      or reals.lt_at(other, left, prec)):
+                    verdict = False
+                else:
+                    verdict = None
+                if verdict is not None:
+                    exact = n * exact_value(scaled) == exact_value(other)
+                    if exact is verdict:
+                        if verdict:
+                            members.add(n)
+                        continue
+                    fault = "witnessed against its exact value"
+                raise PrecisionError(
+                    f"relation {n} * {scaled.name or '?'} = "
+                    f"{other.name or '?'} {fault} at k={prec.k}, "
+                    f"horizon={prec.horizon}")
             if frozenset(members) not in sets:
                 sets.append(frozenset(members))
     return tuple(sets)
@@ -167,8 +188,8 @@ species_maps = hs.dictionaries(
 
 
 class TestFamilyOfNaturals:
-    """Pairs of naturals are decided in closed form, with the verdicts,
-    family order and errors of the scanning path."""
+    """Pairs decided from exact values get the verdicts, family order and
+    errors of the scanning path."""
 
     @given(domain=hs.sets(hs.integers(0, 12), min_size=1, max_size=5),
            species=species_maps, orientation=hs.sampled_from(Orientation),
@@ -210,10 +231,77 @@ class TestFamilyOfNaturals:
         # silent species, whose pair is from_nat(0), from_nat(0)
         FiniteStructure(range(13)).species_family
         FiniteStructure((0, 1, 2), {0: encode_silent(), 1: encode_silent()})
+        # a singleton's pairs, at a horizon past its moment
+        s = FiniteStructure((0, 1), {1: encode_stabilized(2, 1)})
+        s.species_family
         assert calls == []
-        # a singleton's pairs are still searched
-        FiniteStructure((0, 1), {1: encode_stabilized(2, 1)}).species_family
+        # with a moment past the horizon, every stage searched reads 0
+        late = encode_stabilized(s.precision.horizon + 1, 1)
+        assert s.relation_holds(1, late.v, late.u)
         assert calls
+        # and equality is witnessed for 2 * v = u, against the exact values
+        with pytest.raises(PrecisionError, match="against its exact value"):
+            s.relation_holds(2, late.v, late.u)
+
+
+def exact_family(s: FiniteStructure) -> tuple[frozenset[int], ...]:
+    """The species family the exact values of the generators define."""
+    sets: list[frozenset[int]] = []
+    for ga in s.real_domain:
+        for gb in s.real_domain:
+            scaled, other = map(exact_value, s.orientation.orient(ga, gb))
+            members = frozenset(n for n in range(s.family_bound + 1)
+                                if n * scaled == other)
+            if members not in sets:
+                sets.append(members)
+    return tuple(sets)
+
+
+species_lines = hs.lists(
+    hs.one_of(hs.just("full"),
+              hs.builds("singleton {} moment {}".format, hs.integers(1, 12),
+                        hs.integers(1, 6))),
+    max_size=2)
+
+
+class TestVerdictsAgreeWithExactValues:
+    """Over small singleton and silent structures at low precisions, a
+    verdict of the family or of _verify is the exact one, or the
+    structure raises PrecisionError; a truthful encoding is never
+    reported as a StructureError."""
+
+    @given(domain=hs.sets(hs.integers(0, 12), min_size=1, max_size=4),
+           species=species_lines, orientation=hs.sampled_from(Orientation),
+           k=hs.integers(1, 12), horizon=hs.integers(2, 24))
+    def test_verdicts_are_exact_or_raise(self, domain, species, orientation,
+                                         k, horizon):
+        text = "".join([
+            "nats: " + " ".join(map(str, sorted(domain))) + "\n",
+            *(f"species: {i} {line}\n" for i, line in enumerate(species)),
+            f"orientation: {orientation.value}\n",
+            f"precision: k={k} horizon={horizon}\n"])
+        try:
+            s = parse_structure(text)
+        except PrecisionError:
+            return
+        for enc in s.species.values():
+            for n in range(s.family_bound + 1):
+                member = enc.stabilized is None or n == enc.stabilized[1]
+                assert (quotient_status(enc, n, s.precision)
+                        is MembershipStatus.CONFIRMED) is member
+        try:
+            family = s.species_family
+        except PrecisionError:
+            return
+        assert family == exact_family(s)
+
+    def test_the_misjudged_member_of_a_short_horizon(self):
+        text = ("nats: 0 9\nspecies: 0 singleton 9 moment 1\n"
+                "precision: k=1 horizon={}\n")
+        with pytest.raises(PrecisionError, match="against its exact value"):
+            parse_structure(text.format(8))
+        s = parse_structure(text.format(10))
+        assert s.species_family == exact_family(s)
 
 
 class TestTargetEvaluation:

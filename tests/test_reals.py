@@ -6,14 +6,15 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringterp.encoder import encode_stabilized
 from ringterp.reals import (
     InsufficientHorizon, Precision, RealGen, _has_run, _slack, add, apart_at,
-    check_certified, check_modulus, eq_at, from_nat, from_unit_fraction,
-    lt_at, mul, nat_relation, nat_scalar,
+    check_certified, check_modulus, cutover_unit_fraction, eq_at, exact_equal,
+    exact_relation, from_nat, from_unit_fraction, lt_at, mul, nat_scalar,
+    slack_floor,
 )
 from ringterp.selftest import generator_corpus
 
@@ -422,9 +423,10 @@ class TestAgainstReferences:
 
 
 def certified_generators() -> list[RealGen]:
-    """Every generator with a slack floor: the corpus's, unit fractions,
-    and the encoder's cutover unit fractions over small runs."""
-    gens = [g for g in generator_corpus() if g._slack_floor is not None]
+    """Every generator with an exact record, so a slack floor: the
+    corpus's, unit fractions, and the encoder's cutover unit fractions
+    over small runs."""
+    gens = [g for g in generator_corpus() if g._exact is not None]
     gens += [from_unit_fraction(q) for q in (1, 2, 3, 6, 7, 12, 255, 1000)]
     for moment in range(1, 7):
         for value in range(1, 7):
@@ -442,7 +444,7 @@ class TestCertificate:
         assert "0" in names and "7" in names
         assert "1/3" in names and "u[m=6]" in names
         assert "v[m=6,k=6]" in names
-        lifted = [g for g in generator_corpus() if g._slack_floor is None]
+        lifted = [g for g in generator_corpus() if g._exact is None]
         assert len(lifted) == len(generator_corpus()) - 11
 
     def test_floor_is_at_most_the_slack_at_every_stage(self):
@@ -452,12 +454,12 @@ class TestCertificate:
                 for x in range(horizon + 1):
                     # k = -inf: the scan is never cut short
                     exact = _slack(g, x, horizon, -math.inf)
-                    assert g._slack_floor(x) <= exact, (g, x, horizon)
+                    assert slack_floor(g, x) <= exact, (g, x, horizon)
 
     def test_floor_reaches_k_at_every_promised_stage(self):
         for g in certified_generators():
             for k in range(41):
-                assert g._slack_floor(g.hint(k)) >= k
+                assert slack_floor(g, g.hint(k)) >= k
 
     def test_verdicts_match_the_scan(self):
         gens = certified_generators() + generator_corpus()
@@ -614,7 +616,8 @@ naturals = st.integers(min_value=0, max_value=64)
 
 
 class TestNatRelation:
-    """nat_relation gives the scanning path's verdict for two naturals."""
+    """exact_relation gives the scanning path's verdict for two naturals,
+    whose records (a, 1, 0) prove it at every precision."""
 
     @given(n=naturals, a=naturals, b=naturals,
            k=st.integers(min_value=1, max_value=12),
@@ -626,14 +629,74 @@ class TestNatRelation:
         below, above = lt_at(scaled, other, prec), lt_at(other, scaled, prec)
         # never undetermined: exactly one of the three is witnessed
         assert [equal, below, above].count(True) == 1
-        assert nat_relation(n, from_nat(a), other) is equal is (n * a == b)
+        assert exact_relation(n, from_nat(a), other, prec) is equal is (
+            n * a == b)
 
-    def test_only_from_nat_records_a_value(self):
-        assert from_nat(7)._nat == 7 and from_nat(0)._nat == 0
-        for g in [from_unit_fraction(1), nat_scalar(2, from_nat(3)),
-                  add(from_nat(1), from_nat(2)), mul(from_nat(2), from_nat(3)),
-                  RealGen(lambda x: 3 << x, lambda k: 0, "three"),
-                  encode_stabilized(2, 3).u]:
-            assert g._nat is None
-            assert nat_relation(1, g, from_nat(3)) is None
-            assert nat_relation(1, from_nat(3), g) is None
+    def test_only_library_atoms_keep_a_record(self):
+        assert from_nat(7)._exact == (7, 1, 0)
+        assert from_unit_fraction(3)._exact == (1, 3, 0)
+        assert encode_stabilized(2, 3).v._exact == (1, 6, 2)
+        prec = Precision(24, 96)
+        for g in [nat_scalar(2, from_nat(3)), add(from_nat(1), from_nat(2)),
+                  mul(from_nat(2), from_nat(3)),
+                  RealGen(lambda x: 3 << x, lambda k: 0, "three")]:
+            assert g._exact is None
+            assert exact_relation(1, g, from_nat(3), prec) is None
+            assert exact_relation(1, from_nat(3), g, prec) is None
+            assert exact_equal(1, g, from_nat(3)) is None
+
+
+def atom(kind: int, value: int, start: int) -> RealGen:
+    """A library atom: from_nat(value), from_unit_fraction(value + 1), or
+    cutover_unit_fraction 1/(value + 1) from stage start."""
+    if kind == 0:
+        return from_nat(value)
+    if kind == 1:
+        return from_unit_fraction(value + 1)
+    return cutover_unit_fraction(value + 1, start, "cut")
+
+
+atoms = st.builds(atom, st.integers(0, 2), st.integers(0, 58),
+                  st.integers(0, 11))
+
+
+class TestExactRelation:
+    """A verdict exact_relation gives is the one the searches find and
+    the exact one; it gives none before both cutovers, and it leaves
+    pairs to the scan."""
+
+    @settings(max_examples=600)
+    @given(n=st.integers(0, 60), scaled=atoms, other=atoms,
+           k=st.integers(1, 19), horizon=st.integers(1, 39))
+    def test_certified_verdicts_match_the_scan(self, n, scaled, other, k,
+                                               horizon):
+        prec = Precision(k, horizon)
+        left = nat_scalar(n, scaled)
+        verdict = exact_relation(n, scaled, other, prec)
+        if horizon < max(scaled._exact[2], other._exact[2]):
+            assert verdict is None
+        if verdict is None:
+            return
+        equal = eq_at(left, other, prec)
+        apart = lt_at(left, other, prec) or lt_at(other, left, prec)
+        assert (equal, apart) == (verdict, not verdict)
+        assert verdict is exact_equal(n, scaled, other)
+
+    def test_both_regions_are_reached(self):
+        """The grid of the property: most triples are certified, but
+        short horizons and wide errors leave some to the scan."""
+        prec = Precision(6, 8)
+        certified = [exact_relation(n, atom(2, 8, 1), atom(2, 0, 1), prec)
+                     for n in range(13)]
+        # 9 * (1/9) = 1, but 9 * floor(2^x / 9) may fall 8 short of 2^x
+        assert certified[9] is None
+        assert certified[0] is certified[12] is False
+        assert exact_relation(9, atom(2, 8, 1), atom(2, 0, 1),
+                              Precision(6, 12)) is True
+        assert exact_relation(1, atom(2, 8, 9), atom(2, 8, 9), prec) is None
+
+    def test_exact_equality(self):
+        ninth, third = from_unit_fraction(9), from_unit_fraction(3)
+        assert exact_equal(3, ninth, third) is True
+        assert exact_equal(2, ninth, third) is False
+        assert exact_equal(0, third, from_nat(0)) is True

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .kripke import RunResult
-from .reals import Precision, RealGen, cutover_unit_fraction, eq_at, \
-    exact_relation, from_nat, lt_at, nat_scalar
+from .reals import Precision, RealGen, cutover_unit_fraction, \
+    exact_relation, from_nat, nat_scalar, order_at
 
 
 class MembershipStatus(enum.Enum):
@@ -92,22 +92,21 @@ def quotient_status(enc: SpeciesEncoding, n: int,
     prefix itself pass as an equality witness for any candidate.  Longer
     windows necessarily reach informative stages, so this cannot happen
     once the horizon clears the cutover.  Past it, a candidate whose
-    verdict the generators' exact values prove, such as every candidate
-    of a silent encoding, gets it from exact_relation without a search.
+    verdict the generators' records prove, such as every candidate of a
+    silent encoding, gets it from exact_relation without a search; the
+    rest are scanned by reals.order_at.
     """
     if n < 0:
         raise ValueError("candidates are nonnegative")
     if enc.stabilized is not None and prec.horizon < enc.stabilized[0]:
         return MembershipStatus.UNDETERMINED
-    exact = exact_relation(n, enc.v, enc.u, prec)
-    if exact is not None:
-        return MembershipStatus.CONFIRMED if exact else MembershipStatus.EXCLUDED
-    scaled = nat_scalar(n, enc.v)
-    if eq_at(scaled, enc.u, prec):
-        return MembershipStatus.CONFIRMED
-    if lt_at(scaled, enc.u, prec) or lt_at(enc.u, scaled, prec):
-        return MembershipStatus.EXCLUDED
-    return MembershipStatus.UNDETERMINED
+    verdict = exact_relation(n, enc.v, enc.u, prec)
+    if verdict is None:
+        order = order_at(nat_scalar(n, enc.v), enc.u, prec)
+        if order is None:
+            return MembershipStatus.UNDETERMINED
+        verdict = order == 0
+    return MembershipStatus.CONFIRMED if verdict else MembershipStatus.EXCLUDED
 
 
 def adaptive_precision(enc: SpeciesEncoding, k: int = 16) -> Precision:

@@ -9,11 +9,13 @@ translated formula evaluates exactly like its source) and absorption
 property (with the sentinel forced true, every translated formula
 evaluates true).
 
-Comparisons of reals are bounded witness searches, so the evaluator
-refuses to guess: an equality atom whose sides are neither witnessed
-equal nor witnessed apart raises PrecisionError instead of defaulting.
-A strict-order atom without a witness evaluates false, which is the
-documented reading of lt_at.
+Comparisons of reals are bounded witness searches, read from the
+generators' exact records wherever those prove the verdict
+(reals.order_at), so the evaluator refuses to guess: an equality atom
+whose sides are neither witnessed equal nor witnessed apart raises
+PrecisionError instead of defaulting, and so does any atom whose
+scanned witness contradicts the exact values.  A strict-order atom
+without a witness evaluates false, the documented reading of lt_at.
 
 Species quantifiers of the source language range over the family of
 species definable from the structure's generator pairs: for each ordered
@@ -37,8 +39,8 @@ from .encoder import MembershipStatus, SpeciesEncoding, encode_silent, \
     encode_stabilized, gap_digits, quotient_status
 from .pairing import bounded_op, parse_natural
 from .reals import InsufficientHorizon, Precision, RealGen, add, \
-    check_certified, eq_at, exact_equal, exact_relation, from_nat, lt_at, \
-    mul, nat_scalar
+    check_certified, exact_equal, exact_relation, exact_sign, from_nat, mul, \
+    nat_scalar, order_at
 from .syntax import (
     Add, And, Apart, Bottom, DefinedQuant, Eq, Exists, Forall, Formula,
     Implies, In, Language, Lt, Mul, NatConst, Or, Pair, QuantKind, RealConst,
@@ -59,6 +61,18 @@ class PrecisionError(Exception):
 
 class StructureError(ValueError):
     """A structure description is malformed or internally inconsistent."""
+
+
+def _witnessed_order(a: RealGen, b: RealGen, prec: Precision) -> Optional[int]:
+    """order_at, raising PrecisionError on a scanned verdict against the
+    exact values of two library generators."""
+    verdict = order_at(a, b, prec)
+    if verdict is not None and exact_sign(a, b) not in (None, verdict):
+        raise PrecisionError(
+            f"comparison of {a.name or '?'} and {b.name or '?'} witnessed "
+            f"against its exact value at k={prec.k}, horizon={prec.horizon}"
+        )
+    return verdict
 
 
 class FiniteStructure:
@@ -189,33 +203,26 @@ class FiniteStructure:
         (the precision) is fixed per structure.
         """
         key = (op, a, b)
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._memo[key] = op(a, b, *extra)
-        return hit
+        if key not in self._memo:
+            self._memo[key] = op(a, b, *extra)
+        return self._memo[key]
 
-    def eq_witness(self, a: RealGen, b: RealGen) -> bool:
-        """eq_at at the structure's precision, memoized per generator pair."""
-        return self.memo(eq_at, a, b, self.precision)
-
-    def lt_witness(self, a: RealGen, b: RealGen) -> bool:
-        """lt_at at the structure's precision, memoized per generator pair."""
-        return self.memo(lt_at, a, b, self.precision)
+    def order(self, a: RealGen, b: RealGen) -> Optional[int]:
+        """_witnessed_order at the structure's precision, memoized."""
+        return self.memo(_witnessed_order, a, b, self.precision)
 
     def relation_holds(self, n: int, scaled: RealGen, other: RealGen) -> bool:
         """Decide n * scaled = other by bounded witness, aborting when
         neither equality nor apartness is witnessed, or when the witness
-        contradicts the exact values of two library atoms.  Where those
-        values prove the witness, exact_relation gives it without a
-        search and never raises."""
+        contradicts the exact values of two library generators.  Where
+        their records prove the witness, exact_relation gives it without
+        a generator for n * scaled or a search, and never raises."""
         verdict = exact_relation(n, scaled, other, self.precision)
         if verdict is not None:
             return verdict
         left = self.memo(nat_scalar, n, scaled)
-        if self.eq_witness(left, other):
-            verdict = True
-        elif self.lt_witness(left, other) or self.lt_witness(other, left):
-            verdict = False
+        order = self.memo(order_at, left, other, self.precision)
+        verdict = None if order is None else order == 0
         if verdict is None or exact_equal(n, scaled, other) is (not verdict):
             fault = ("undetermined" if verdict is None
                      else "witnessed against its exact value")
@@ -544,21 +551,17 @@ class _Compiler:
 
     def comparison(self, cls: type, left: Thunk, right: Thunk) -> Thunk:
         s = self.s
-        eq_witness, lt_witness = s.eq_witness, s.lt_witness
+        order = s.order
         if cls is Lt:
-            return lambda: lt_witness(left(), right())
+            return lambda: order(left(), right()) == -1
         if cls is Apart:
-            def apart() -> bool:
-                a, b = left(), right()
-                return lt_witness(a, b) or lt_witness(b, a)
-            return apart
+            return lambda: order(left(), right()) in (-1, 1)
 
         def equal() -> bool:
             a, b = left(), right()
-            if eq_witness(a, b):
-                return True
-            if lt_witness(a, b) or lt_witness(b, a):
-                return False
+            verdict = order(a, b)
+            if verdict is not None:
+                return verdict == 0
             raise PrecisionError(
                 f"equality of {a.name or '?'} and {b.name or '?'} "
                 f"undetermined at k={s.precision.k}, "

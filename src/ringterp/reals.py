@@ -23,18 +23,19 @@ stage through the checked RealGen.at.  eq_at and lt_at first test
 stage horizon, which every witness window holds; check_modulus scans
 each distinct promised stage once.
 
-A library atom (from_nat, from_unit_fraction, cutover_unit_fraction)
-records its exact value (p, q, start): stage x is floor(p * 2^x / q)
-from stage start on and 0 before it, less than 1 below its exact value
-p * 2^x / q.  exact_relation reads two records to give a search's
-verdict where that error proves it.  The record also gives a slack
-floor: a proven lower bound, for every stage x, on the least
-x + j - bits(|2^j * xi(x) - xi(x + j)|) over nonzero differences; the
-promise holds for k at stage x once the floor there reaches k.  Past
-start, 2^j * xi(x) and xi(x + j) differ by less than 2^j, so the floor
-is x (infinite if q = 1, where they are equal) and -inf before start.
-check_certified reads it, and scans a generator without a record;
-check_modulus always scans and stays the reference.
+Every library generator keeps one exact record (num, den, err, start):
+for every stage x >= start, num * 2^x - err <= den * xi(x) <= num * 2^x.
+from_nat(n) records (n, 1, 0, 0) and a cutover unit fraction
+(1, q, q - 1, start); add, mul and nat_scalar carry their operands'
+records, and a generator over a user-supplied one has none.
+exact_order reads two records to give the searches' verdict where the
+errors prove it.  A record also proves a slack floor: past start, the
+least x + j - bits(|2^j * xi(x) - xi(x + j)|) over nonzero differences
+is at least x - bits(err // den), as the two differ by at most
+err * 2^j / den.  That is x where err < den, as for every library atom,
+and infinite where err = 0.  check_certified relies on it there and
+scans any other generator; check_modulus always scans and stays the
+reference.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+
+Record = tuple[int, int, int, int]
 
 
 class InsufficientHorizon(Exception):
@@ -81,8 +85,8 @@ class RealGen:
     unchecked.  Without vector (a user-supplied generator, or a library
     one over it), stages(n) asks at() stage by stage.
 
-    _exact is a library atom's record (p, q, start), set after
-    construction, or None (see the module docstring).
+    _exact is a library generator's record (num, den, err, start), set
+    after construction, or None (see the module docstring).
     """
 
     __slots__ = ("_approx", "_hint", "name", "_memo", "_hint_memo",
@@ -98,7 +102,7 @@ class RealGen:
         self._hint_memo: dict[int, int] = {}
         self._vector = vector
         self._stages: list[int] = []
-        self._exact: Optional[tuple[int, int, int]] = None
+        self._exact: Optional[Record] = None
 
     def at(self, x: int) -> int:
         if not isinstance(x, int) or x < 0:
@@ -153,7 +157,7 @@ def from_nat(n: int) -> RealGen:
         raise ValueError("from_nat takes a natural number")
     g = RealGen(lambda x: n << x, lambda k: 0, name=str(n),
                 vector=lambda top: [n << x for x in range(top + 1)])
-    g._exact = (n, 1, 0)
+    g._exact = (n, 1, 0, 0)
     return g
 
 
@@ -173,19 +177,23 @@ def cutover_unit_fraction(q: int, start: int, name: str) -> RealGen:
                 lambda k: max(k + 2, start), name=name,
                 vector=lambda top: [0] * start + [(1 << x) // q for x
                                                   in range(start, top + 1)])
-    g._exact = (1, q, start)
+    g._exact = (1, q, q - 1, start)
     return g
 
 
 def add(a: RealGen, b: RealGen) -> RealGen:
     """Pointwise sum; each summand is asked for one extra digit."""
-    return RealGen(
+    g = RealGen(
         lambda x: a.at(x) + b.at(x),
         lambda k: max(a.hint(k + 1), b.hint(k + 1)),
         name=f"({a.name}+{b.name})",
         vector=_lifted(lambda top: [u + v for u, v in
                                    zip(a.stages(top), b.stages(top))], a, b),
     )
+    if a._exact and b._exact:
+        (na, da, ea, sa), (nb, db, eb, sb) = a._exact, b._exact
+        g._exact = (na * db + nb * da, da * db, ea * db + eb * da, max(sa, sb))
+    return g
 
 
 def mul(a: RealGen, b: RealGen) -> RealGen:
@@ -197,7 +205,9 @@ def mul(a: RealGen, b: RealGen) -> RealGen:
     of the two bounds dictates how many extra digits of the factors are
     needed, and stages are additionally kept at k + 2 or later so the
     floor error of the product approximant stays below the demanded
-    tolerance.
+    tolerance.  The record loses na * eb + nb * ea over da * db to the
+    factors' errors and up to da * db to the floor of >> x, which is
+    exact where a factor is an exact natural (err 0, den 1).
     """
 
     def hint(k: int) -> int:
@@ -208,7 +218,7 @@ def mul(a: RealGen, b: RealGen) -> RealGen:
         finer = k + 1 + shift
         return max(a.hint(finer), b.hint(finer), ha, hb, k + 2)
 
-    return RealGen(
+    g = RealGen(
         lambda x: (a.at(x) * b.at(x)) >> x,
         hint,
         name=f"({a.name}*{b.name})",
@@ -216,6 +226,11 @@ def mul(a: RealGen, b: RealGen) -> RealGen:
                                    enumerate(zip(a.stages(top), b.stages(top)))],
                       a, b),
     )
+    if a._exact and b._exact:
+        (na, da, ea, sa), (nb, db, eb, sb) = a._exact, b._exact
+        unit = 0 if (ea, da) == (0, 1) or (eb, db) == (0, 1) else da * db
+        g._exact = (na * nb, da * db, na * eb + nb * ea + unit, max(sa, sb))
+    return g
 
 
 def nat_scalar(n: int, g: RealGen) -> RealGen:
@@ -227,12 +242,19 @@ def nat_scalar(n: int, g: RealGen) -> RealGen:
     """
     if n < 0:
         raise ValueError("nat_scalar takes a natural scale")
-    return RealGen(
+    scaled = RealGen(
         lambda x: n * g.at(x),
         lambda k: g.hint(k + n.bit_length()),
         name=f"({n}*{g.name})",
         vector=_lifted(lambda top: [n * u for u in g.stages(top)], g),
     )
+    scaled._exact = _scaled(n, g._exact)
+    return scaled
+
+
+def _scaled(n: int, record: Optional[Record]) -> Optional[Record]:
+    """nat_scalar's record rule: num and err scale by n."""
+    return record and (n * record[0], record[1], n * record[2], record[3])
 
 
 def _has_run(passes: Callable[[int], bool], horizon: int) -> bool:
@@ -285,39 +307,66 @@ def lt_at(a: RealGen, b: RealGen, prec: Precision) -> bool:
                     and i - (sb[i] - sa[i]).bit_length() < k, prec.horizon)
 
 
+def exact_order(a: Optional[Record], b: Optional[Record],
+                prec: Precision) -> Optional[int]:
+    """The searches' verdict on records a and b where they prove it, else
+    None: 0 for eq_at witnessed, -1 for lt_at(a, b), 1 for lt_at(b, a).
+
+    Past both starts, den * (b(x) - a(x)) lies at most eb * da below and
+    ea * db above delta * 2^x, where den = da * db and delta =
+    nb * da - na * db.  Each stage passes one search: eq_at if
+    |b(x) - a(x)| * 2^k < 2^x, else lt_at the way the difference's sign
+    says.  A bound that puts stage h in one puts every later stage there
+    too, so stages h .. 2h witness it and stage h refutes the other two.
+    Equality is given only where delta = 0 and order only the way its
+    sign says, so a verdict never contradicts the exact values.
+    """
+    h = prec.horizon
+    if a is None or b is None or h < a[3] or h < b[3]:
+        return None
+    na, da, ea, _ = a
+    nb, db, eb, _ = b
+    delta, den = nb * da - na * db, da * db
+    if delta == 0:
+        return 0 if max(ea * db, eb * da) << prec.k < den << h else None
+    err = eb * da if delta > 0 else ea * db
+    if ((abs(delta) << h) - err) << prec.k >= den << h:
+        return -1 if delta > 0 else 1
+    return None
+
+
 def exact_relation(n: int, scaled: RealGen, other: RealGen,
                    prec: Precision) -> Optional[bool]:
-    """The searches' verdict on n * scaled = other where two records
-    prove it and it agrees with the exact values, else None: True for
-    eq_at witnessed, False for lt_at witnessed one way.  Never raises.
-
-    Past both starts, D(x) = other(x) - n * scaled(x) lies at most eps_b
-    below and n * eps_a above 2^x * N / Q, the exact difference, where
-    eps is 0 if q = 1, else 1.  Each stage passes one search: eq_at if
-    |D| * 2^k < 2^x, else lt_at the way D's sign says.  A bound that
-    puts stage h in one puts every later stage there too, so stages
-    h .. 2h witness it and stage h refutes the other two.
-    """
-    a, b, h = scaled._exact, other._exact, prec.horizon
-    if a is None or b is None or h < a[2] or h < b[2]:
-        return None
-    pa, qa, _ = a
-    pb, qb, _ = b
-    num = pb * qa - n * pa * qb
-    if qa == qb == 1:  # exact stages: the bounds below reduce to this
-        return num == 0
-    eps_a, eps_b = qa != 1, qb != 1
-    if num == 0:
-        return True if max(eps_b, n * eps_a) << prec.k < 1 << h else None
-    err, den = (eps_b if num > 0 else n * eps_a), qa * qb
-    return False if ((abs(num) << h) - err * den) << prec.k >= den << h \
-        else None
+    """exact_order on n * scaled, by nat_scalar's record rule, against
+    other: True for eq_at witnessed, False for lt_at witnessed one way,
+    None where the records do not prove a verdict."""
+    order = exact_order(_scaled(n, scaled._exact), other._exact, prec)
+    return None if order is None else order == 0
 
 
 def exact_equal(n: int, scaled: RealGen, other: RealGen) -> Optional[bool]:
     """n * scaled = other exactly, from two records, else None."""
     a, b = scaled._exact, other._exact
     return None if a is None or b is None else n * a[0] * b[1] == b[0] * a[1]
+
+
+def exact_sign(a: RealGen, b: RealGen) -> Optional[int]:
+    """The sign of a - b from two records, else None."""
+    if a._exact is None or b._exact is None:
+        return None
+    diff = a._exact[0] * b._exact[1] - b._exact[0] * a._exact[1]
+    return (diff > 0) - (diff < 0)
+
+
+def order_at(a: RealGen, b: RealGen, prec: Precision) -> Optional[int]:
+    """The one search witnessed on a against b (each stage passes one, so
+    at most one is), as exact_order gives it; else eq_at and lt_at each
+    way are scanned, and None means none is witnessed."""
+    verdict = exact_order(a._exact, b._exact, prec)
+    if verdict is None:
+        verdict = (0 if eq_at(a, b, prec) else -1 if lt_at(a, b, prec)
+                   else 1 if lt_at(b, a, prec) else None)
+    return verdict
 
 
 def apart_at(a: RealGen, b: RealGen, prec: Precision) -> bool:
@@ -339,34 +388,6 @@ def check_modulus(g: RealGen, prec: Precision) -> bool:
     differences; each distinct x is scanned once, stopping at the first
     p that breaks the current k, as a check of each (k, p) would.
     """
-    return _check(g, prec, lambda x, k: _slack(g, x, prec.horizon, k))
-
-
-def check_certified(g: RealGen, prec: Precision) -> bool:
-    """check_modulus, with the slack floor of g's record read in place
-    of the scan.
-
-    A generator without a record is scanned as check_modulus scans it.
-    The hints are asked for and checked against the horizon alike, so
-    InsufficientHorizon is raised at the same k with the same message.
-    A floor below k at the stage hint(k) fails the check; the library
-    atoms' floors reach k there (infinite, or x >= k + 2 from start on).
-    """
-    if g._exact is None:
-        return check_modulus(g, prec)
-    return _check(g, prec, lambda x, k: slack_floor(g, x))
-
-
-def slack_floor(g: RealGen, x: int) -> float:
-    """The slack floor of stage x that g's record proves."""
-    _, q, start = g._exact
-    return -math.inf if x < start else math.inf if q == 1 else x
-
-
-def _check(g: RealGen, prec: Precision,
-           slack_at: Callable[[int, int], float]) -> bool:
-    """The k-loop of both checks: slack_at(x, k) is the slack of stage x,
-    or a lower bound on it, asked once per distinct promised stage."""
     slack: dict[int, float] = {}
     for k in range(prec.k + 1):
         x = g.hint(k)
@@ -377,10 +398,27 @@ def _check(g: RealGen, prec: Precision,
             )
         s = slack.get(x)
         if s is None:
-            s = slack[x] = slack_at(x, k)
+            s = slack[x] = _slack(g, x, prec.horizon, k)
         if s < k:
             return False
     return True
+
+
+def check_certified(g: RealGen, prec: Precision) -> bool:
+    """check_modulus, with the slack floor g's record proves in place of
+    the scan.
+
+    Where g's record has err < den, the floor is at least x from start
+    on, and library hints never decrease in k, stay at or past start,
+    and reach k where err > 0: every k passes once hint(prec.k) is
+    within the horizon.  Any other case is scanned as check_modulus
+    scans it, which raises InsufficientHorizon at the same k with the
+    same message; a generator the floor covers passes every k before.
+    """
+    r = g._exact
+    if r is not None and r[2] < r[1] and g.hint(prec.k) <= prec.horizon:
+        return True
+    return check_modulus(g, prec)
 
 
 def _slack(g: RealGen, x: int, horizon: int, k: int) -> float:

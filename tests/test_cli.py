@@ -391,6 +391,24 @@ class TestEval:
         assert err == stderr
         assert body_of(out) == ("false" if code == 0 else "")
 
+    def test_a_misjudged_comparison_is_a_precision_error(self, tmp_path,
+                                                         capsys):
+        # 1/10 and 1/11 agree to 6 digits at every stage 18 .. 36, so
+        # eq_at witnesses an equality their exact values refute
+        structure = tmp_path / "close.txt"
+        structure.write_text("nats: 11\n"
+                             "species: 0 singleton 10 moment 1\n"
+                             "species: 1 singleton 11 moment 1\n"
+                             "precision: k=3 horizon=18\n")
+        assert main(["eval", "--structure", str(structure), "--formula",
+                     self.write_formula(tmp_path, "(= (rconst a0) (rconst a1))"),
+                     "--language", "target"]) == 1
+        out, err = capsys.readouterr()
+        assert err == ("ringterp: error: comparison of v[m=1,k=10] and "
+                       "v[m=1,k=11] witnessed against its exact value at "
+                       "k=6, horizon=18\n")
+        assert body_of(out) == ""
+
     def test_term_bound_is_a_one_line_domain_error(self, structure_file,
                                                    tmp_path):
         deep = "(= " + "(pair 1 " * 26 + "0" + ")" * 26 + " 0)"

@@ -139,7 +139,7 @@ class TestSourceQuantifiers:
 
 
 def exact_value(g: RealGen) -> Fraction:
-    """The rational a library atom denotes, from its record."""
+    """The rational a library generator denotes, from its record."""
     return Fraction(*g._exact[:2])
 
 
@@ -222,13 +222,16 @@ class TestFamilyOfNaturals:
 
     def test_pairs_of_naturals_run_no_search(self, monkeypatch):
         calls = []
-        for target in ("ringterp.evaluate.eq_at", "ringterp.evaluate.lt_at",
-                       "ringterp.encoder.eq_at", "ringterp.encoder.lt_at"):
-            search = getattr(reals, target.rsplit(".", 1)[1])
+        for target in ("ringterp.reals.eq_at", "ringterp.reals.lt_at",
+                       "ringterp.evaluate.nat_scalar",
+                       "ringterp.encoder.nat_scalar"):
+            module, name = target.rsplit(".", 1)
+            search = getattr(reals, name)
             monkeypatch.setattr(target, lambda *args, search=search: (
                 calls.append(args) or search(*args)))
         # the family of a naturals-only structure, and _verify of a
-        # silent species, whose pair is from_nat(0), from_nat(0)
+        # silent species, whose pair is from_nat(0), from_nat(0): no
+        # search, and no generator for n * scaled
         FiniteStructure(range(13)).species_family
         FiniteStructure((0, 1, 2), {0: encode_silent(), 1: encode_silent()})
         # a singleton's pairs, at a horizon past its moment
@@ -242,6 +245,46 @@ class TestFamilyOfNaturals:
         # and equality is witnessed for 2 * v = u, against the exact values
         with pytest.raises(PrecisionError, match="against its exact value"):
             s.relation_holds(2, late.v, late.u)
+
+
+class TestWork:
+    """Time-free guard: over a structure shaped like those of ringterp
+    eval, the records decide every comparison without a search."""
+
+    TEXT = ("nats: 0 2 3 4\nspecies: 1 singleton 3 moment 2\n"
+            "species: 2 singleton 4 moment 1\norientation: {}\n"
+            "precision: k=12 horizon=20\n")
+
+    def test_translated_corpus_formulas_run_no_search(self, monkeypatch):
+        calls = []
+        for name in ("eq_at", "lt_at"):
+            search = getattr(reals, name)
+            monkeypatch.setattr(reals, name, lambda *args, search=search: (
+                calls.append(args) or search(*args)))
+        for orientation in Orientation:
+            config = TranslationConfig(Expansion.MACRO, orientation)
+            for f in corpus_formulas(count=20):
+                text = self.TEXT.format(orientation.value)
+                plain = parse_structure(text)
+                target = translate(f, config=config)
+                assert (eval_formula(f, plain, Language.SOURCE)
+                        == eval_formula(target, plain, Language.TARGET))
+                assert eval_formula(target, parse_structure(
+                    text, sentinel_true=True), Language.TARGET)
+        assert calls == []
+
+    def test_an_undecided_pair_is_searched_once(self, monkeypatch):
+        calls = []
+        for name in ("eq_at", "lt_at"):
+            search = getattr(reals, name)
+            monkeypatch.setattr(reals, name, lambda *args, search=search: (
+                calls.append(args) or search(*args)))
+        # equal to 1 at even stages, 0 at odd ones: no search is witnessed
+        odd = RealGen(lambda x: 0 if x % 2 else 1 << x, lambda k: 0, "odd")
+        s, f = structure(), parse_formula("(< z 1)", Language.TARGET)
+        for _ in range(2):
+            assert not eval_formula(f, s, Language.TARGET, {"z": odd})
+        assert len(calls) == 3
 
 
 def exact_family(s: FiniteStructure) -> tuple[frozenset[int], ...]:
@@ -765,6 +808,28 @@ def _reference_target_term(t: Term, s: FiniteStructure, env) -> RealGen:
     raise EvalError(f"not a target term: {t!r}")
 
 
+def _reference_order(a: RealGen, b: RealGen, prec: Precision):
+    """The one search eq_at, lt_at(a, b) or lt_at(b, a) witnesses, as 0,
+    -1 or 1, or None; always scanned.  A verdict against the exact
+    values of two generators with records raises PrecisionError."""
+    if reals.eq_at(a, b, prec):
+        verdict = 0
+    elif reals.lt_at(a, b, prec):
+        verdict = -1
+    elif reals.lt_at(b, a, prec):
+        verdict = 1
+    else:
+        return None
+    if a._exact is not None and b._exact is not None:
+        diff = exact_value(a) - exact_value(b)
+        if (diff > 0) - (diff < 0) != verdict:
+            raise PrecisionError(
+                f"comparison of {a.name or '?'} and {b.name or '?'} "
+                f"witnessed against its exact value at k={prec.k}, "
+                f"horizon={prec.horizon}")
+    return verdict
+
+
 def _reference_target(f: Formula, s: FiniteStructure, env: dict) -> bool:
     if isinstance(f, Bottom):
         return False
@@ -774,19 +839,18 @@ def _reference_target(f: Formula, s: FiniteStructure, env: dict) -> bool:
             return s.sentinel_true
         a = _reference_target_term(f.left, s, env)
         b = _reference_target_term(f.right, s, env)
+        verdict = _reference_order(a, b, s.precision)
         if isinstance(f, Eq):
-            if s.eq_witness(a, b):
-                return True
-            if s.lt_witness(a, b) or s.lt_witness(b, a):
-                return False
+            if verdict is not None:
+                return verdict == 0
             raise PrecisionError(
                 f"equality of {a.name or '?'} and {b.name or '?'} "
                 f"undetermined at k={s.precision.k}, "
                 f"horizon={s.precision.horizon}"
             )
         if isinstance(f, Lt):
-            return s.lt_witness(a, b)
-        return s.lt_witness(a, b) or s.lt_witness(b, a)
+            return verdict == -1
+        return verdict in (-1, 1)
     if isinstance(f, And):
         return (_reference_target(f.left, s, env)
                 and _reference_target(f.right, s, env))

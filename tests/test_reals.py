@@ -13,8 +13,8 @@ from ringterp.encoder import encode_stabilized
 from ringterp.reals import (
     InsufficientHorizon, Precision, RealGen, _has_run, _slack, add, apart_at,
     check_certified, check_modulus, cutover_unit_fraction, eq_at, exact_equal,
-    exact_relation, from_nat, from_unit_fraction, lt_at, mul, nat_scalar,
-    slack_floor,
+    exact_order, exact_relation, exact_sign, from_nat, from_unit_fraction,
+    lt_at, mul, nat_scalar, order_at,
 )
 from ringterp.selftest import generator_corpus
 
@@ -423,10 +423,10 @@ class TestAgainstReferences:
 
 
 def certified_generators() -> list[RealGen]:
-    """Every generator with an exact record, so a slack floor: the
-    corpus's, unit fractions, and the encoder's cutover unit fractions
-    over small runs."""
-    gens = [g for g in generator_corpus() if g._exact is not None]
+    """Every generator whose record has err < den, the ones
+    check_certified does not scan: the corpus's, unit fractions, and the
+    encoder's cutover unit fractions over small runs."""
+    gens = [g for g in generator_corpus() if g._exact[2] < g._exact[1]]
     gens += [from_unit_fraction(q) for q in (1, 2, 3, 6, 7, 12, 255, 1000)]
     for moment in range(1, 7):
         for value in range(1, 7):
@@ -435,21 +435,30 @@ def certified_generators() -> list[RealGen]:
     return gens
 
 
+def slack_floor(g: RealGen, x: int) -> float:
+    """The slack floor of stage x that g's record proves (see the reals
+    module docstring)."""
+    _, den, err, start = g._exact
+    return (-math.inf if x < start else math.inf if err == 0
+            else x - (err // den).bit_length())
+
+
 class TestCertificate:
     """The slack floor is a proven lower bound on the scanned slack, and
-    check_certified, which reads it, agrees with check_modulus."""
+    check_certified, which relies on it, agrees with check_modulus."""
 
     def test_every_library_kind_is_covered(self):
         names = [g.name for g in certified_generators()]
         assert "0" in names and "7" in names
         assert "1/3" in names and "u[m=6]" in names
         assert "v[m=6,k=6]" in names
-        lifted = [g for g in generator_corpus() if g._exact is None]
-        assert len(lifted) == len(generator_corpus()) - 11
+        assert "(2+1/5)" in names and "(0*1/7)" in names
+        scanned = [g for g in generator_corpus() if g._exact[2] >= g._exact[1]]
+        assert len(scanned) == len(generator_corpus()) - 16
 
     def test_floor_is_at_most_the_slack_at_every_stage(self):
         horizons = sorted({prec.horizon for prec in REFERENCE_PRECISIONS})
-        for g in certified_generators():
+        for g in certified_generators() + generator_corpus():
             for horizon in horizons:
                 for x in range(horizon + 1):
                     # k = -inf: the scan is never cut short
@@ -497,9 +506,16 @@ class TestCertificate:
         for g in certified_generators():
             assert check_certified(g, Precision(24, 96))
         assert calls == []
-        assert check_certified(add(from_nat(1), from_nat(2)),
-                               Precision(24, 96))
+        assert check_certified(add(from_unit_fraction(2),
+                                   from_unit_fraction(3)), Precision(24, 96))
         assert calls
+
+    def test_a_certified_hint_is_asked_once(self):
+        hints = []
+        g = from_nat(5)
+        g._hint = lambda k: hints.append(k) or 0
+        assert check_certified(g, Precision(24, 96))
+        assert hints == [24]
 
 
 class TestWork:
@@ -632,18 +648,24 @@ class TestNatRelation:
         assert exact_relation(n, from_nat(a), other, prec) is equal is (
             n * a == b)
 
-    def test_only_library_atoms_keep_a_record(self):
-        assert from_nat(7)._exact == (7, 1, 0)
-        assert from_unit_fraction(3)._exact == (1, 3, 0)
-        assert encode_stabilized(2, 3).v._exact == (1, 6, 2)
+    def test_only_library_generators_keep_a_record(self):
+        assert from_nat(7)._exact == (7, 1, 0, 0)
+        assert from_unit_fraction(3)._exact == (1, 3, 2, 0)
+        assert encode_stabilized(2, 3).v._exact == (1, 6, 5, 2)
+        assert nat_scalar(2, from_nat(3))._exact == (6, 1, 0, 0)
+        assert add(from_nat(1), from_unit_fraction(2))._exact == (3, 2, 1, 0)
+        # a factor that is an exact natural costs no floor unit
+        assert mul(from_nat(2), from_unit_fraction(3))._exact == (2, 3, 4, 0)
+        assert mul(from_unit_fraction(2),
+                   encode_stabilized(4, 1).u)._exact == (1, 8, 12, 4)
         prec = Precision(24, 96)
-        for g in [nat_scalar(2, from_nat(3)), add(from_nat(1), from_nat(2)),
-                  mul(from_nat(2), from_nat(3)),
-                  RealGen(lambda x: 3 << x, lambda k: 0, "three")]:
+        three = RealGen(lambda x: 3 << x, lambda k: 0, "three")
+        for g in [three, nat_scalar(2, three), add(three, from_nat(1)),
+                  mul(from_nat(2), three)]:
             assert g._exact is None
             assert exact_relation(1, g, from_nat(3), prec) is None
             assert exact_relation(1, from_nat(3), g, prec) is None
-            assert exact_equal(1, g, from_nat(3)) is None
+            assert exact_sign(g, from_nat(3)) is None
 
 
 def atom(kind: int, value: int, start: int) -> RealGen:
@@ -673,7 +695,7 @@ class TestExactRelation:
         prec = Precision(k, horizon)
         left = nat_scalar(n, scaled)
         verdict = exact_relation(n, scaled, other, prec)
-        if horizon < max(scaled._exact[2], other._exact[2]):
+        if horizon < max(scaled._exact[3], other._exact[3]):
             assert verdict is None
         if verdict is None:
             return
@@ -681,6 +703,9 @@ class TestExactRelation:
         apart = lt_at(left, other, prec) or lt_at(other, left, prec)
         assert (equal, apart) == (verdict, not verdict)
         assert verdict is exact_equal(n, scaled, other)
+        # exact_relation is exact_order on nat_scalar's record
+        order = exact_order(left._exact, other._exact, prec)
+        assert verdict is (None if order is None else order == 0)
 
     def test_both_regions_are_reached(self):
         """The grid of the property: most triples are certified, but
@@ -700,3 +725,97 @@ class TestExactRelation:
         assert exact_equal(3, ninth, third) is True
         assert exact_equal(2, ninth, third) is False
         assert exact_equal(0, third, from_nat(0)) is True
+
+    def test_exact_sign(self):
+        ninth, third = from_unit_fraction(9), from_unit_fraction(3)
+        assert exact_sign(nat_scalar(3, ninth), third) == 0
+        assert exact_sign(nat_scalar(2, ninth), third) == -1
+        assert exact_sign(third, nat_scalar(2, ninth)) == 1
+        assert exact_sign(nat_scalar(0, third), from_nat(0)) == 0
+
+
+def tree(depth: int):
+    """add, mul and nat_scalar trees up to the given depth over library
+    atoms, each with a record."""
+    if depth == 0:
+        return atoms
+    sub = tree(depth - 1)
+    return st.one_of(atoms, st.builds(add, sub, sub), st.builds(mul, sub, sub),
+                     st.builds(nat_scalar, st.integers(0, 12), sub))
+
+
+trees = tree(3)
+
+
+class TestRecords:
+    """Records carried through add, mul and nat_scalar bound every stage,
+    and the verdicts exact_order and check_certified read from them are
+    the scans'."""
+
+    @settings(max_examples=300)
+    @given(g=trees, horizon=st.integers(1, 40))
+    def test_every_stage_from_start_is_within_the_record(self, g, horizon):
+        num, den, err, start = g._exact
+        for x in range(start, 2 * horizon + 1):
+            assert (num << x) - err <= den * g.at(x) <= num << x, (g, x)
+
+    @settings(max_examples=600)
+    @given(a=trees, b=trees, k=st.integers(1, 20), horizon=st.integers(1, 40))
+    def test_pair_decisions_match_the_scan(self, a, b, k, horizon):
+        prec = Precision(k, horizon)
+        verdict = exact_order(a._exact, b._exact, prec)
+        if horizon < max(a._exact[3], b._exact[3]):
+            assert verdict is None
+        scanned = [eq_at(a, b, prec), lt_at(a, b, prec), lt_at(b, a, prec)]
+        assert scanned.count(True) <= 1
+        witnessed = [0, -1, 1][scanned.index(True)] if True in scanned else None
+        assert order_at(a, b, prec) == witnessed
+        if verdict is not None:
+            assert verdict == witnessed == exact_sign(a, b)
+
+    def test_both_regions_are_reached(self):
+        """Over a fixed grid of trees, most pairs are certified, but short
+        horizons and low k leave some to the scan."""
+        gens = [from_nat(3), from_unit_fraction(3), nat_scalar(9, from_unit_fraction(9)),
+                add(from_unit_fraction(2), from_unit_fraction(3)),
+                mul(from_unit_fraction(10), cutover_unit_fraction(11, 4, "c")),
+                mul(from_nat(5), encode_stabilized(3, 5).v)]
+        verdicts = [exact_order(a._exact, b._exact, prec)
+                    for a in gens for b in gens
+                    for prec in (Precision(3, 4), Precision(12, 20))]
+        assert 0 < verdicts.count(None) < len(verdicts) // 4
+        assert {0, -1, 1} <= set(verdicts)
+
+    def test_the_bound_is_tight(self):
+        # 0 against 1/2 at k = 2, h = 1: the bound meets the search's
+        # threshold exactly, as stage x of 1/2 is 2^(x - 1)
+        half, zero = from_unit_fraction(2), from_nat(0)
+        prec = Precision(2, 1)
+        assert exact_order(zero._exact, half._exact, prec) == -1
+        assert lt_at(zero, half, prec)
+
+    def test_the_scan_decides_what_the_records_leave(self):
+        # 1/10 against 1/11 at k = 6: equality is witnessed, and
+        # exact_order, which never gives a verdict against the exact
+        # values, leaves it to the scan
+        a, b = from_unit_fraction(10), from_unit_fraction(11)
+        prec = Precision(6, 18)
+        assert exact_order(a._exact, b._exact, prec) is None
+        assert order_at(a, b, prec) == 0 and exact_sign(a, b) == 1
+
+    @settings(max_examples=300)
+    @given(g=trees, k=st.integers(1, 20), horizon=st.integers(1, 40))
+    def test_certificates_match_the_scan(self, g, k, horizon):
+        prec = Precision(k, horizon)
+        assert (outcome(check_certified, g, prec)
+                == outcome(check_modulus, g, prec))
+
+    @pytest.mark.parametrize("g", [
+        from_nat(0), from_nat(9), from_unit_fraction(1), from_unit_fraction(6),
+        cutover_unit_fraction(5, 11, "c"), encode_stabilized(7, 3).v])
+    def test_atom_certificates_match_the_scan(self, g):
+        for horizon in range(1, 41):
+            for k in range(1, 21):
+                prec = Precision(k, horizon)
+                assert (outcome(check_certified, g, prec)
+                        == outcome(check_modulus, g, prec)), (g, prec)

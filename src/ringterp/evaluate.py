@@ -9,13 +9,12 @@ translated formula evaluates exactly like its source) and absorption
 property (with the sentinel forced true, every translated formula
 evaluates true).
 
-Comparisons of reals are bounded witness searches, read from the
-generators' exact records wherever those prove the verdict
-(reals.order_at), so the evaluator refuses to guess: an equality atom
-whose sides are neither witnessed equal nor witnessed apart raises
-PrecisionError instead of defaulting, and so does any atom whose
-scanned witness contradicts the exact values.  A strict-order atom
-without a witness evaluates false, the documented reading of lt_at.
+Comparisons of reals are bounded witness searches, decided from the
+generators' exact records where those prove it (reals.order_at), so
+the evaluator refuses to guess: an equality atom neither witnessed
+equal nor apart, or any atom witnessed against the exact values,
+raises PrecisionError.  A strict-order atom without a witness evaluates
+false, the documented reading of lt_at.
 
 Species quantifiers of the source language range over the family of
 species definable from the structure's generator pairs: for each ordered
@@ -39,7 +38,7 @@ from .encoder import MembershipStatus, SpeciesEncoding, encode_silent, \
     encode_stabilized, gap_digits, quotient_status
 from .pairing import bounded_op, parse_natural
 from .reals import InsufficientHorizon, Precision, RealGen, add, \
-    check_certified, exact_equal, exact_relation, exact_sign, from_nat, mul, \
+    check_certified, exact_relation, exact_sign, from_nat, lt_at, mul, \
     nat_scalar, order_at
 from .syntax import (
     Add, And, Apart, Bottom, DefinedQuant, Eq, Exists, Forall, Formula,
@@ -67,7 +66,8 @@ def _witnessed_order(a: RealGen, b: RealGen, prec: Precision) -> Optional[int]:
     """order_at, raising PrecisionError on a scanned verdict against the
     exact values of two library generators."""
     verdict = order_at(a, b, prec)
-    if verdict is not None and exact_sign(a, b) not in (None, verdict):
+    if verdict is not None and \
+            exact_sign(a._exact, b._exact) not in (None, verdict):
         raise PrecisionError(
             f"comparison of {a.name or '?'} and {b.name or '?'} witnessed "
             f"against its exact value at k={prec.k}, horizon={prec.horizon}"
@@ -161,7 +161,8 @@ class FiniteStructure:
                     fault = "undetermined"
                 elif (status is MembershipStatus.CONFIRMED) == member:
                     continue
-                elif exact_equal(n, enc.v, enc.u) is member:
+                elif exact_sign(nat_scalar(n, enc.v)._exact, enc.u._exact) \
+                        in ((0,) if member else (-1, 1)):
                     fault = "witnessed against its exact value"
                 else:
                     raise StructureError(
@@ -207,10 +208,6 @@ class FiniteStructure:
             self._memo[key] = op(a, b, *extra)
         return self._memo[key]
 
-    def order(self, a: RealGen, b: RealGen) -> Optional[int]:
-        """_witnessed_order at the structure's precision, memoized."""
-        return self.memo(_witnessed_order, a, b, self.precision)
-
     def relation_holds(self, n: int, scaled: RealGen, other: RealGen) -> bool:
         """Decide n * scaled = other by bounded witness, aborting when
         neither equality nor apartness is witnessed, or when the witness
@@ -222,22 +219,23 @@ class FiniteStructure:
             return verdict
         left = self.memo(nat_scalar, n, scaled)
         order = self.memo(order_at, left, other, self.precision)
-        verdict = None if order is None else order == 0
-        if verdict is None or exact_equal(n, scaled, other) is (not verdict):
-            fault = ("undetermined" if verdict is None
+        if order is None or exact_sign(left._exact, other._exact) \
+                in ((0,) if order else (-1, 1)):
+            fault = ("undetermined" if order is None
                      else "witnessed against its exact value")
             raise PrecisionError(
                 f"relation {n} * {scaled.name or '?'} = {other.name or '?'} "
                 f"{fault} at k={self.precision.k}, "
                 f"horizon={self.precision.horizon}"
             )
-        return verdict
+        return order == 0
 
     @property
     def species_family(self) -> tuple[frozenset[int], ...]:
         """Species definable from ordered pairs of domain generators,
         as extensions over 0..family_bound, deduplicated in first-seen
-        order, each candidate decided by relation_holds."""
+        order, each candidate the records leave (_candidates) decided by
+        relation_holds."""
         if self._family is None:
             sets: list[frozenset[int]] = []
             seen: set[frozenset[int]] = set()
@@ -245,14 +243,39 @@ class FiniteStructure:
                 for gb in self.real_domain:
                     scaled, other = self.orientation.orient(ga, gb)
                     members = frozenset(
-                        n for n in range(self.family_bound + 1)
-                        if self.relation_holds(n, scaled, other)
-                    )
+                        n for n in self._candidates(scaled, other)
+                        if self.relation_holds(n, scaled, other))
                     if members not in seen:
                         seen.add(members)
                         sets.append(members)
             self._family = tuple(sets)
         return self._family
+
+    def _candidates(self, scaled: RealGen, other: RealGen) -> range:
+        """The candidates 0..family_bound the records leave to
+        relation_holds.  With two records, n * scaled = other exactly at
+        n = p / q alone (nowhere if q = 0 alone, everywhere if p = q = 0).
+        exact_order certifies a prefix of the candidates below p / q,
+        where its error term is fixed, and a suffix of those above, where
+        the distance less the error grows linearly in n; what is left is
+        one run through p / q.  A skipped candidate is a non-member
+        relation_holds gives without a search, so the members and the
+        first PrecisionError stay the same.
+        """
+        top, a, b = self.family_bound, scaled._exact, other._exact
+        if a is None or b is None or a[0] == b[0] == 0:
+            return range(top + 1)
+        p, q = b[0] * a[1], a[0] * b[1]
+        lo = min(-(-p // q), top + 1) if q else top + 1
+        hi = min(p // q + 1, top + 1) if q else top + 1
+
+        def undecided(n: int) -> bool:
+            return exact_relation(n, scaled, other, self.precision) is None
+        while lo and undecided(lo - 1):
+            lo -= 1
+        while hi <= top and undecided(hi):
+            hi += 1
+        return range(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -551,21 +574,26 @@ class _Compiler:
 
     def comparison(self, cls: type, left: Thunk, right: Thunk) -> Thunk:
         s = self.s
-        order = s.order
-        if cls is Lt:
-            return lambda: order(left(), right()) == -1
-        if cls is Apart:
-            return lambda: order(left(), right()) in (-1, 1)
+        memo, prec = s.memo, s.precision
+        if cls in (Lt, Apart):
+            wanted = (-1,) if cls is Lt else (-1, 1)
+
+            def strict() -> bool:
+                a, b = left(), right()
+                if a._exact and b._exact:  # records to check a scan against
+                    return memo(_witnessed_order, a, b, prec) in wanted
+                return memo(lt_at, a, b, prec) or (
+                    cls is Apart and memo(lt_at, b, a, prec))
+            return strict
 
         def equal() -> bool:
             a, b = left(), right()
-            verdict = order(a, b)
+            verdict = memo(_witnessed_order, a, b, prec)
             if verdict is not None:
                 return verdict == 0
             raise PrecisionError(
                 f"equality of {a.name or '?'} and {b.name or '?'} "
-                f"undetermined at k={s.precision.k}, "
-                f"horizon={s.precision.horizon}"
+                f"undetermined at k={prec.k}, horizon={prec.horizon}"
             )
         return equal
 

@@ -23,19 +23,18 @@ stage through the checked RealGen.at.  eq_at and lt_at first test
 stage horizon, which every witness window holds; check_modulus scans
 each distinct promised stage once.
 
-Every library generator keeps one exact record (num, den, err, start):
-for every stage x >= start, num * 2^x - err <= den * xi(x) <= num * 2^x.
-from_nat(n) records (n, 1, 0, 0) and a cutover unit fraction
-(1, q, q - 1, start); add, mul and nat_scalar carry their operands'
-records, and a generator over a user-supplied one has none.
-exact_order reads two records to give the searches' verdict where the
-errors prove it.  A record also proves a slack floor: past start, the
-least x + j - bits(|2^j * xi(x) - xi(x + j)|) over nonzero differences
-is at least x - bits(err // den), as the two differ by at most
-err * 2^j / den.  That is x where err < den, as for every library atom,
-and infinite where err = 0.  check_certified relies on it there and
-scans any other generator; check_modulus always scans and stays the
-reference.
+A library generator keeps one exact record (num, den, err, start): for
+every stage x >= start, num * 2^x - err <= den * xi(x) <= num * 2^x.
+from_nat(n) records (n, 1, 0, 0), a cutover unit fraction (1, q, q - 1,
+start); add, mul and nat_scalar carry their operands' records, and a
+generator over a user-supplied one has none.  exact_order reads two
+records to give the searches' verdict where the errors prove it.  A
+record also proves a slack floor: past start, the least x + j -
+bits(|2^j * xi(x) - xi(x + j)|) over nonzero differences is at least
+x - bits(err // den), as the two differ by at most err * 2^j / den: x
+where err < den, as for every library atom, and infinite where err = 0.
+check_certified relies on it there and scans any other generator;
+check_modulus always scans, the reference.
 """
 
 from __future__ import annotations
@@ -205,9 +204,8 @@ def mul(a: RealGen, b: RealGen) -> RealGen:
     of the two bounds dictates how many extra digits of the factors are
     needed, and stages are additionally kept at k + 2 or later so the
     floor error of the product approximant stays below the demanded
-    tolerance.  The record loses na * eb + nb * ea over da * db to the
-    factors' errors and up to da * db to the floor of >> x, which is
-    exact where a factor is an exact natural (err 0, den 1).
+    tolerance.  The record's err adds na * eb + nb * ea, and da * db for
+    the floor of >> x unless a factor is an exact natural.
     """
 
     def hint(k: int) -> int:
@@ -313,13 +311,12 @@ def exact_order(a: Optional[Record], b: Optional[Record],
     None: 0 for eq_at witnessed, -1 for lt_at(a, b), 1 for lt_at(b, a).
 
     Past both starts, den * (b(x) - a(x)) lies at most eb * da below and
-    ea * db above delta * 2^x, where den = da * db and delta =
-    nb * da - na * db.  Each stage passes one search: eq_at if
-    |b(x) - a(x)| * 2^k < 2^x, else lt_at the way the difference's sign
-    says.  A bound that puts stage h in one puts every later stage there
-    too, so stages h .. 2h witness it and stage h refutes the other two.
-    Equality is given only where delta = 0 and order only the way its
-    sign says, so a verdict never contradicts the exact values.
+    ea * db above delta * 2^x (den = da * db, delta = nb * da - na * db).
+    Each stage passes one search: eq_at if |b(x) - a(x)| * 2^k < 2^x,
+    else lt_at the way its sign says.  A bound that puts stage h in one
+    puts every later stage there too, so stages h .. 2h witness it and
+    stage h refutes the others.  Equality needs delta = 0 and order its
+    sign, so no verdict contradicts the exact values.
     """
     h = prec.horizon
     if a is None or b is None or h < a[3] or h < b[3]:
@@ -344,17 +341,11 @@ def exact_relation(n: int, scaled: RealGen, other: RealGen,
     return None if order is None else order == 0
 
 
-def exact_equal(n: int, scaled: RealGen, other: RealGen) -> Optional[bool]:
-    """n * scaled = other exactly, from two records, else None."""
-    a, b = scaled._exact, other._exact
-    return None if a is None or b is None else n * a[0] * b[1] == b[0] * a[1]
-
-
-def exact_sign(a: RealGen, b: RealGen) -> Optional[int]:
-    """The sign of a - b from two records, else None."""
-    if a._exact is None or b._exact is None:
+def exact_sign(a: Optional[Record], b: Optional[Record]) -> Optional[int]:
+    """The sign of a - b from records a and b, else None."""
+    if a is None or b is None:
         return None
-    diff = a._exact[0] * b._exact[1] - b._exact[0] * a._exact[1]
+    diff = a[0] * b[1] - b[0] * a[1]
     return (diff > 0) - (diff < 0)
 
 
@@ -362,11 +353,9 @@ def order_at(a: RealGen, b: RealGen, prec: Precision) -> Optional[int]:
     """The one search witnessed on a against b (each stage passes one, so
     at most one is), as exact_order gives it; else eq_at and lt_at each
     way are scanned, and None means none is witnessed."""
-    verdict = exact_order(a._exact, b._exact, prec)
-    if verdict is None:
-        verdict = (0 if eq_at(a, b, prec) else -1 if lt_at(a, b, prec)
-                   else 1 if lt_at(b, a, prec) else None)
-    return verdict
+    order = exact_order(a._exact, b._exact, prec)
+    return order if order is not None else 0 if eq_at(a, b, prec) \
+        else -1 if lt_at(a, b, prec) else 1 if lt_at(b, a, prec) else None
 
 
 def apart_at(a: RealGen, b: RealGen, prec: Precision) -> bool:
@@ -406,14 +395,11 @@ def check_modulus(g: RealGen, prec: Precision) -> bool:
 
 def check_certified(g: RealGen, prec: Precision) -> bool:
     """check_modulus, with the slack floor g's record proves in place of
-    the scan.
-
-    Where g's record has err < den, the floor is at least x from start
-    on, and library hints never decrease in k, stay at or past start,
-    and reach k where err > 0: every k passes once hint(prec.k) is
-    within the horizon.  Any other case is scanned as check_modulus
-    scans it, which raises InsufficientHorizon at the same k with the
-    same message; a generator the floor covers passes every k before.
+    the scan: where err < den it is at least x from start on, and library
+    hints never decrease in k, stay at or past start and reach k where
+    err > 0, so every k passes once hint(prec.k) is within the horizon.
+    Otherwise g is scanned as check_modulus scans it, which raises
+    InsufficientHorizon at the same k with the same message.
     """
     r = g._exact
     if r is not None and r[2] < r[1] and g.hint(prec.k) <= prec.horizon:

@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from ringterp.corpus import (
@@ -34,6 +34,7 @@ from ringterp.translate import (
     SENTINEL, Expansion, Orientation, TranslationConfig, TranslationError,
     translate,
 )
+from test_reals import trees
 from test_syntax import reference_check_formula
 
 
@@ -247,6 +248,19 @@ class TestFamilyOfNaturals:
             s.relation_holds(2, late.v, late.u)
 
 
+def count_searches(monkeypatch) -> list:
+    """Record the arguments of every eq_at and lt_at call, from reals
+    and from the evaluator's own import of lt_at."""
+    calls: list = []
+    searches = {name: getattr(reals, name) for name in ("eq_at", "lt_at")}
+    for target in ("reals.eq_at", "reals.lt_at", "evaluate.lt_at"):
+        search = searches[target.rsplit(".", 1)[1]]
+        monkeypatch.setattr("ringterp." + target,
+                            lambda *args, search=search: (
+                                calls.append(args) or search(*args)))
+    return calls
+
+
 class TestWork:
     """Time-free guard: over a structure shaped like those of ringterp
     eval, the records decide every comparison without a search."""
@@ -256,11 +270,7 @@ class TestWork:
             "precision: k=12 horizon=20\n")
 
     def test_translated_corpus_formulas_run_no_search(self, monkeypatch):
-        calls = []
-        for name in ("eq_at", "lt_at"):
-            search = getattr(reals, name)
-            monkeypatch.setattr(reals, name, lambda *args, search=search: (
-                calls.append(args) or search(*args)))
+        calls = count_searches(monkeypatch)
         for orientation in Orientation:
             config = TranslationConfig(Expansion.MACRO, orientation)
             for f in corpus_formulas(count=20):
@@ -274,17 +284,57 @@ class TestWork:
         assert calls == []
 
     def test_an_undecided_pair_is_searched_once(self, monkeypatch):
-        calls = []
-        for name in ("eq_at", "lt_at"):
-            search = getattr(reals, name)
-            monkeypatch.setattr(reals, name, lambda *args, search=search: (
-                calls.append(args) or search(*args)))
+        calls = count_searches(monkeypatch)
         # equal to 1 at even stages, 0 at odd ones: no search is witnessed
         odd = RealGen(lambda x: 0 if x % 2 else 1 << x, lambda k: 0, "odd")
-        s, f = structure(), parse_formula("(< z 1)", Language.TARGET)
+        s = structure()
+        # without a record, < scans lt_at alone, and apart adds lt_at the
+        # other way; = scans eq_at, then lt_at each way
+        for text, searches in (("(< z 1)", 1), ("(apart z 1)", 2)):
+            f = parse_formula(text, Language.TARGET)
+            for _ in range(2):
+                assert not eval_formula(f, s, Language.TARGET, {"z": odd})
+            assert len(calls) == searches
+        f = parse_formula("(= z 1)", Language.TARGET)
         for _ in range(2):
-            assert not eval_formula(f, s, Language.TARGET, {"z": odd})
-        assert len(calls) == 3
+            with pytest.raises(PrecisionError, match="undetermined"):
+                eval_formula(f, s, Language.TARGET, {"z": odd})
+        assert len(calls) == 5
+
+
+def relation_outcome(s: FiniteStructure, scaled: RealGen, other: RealGen,
+                     candidates) -> object:
+    """The members relation_holds finds among candidates, or the message
+    of the first PrecisionError it raises."""
+    try:
+        return frozenset(n for n in candidates
+                         if s.relation_holds(n, scaled, other))
+    except PrecisionError as exc:
+        return str(exc)
+
+
+class TestFamilyCandidates:
+    """The family asks relation_holds only about the candidates the
+    records leave, and gets the members and the first error that asking
+    about every candidate gets."""
+
+    @settings(max_examples=400)
+    @given(scaled=trees, other=trees, top=hs.integers(0, 40),
+           k=hs.integers(1, 16), horizon=hs.integers(1, 24))
+    def test_skipped_candidates_change_nothing(self, scaled, other, top, k,
+                                               horizon):
+        s = FiniteStructure(range(top + 1), precision=Precision(k, horizon))
+        asked = s._candidates(scaled, other)
+        assert (relation_outcome(s, scaled, other, asked)
+                == relation_outcome(s, scaled, other, range(top + 1)))
+
+    def test_most_candidates_are_skipped(self):
+        s = FiniteStructure(range(61), {0: encode_stabilized(1, 9),
+                                        1: encode_silent()})
+        asked = [len(s._candidates(*s.orientation.orient(a, b)))
+                 for a in s.real_domain for b in s.real_domain]
+        # the pair 0, 0 has every candidate as its member
+        assert sum(asked) < len(asked) + 2 * 61
 
 
 def exact_family(s: FiniteStructure) -> tuple[frozenset[int], ...]:

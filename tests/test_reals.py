@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from ringterp.encoder import encode_stabilized
 from ringterp.reals import (
     InsufficientHorizon, Precision, RealGen, _has_run, _slack, add, apart_at,
-    check_certified, check_modulus, cutover_unit_fraction, eq_at, exact_equal,
+    check_certified, check_modulus, cutover_unit_fraction, eq_at,
     exact_order, exact_relation, exact_sign, from_nat, from_unit_fraction,
     lt_at, mul, nat_scalar, order_at,
 )
@@ -665,7 +665,8 @@ class TestNatRelation:
             assert g._exact is None
             assert exact_relation(1, g, from_nat(3), prec) is None
             assert exact_relation(1, from_nat(3), g, prec) is None
-            assert exact_sign(g, from_nat(3)) is None
+            assert exact_sign(g._exact, from_nat(3)._exact) is None
+            assert exact_sign(from_nat(3)._exact, g._exact) is None
 
 
 def atom(kind: int, value: int, start: int) -> RealGen:
@@ -702,7 +703,7 @@ class TestExactRelation:
         equal = eq_at(left, other, prec)
         apart = lt_at(left, other, prec) or lt_at(other, left, prec)
         assert (equal, apart) == (verdict, not verdict)
-        assert verdict is exact_equal(n, scaled, other)
+        assert verdict is (exact_sign(left._exact, other._exact) == 0)
         # exact_relation is exact_order on nat_scalar's record
         order = exact_order(left._exact, other._exact, prec)
         assert verdict is (None if order is None else order == 0)
@@ -720,18 +721,12 @@ class TestExactRelation:
                               Precision(6, 12)) is True
         assert exact_relation(1, atom(2, 8, 9), atom(2, 8, 9), prec) is None
 
-    def test_exact_equality(self):
-        ninth, third = from_unit_fraction(9), from_unit_fraction(3)
-        assert exact_equal(3, ninth, third) is True
-        assert exact_equal(2, ninth, third) is False
-        assert exact_equal(0, third, from_nat(0)) is True
-
     def test_exact_sign(self):
         ninth, third = from_unit_fraction(9), from_unit_fraction(3)
-        assert exact_sign(nat_scalar(3, ninth), third) == 0
-        assert exact_sign(nat_scalar(2, ninth), third) == -1
-        assert exact_sign(third, nat_scalar(2, ninth)) == 1
-        assert exact_sign(nat_scalar(0, third), from_nat(0)) == 0
+        assert exact_sign(nat_scalar(3, ninth)._exact, third._exact) == 0
+        assert exact_sign(nat_scalar(2, ninth)._exact, third._exact) == -1
+        assert exact_sign(third._exact, nat_scalar(2, ninth)._exact) == 1
+        assert exact_sign(nat_scalar(0, third)._exact, from_nat(0)._exact) == 0
 
 
 def tree(depth: int):
@@ -768,15 +763,17 @@ class TestRecords:
             assert verdict is None
         scanned = [eq_at(a, b, prec), lt_at(a, b, prec), lt_at(b, a, prec)]
         assert scanned.count(True) <= 1
-        witnessed = [0, -1, 1][scanned.index(True)] if True in scanned else None
+        witnessed = ([0, -1, 1][scanned.index(True)] if True in scanned
+                     else None)
         assert order_at(a, b, prec) == witnessed
         if verdict is not None:
-            assert verdict == witnessed == exact_sign(a, b)
+            assert verdict == witnessed == exact_sign(a._exact, b._exact)
 
     def test_both_regions_are_reached(self):
         """Over a fixed grid of trees, most pairs are certified, but short
         horizons and low k leave some to the scan."""
-        gens = [from_nat(3), from_unit_fraction(3), nat_scalar(9, from_unit_fraction(9)),
+        gens = [from_nat(3), from_unit_fraction(3),
+                nat_scalar(9, from_unit_fraction(9)),
                 add(from_unit_fraction(2), from_unit_fraction(3)),
                 mul(from_unit_fraction(10), cutover_unit_fraction(11, 4, "c")),
                 mul(from_nat(5), encode_stabilized(3, 5).v)]
@@ -801,7 +798,8 @@ class TestRecords:
         a, b = from_unit_fraction(10), from_unit_fraction(11)
         prec = Precision(6, 18)
         assert exact_order(a._exact, b._exact, prec) is None
-        assert order_at(a, b, prec) == 0 and exact_sign(a, b) == 1
+        assert order_at(a, b, prec) == 0
+        assert exact_sign(a._exact, b._exact) == 1
 
     @settings(max_examples=300)
     @given(g=trees, k=st.integers(1, 20), horizon=st.integers(1, 40))

@@ -43,8 +43,8 @@ from .reals import InsufficientHorizon, Precision, RealGen, add, \
 from .syntax import (
     Add, And, Apart, Bottom, DefinedQuant, Eq, Exists, Forall, Formula,
     Implies, In, Language, Lt, Mul, NatConst, Or, Pair, QuantKind, RealConst,
-    Sort, SpeciesConst, SpeciesEq, SpeciesRef, SpeciesVar, Succ, Term, Var,
-    check_formula, species_binder_index, term_sort,
+    SENTINEL_FORMULA, Sort, SpeciesConst, SpeciesEq, SpeciesRef, SpeciesVar,
+    Succ, Term, Var, check_formula, species_binder_index, term_sort,
 )
 from .translate import ORIENTATION_NAMES, SENTINEL, Orientation, pair_for_const
 
@@ -354,7 +354,8 @@ class _Compiler:
     slot of the list `slots`, the pre-bound env first and then one per
     binder: a quantifier instance stores into its slot and a variable
     loads from it.  What needs no instance is decided here once: the
-    sentinel forcing of target atoms, constants and their generators.
+    sentinel forcing of target atoms (of SENTINEL_FORMULA, the shared
+    sentinel node, at once), constants and their generators.
     Unbound names and unassigned constants become closures that raise
     when, and only when, they are reached.
     """
@@ -552,6 +553,8 @@ class _Compiler:
                 return _constant(s.sentinel_true)
             return self.comparison(cls, left, right)
         if cls is And or cls is Or or cls is Implies:
+            if f is SENTINEL_FORMULA and SENTINEL not in scope:
+                return _constant(s.sentinel_true)
             return _connective(f, self.target(f.left, scope),
                                self.target(f.right, scope))
         if cls is Exists or cls is Forall:

@@ -24,6 +24,8 @@ the species variable with that index.  (not f) is sugar for
 (imp f (bot)) and is also the printed form.  Apartness prints as
 (apart a b).  A # starts a comment that runs to the end of the line.
 Parentheses nest at most MAX_NESTING deep; deeper input is a ParseError.
+The shared sentinel node syntax.SENTINEL_FORMULA prints from text made at
+import, and only the target reader returns it, for the sentinel's tokens.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ import re
 from .syntax import (
     AMBIENT_SORT, Add, And, Apart, BOT, Bottom, DefinedQuant, Eq, Exists,
     Forall, Formula, Implies, In, Language, Lt, Mul, NatConst, Node, Or,
-    Pair, QuantKind, RealConst, Sort, SpeciesConst, SpeciesEq, SpeciesRef,
-    SpeciesVar, Succ, Term, Var, _KIND_NAMES, children,
+    Pair, QuantKind, RealConst, SENTINEL_FORMULA, Sort, SpeciesConst,
+    SpeciesEq, SpeciesRef, SpeciesVar, Succ, Term, Var, _KIND_NAMES, children,
     species_binder_index, species_binder_name,
 )
 
@@ -102,6 +104,7 @@ class _Parser:
         self.tokens = tokens = tokenize(text)
         self.pos = 0
         self.ambient = AMBIENT_SORT[language]
+        self.target = language is Language.TARGET
         if tokens.count("(") > MAX_NESTING:
             depth = 0
             for i, tok in enumerate(tokens):
@@ -152,6 +155,11 @@ class _Parser:
         head = self.head()
         cls = _CLASSES.get(head)
         if cls in _FIXED[Formula]:
+            if cls is Or and self.target:
+                end = self.pos + len(_SENTINEL_TOKENS)
+                if self.tokens[self.pos:end] == _SENTINEL_TOKENS:
+                    self.pos = end
+                    return SENTINEL_FORMULA
             kids = []
             for kind in cls.child_kinds:
                 kids.append(_READ[kind](self))
@@ -297,6 +305,8 @@ def _format(node: Node, kind: type, ambient: Sort) -> str:
     # The kind of a node class is its base class in the node table.
     if cls.__base__ is not kind:
         raise ValueError(f"not a {_KIND_NAMES[kind]}: {node!r}")
+    if node is SENTINEL_FORMULA:
+        return _SENTINEL_TEXT[ambient]
     if cls is Var:
         if node.sort is ambient:
             return node.name
@@ -325,3 +335,10 @@ def _format(node: Node, kind: type, ambient: Sort) -> str:
         return f"({head} {_format(kids[0], kinds[0], ambient)})"
     return (f"({head} {_format(kids[0], kinds[0], ambient)} "
             f"{_format(kids[1], kinds[1], ambient)})")
+
+
+# The sentinel node's text per language, printed once from an unshared
+# copy, and its target tokens after "( or", which the reader matches.
+_SENTINEL_TEXT = {sort: _format(Or(*children(SENTINEL_FORMULA)), Formula, sort)
+                  for sort in AMBIENT_SORT.values()}
+_SENTINEL_TOKENS = tokenize(_SENTINEL_TEXT[Sort.REAL])[2:]

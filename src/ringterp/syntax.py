@@ -12,7 +12,9 @@ existsR, forallR) are target-side macro nodes that a full expansion
 rewrites into plain real quantifiers.
 
 Every node class is built from one table, _NODES, as an immutable
-slotted class compared and hashed by its class and fields.  Negation is
+slotted class compared and hashed by its class and fields.  The
+translation's sentinel (or (= y 0) (apart y 0)) is one shared node,
+SENTINEL_FORMULA, which the target sort check skips.  Negation is
 not a node: (not f) is sugar for (imp f (bot)).  Apartness is kept as a
 node of its own but is definitionally equal to (or (< a b) (< b a));
 normalize_apart performs that unfolding.
@@ -199,6 +201,11 @@ ZERO = NatConst(0)
 ONE = NatConst(1)
 BOT = Bottom()
 
+# The sentinel's real variable and its disjunction, one shared node.
+SENTINEL = "y"
+SENTINEL_FORMULA = Or(Eq(Var(SENTINEL, Sort.REAL), ZERO),
+                      Apart(Var(SENTINEL, Sort.REAL), ZERO))
+
 
 def neg(f: Formula) -> Formula:
     """Negation as implication into absurdity."""
@@ -318,9 +325,12 @@ def _check(node: Node, kind: type, language: Language) -> None:
     ambient = AMBIENT_SORT[language]
     shapes = _SHAPES[language]
     binder_sorts, binder_error = _BINDERS[language]
+    target = language is Language.TARGET
     nodes, kinds = [node], [kind]
     while nodes:
         node, kind = nodes.pop(), kinds.pop()
+        if node is SENTINEL_FORMULA and target and kind is Formula:
+            continue
         cls = type(node)
         shape = shapes.get(cls)
         if shape is None or cls.__base__ is not kind:

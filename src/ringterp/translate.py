@@ -5,7 +5,8 @@ formula about reals built around a sentinel disjunction
 
     (or (= y 0) (apart y 0))
 
-for a fixed fresh real variable y (the sentinel).  Atomic facts are
+for a fixed fresh real variable y (the sentinel), one shared node,
+SENTINEL_FORMULA, that later passes recognize by identity.  Atomic facts are
 weakened to "fact or sentinel", absurdity becomes the sentinel itself,
 and membership of n in a species becomes a statement about a pair of
 reals u, v coding the species as a quotient: the membership atom is
@@ -40,9 +41,9 @@ from .pairing import bounded_op
 from .syntax import (
     ATOMS, Add, And, Apart, Bottom, DefinedQuant, Eq, Exists, Forall, Formula,
     Implies, In, Language, Lt, Mul, NatConst, ONE, Or, Pair, QuantKind,
-    RealConst, Sort, SpeciesEq, SpeciesRef, SpeciesVar, Succ, Term, Var,
-    ZERO, all_var_names, check_formula, children, fresh_name, neg, rebuild,
-    species_binder_index, species_indices,
+    RealConst, SENTINEL, SENTINEL_FORMULA, Sort, SpeciesEq, SpeciesRef,
+    SpeciesVar, Succ, Term, Var, ZERO, all_var_names, check_formula,
+    children, fresh_name, neg, rebuild, species_binder_index, species_indices,
 )
 
 
@@ -86,10 +87,6 @@ class TranslationConfig:
     orientation: Orientation = Orientation.AS_WRITTEN
 
 
-# The free real variable of the sentinel disjunction.
-SENTINEL = "y"
-
-
 def pair_for_var(index: int) -> tuple[str, str]:
     """Names of the real variables coding species variable index."""
     return f"u{index}", f"v{index}"
@@ -106,7 +103,10 @@ def pair_for_const(index: int) -> tuple[str, str]:
 
 
 def sentinel_formula(name: str = SENTINEL) -> Formula:
-    """The sentinel disjunction (or (= name 0) (apart name 0))."""
+    """The sentinel disjunction (or (= name 0) (apart name 0)); the
+    shared node SENTINEL_FORMULA for the default name."""
+    if name == SENTINEL:
+        return SENTINEL_FORMULA
     y = Var(name, Sort.REAL)
     return Or(Eq(y, ZERO), Apart(y, ZERO))
 
@@ -207,7 +207,7 @@ class _Translator:
 
     def __init__(self, config: TranslationConfig) -> None:
         self.orientation = config.orientation
-        self.sentinel = sentinel_formula()
+        self.sentinel = SENTINEL_FORMULA
         self.names: set[str] = set()
         self.coding: set[str] = {SENTINEL}
         self.error: Optional[TranslationError] = None

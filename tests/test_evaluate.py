@@ -27,12 +27,12 @@ from ringterp.sexpr import parse_formula
 from ringterp.syntax import (
     BOT, Add, And, Apart, Bottom, DefinedQuant, Eq, Exists, Forall, Formula,
     Implies, In, Language, Lt, Mul, NatConst, Or, Pair, QuantKind, RealConst,
-    SortError, SpeciesConst, SpeciesEq, SpeciesVar, Succ, Term, Var, Sort,
-    all_var_names, children, rebuild, species_binder_index,
+    SENTINEL_FORMULA, SortError, SpeciesConst, SpeciesEq, SpeciesVar, Succ,
+    Term, Var, Sort, all_var_names, children, rebuild, species_binder_index,
 )
 from ringterp.translate import (
     SENTINEL, Expansion, Orientation, TranslationConfig, TranslationError,
-    translate,
+    nat_predicate, translate,
 )
 from test_reals import trees
 from test_syntax import reference_check_formula
@@ -1115,6 +1115,45 @@ class TestAgainstReferenceEvaluator:
         source = parse_formula("(and (exists (X0 Species) (in 5 X0)) "
                                "(= (var r Real) 0))", Language.SOURCE)
         assert assert_alike(source, st, Language.SOURCE)[0] is SortError
+
+
+class TestSharedSentinelScope:
+    """The compiler forces the shared sentinel node at once only while y
+    is unbound.  Bound by a quantifier or by env, it is evaluated, and
+    an unshared copy is compiled atom by atom; each verdict and error is
+    the reference's."""
+
+    @pytest.mark.parametrize("sentinel_true", [False, True])
+    def test_the_shared_node_is_forced_only_while_y_is_unbound(
+            self, sentinel_true):
+        st = FiniteStructure((0, 1), precision=Precision(30, 6),
+                             sentinel_true=sentinel_true)
+        tl = Language.TARGET
+        bound = parse_formula("(forall (y Real) (or (= y 0) (apart y 0)))", tl)
+        assert bound.body is SENTINEL_FORMULA
+        assert assert_alike(bound, st, tl) is True
+        fresh = Or(*children(SENTINEL_FORMULA))
+        seen = []
+        for f in (SENTINEL_FORMULA, fresh):
+            assert assert_alike(f, st, tl) is sentinel_true
+            assert assert_alike(Forall(SENTINEL, Sort.REAL, f), st, tl)
+            for g in (from_unit_fraction(3), from_unit_fraction(2 ** 20)):
+                seen.append(assert_alike(f, st, tl, env={SENTINEL: g}))
+        assert seen == [True, (PrecisionError, (
+            "comparison of 1/1048576 and 0 witnessed against its exact "
+            "value at k=30, horizon=6"))] * 2
+
+    @pytest.mark.parametrize("sentinel_true", [False, True])
+    def test_the_nat_predicate_binds_its_own_sentinel(self, sentinel_true):
+        # With no forbidden names the predicate binds y itself, around
+        # copies of the shared node.
+        psi = nat_predicate("x")
+        assert psi.var == SENTINEL
+        st = FiniteStructure((0, 1, 2), sentinel_true=sentinel_true)
+        for kind, value in [(QuantKind.FORALL_NAT, False),
+                            (QuantKind.EXISTS_NAT, True)]:
+            f = DefinedQuant(kind, "x", psi)
+            assert assert_alike(f, st, Language.TARGET) is value
 
 
 def chain(op: str, leaf: str, depth: int) -> str:

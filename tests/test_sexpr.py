@@ -14,9 +14,9 @@ from ringterp.sexpr import (
 )
 from ringterp.syntax import (
     Add, And, Apart, DefinedQuant, Eq, Exists, Forall, Formula, Implies, In,
-    Language, Lt, Mul, NatConst, Or, Pair, QuantKind, RealConst, Sort,
-    SpeciesConst, SpeciesEq, SpeciesRef, SpeciesVar, Succ, Term, Var, BOT,
-    species_binder_index,
+    Language, Lt, Mul, NatConst, Or, Pair, QuantKind, RealConst,
+    SENTINEL_FORMULA, Sort, SpeciesConst, SpeciesEq, SpeciesRef, SpeciesVar,
+    Succ, Term, Var, BOT, children, species_binder_index,
 )
 from ringterp.translate import (
     Expansion, Orientation, TranslationConfig, translate,
@@ -142,6 +142,26 @@ class TestPrinting:
         with pytest.raises(ValueError) as err:
             format_term(BOT, Language.TARGET)
         assert str(err.value) == "not a term: Bottom()"
+
+    @pytest.mark.parametrize("language", list(Language))
+    def test_the_shared_sentinel_keeps_the_kind_check(self, language):
+        want = f"not a term: {SENTINEL_FORMULA!r}"
+        with pytest.raises(ValueError) as err:
+            format_term(SENTINEL_FORMULA, language)
+        assert str(err.value) == want
+        with pytest.raises(ValueError) as err:
+            format_formula(Eq(SENTINEL_FORMULA, NatConst(0)), language)
+        assert str(err.value) == want
+
+    def test_the_shared_sentinel_prints_as_an_unshared_copy(self):
+        fresh = Or(*children(SENTINEL_FORMULA))
+        for language in Language:
+            assert (format_formula(SENTINEL_FORMULA, language)
+                    == format_formula(fresh, language))
+        assert (format_formula(SENTINEL_FORMULA, Language.SOURCE)
+                == "(or (= (var y Real) 0) (apart (var y Real) 0))")
+        assert (format_formula(SENTINEL_FORMULA, Language.TARGET)
+                == "(or (= y 0) (apart y 0))")
 
 
 class TestErrors:

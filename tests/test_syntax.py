@@ -13,7 +13,8 @@ from ringterp.sexpr import (
 from ringterp.syntax import (
     AMBIENT_SORT, BOT, Add, And, Apart, Bottom, DefinedQuant, Eq, Exists,
     Forall, Formula, Implies, In, Language, Lt, Mul, NatConst, Node, Or,
-    Pair, QuantKind, RealConst, Sort, SortError, SpeciesConst, SpeciesEq,
+    Pair, QuantKind, RealConst, SENTINEL_FORMULA, Sort, SortError,
+    SpeciesConst, SpeciesEq,
     SpeciesRef, SpeciesVar, Succ, Term, Var, alpha_equal, check_formula,
     children, free_vars, fresh_name, infer_term_sort, is_closed, neg,
     normalize_apart, rebuild, species_binder_index, species_binder_name,
@@ -524,6 +525,27 @@ def _outcome(fn, *args):
         return fn(*args)
     except Exception as exc:  # the type is part of what is compared
         return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda f: f, lambda f: And(BOT, f), lambda f: Forall("y", Sort.REAL, f),
+    lambda f: Eq(f, NatConst(0)), lambda f: Implies(Eq(rx, f), BOT),
+], ids=["alone", "in-and", "under-binder", "as-term", "in-atom"])
+def test_the_shared_sentinel_is_checked_like_a_fresh_copy(wrap):
+    """The target check skips the shared node only where a formula
+    stands; anywhere else, and in the source language, it raises what an
+    unshared copy raises."""
+    fresh = Or(Eq(ry, NatConst(0)), Apart(ry, NatConst(0)))
+    assert fresh == SENTINEL_FORMULA and fresh is not SENTINEL_FORMULA
+    for language in Language:
+        want = _outcome(reference_check_formula, wrap(fresh), language)
+        for f in (fresh, SENTINEL_FORMULA):
+            assert _outcome(check_formula, wrap(f), language) == want
+        assert (_outcome(term_sort, SENTINEL_FORMULA, language)
+                == _outcome(reference_term_sort, fresh, language))
+    source = _outcome(check_formula, SENTINEL_FORMULA, Language.SOURCE)
+    assert source == (SortError, "variable 'y' has sort Real, but source "
+                                 "terms have sort Nat")
 
 
 @settings(max_examples=400)

@@ -15,14 +15,14 @@ from ringterp.goldens import (
     SENTINEL, TAU_BOTTOM,
 )
 from ringterp.pairing import bounded_op
-from ringterp.sexpr import format_formula, parse_formula
+from ringterp.sexpr import ParseError, format_formula, parse_formula
 from ringterp.syntax import (
     ATOMS, Add, And, Apart, Bottom, DefinedQuant, Eq, Exists, Forall, Formula,
     Implies, In, Language, Lt, Mul, NatConst, Node, ONE, Or, Pair, QuantKind,
-    RealConst, Sort, SpeciesEq, SpeciesConst, SpeciesRef, SpeciesVar, Succ,
-    Term, Var, all_var_names, alpha_equal, check_formula, children,
-    fresh_name, free_vars, is_closed, neg, rebuild, species_binder_index,
-    species_binder_name, species_indices,
+    RealConst, SENTINEL_FORMULA, Sort, SpeciesEq, SpeciesConst, SpeciesRef,
+    SpeciesVar, Succ, Term, Var, all_var_names, alpha_equal, check_formula,
+    children, fresh_name, free_vars, is_closed, neg, rebuild,
+    species_binder_index, species_binder_name, species_indices,
 )
 from ringterp.translate import (
     Expansion, Orientation, TranslationConfig, TranslationError,
@@ -278,6 +278,80 @@ class TestSourceValidation:
         f = parse_formula("(= (rconst a1) 0)", Language.TARGET)
         with pytest.raises(Exception):
             translate(f)
+
+
+def sentinel_copies(f: Node) -> list[Node]:
+    """Every node of f equal to the sentinel disjunction."""
+    found, stack = [], [f]
+    while stack:
+        node = stack.pop()
+        if node == SENTINEL_FORMULA:
+            found.append(node)
+        else:
+            stack.extend(children(node))
+    return found
+
+
+class TestSharedSentinel:
+    """The sentinel disjunction is one node wherever the translation or
+    the target reader makes it."""
+
+    @pytest.mark.parametrize("config", [
+        TranslationConfig(expansion, orientation)
+        for expansion in Expansion for orientation in Orientation])
+    def test_every_copy_in_a_translation_is_the_shared_node(self, config):
+        copies = [node for f in corpus_formulas(40, seed=3)
+                  for node in sentinel_copies(translate(f, config=config))]
+        assert len(copies) == 259
+        assert all(node is SENTINEL_FORMULA for node in copies)
+
+    def test_the_default_sentinel_is_the_shared_node(self):
+        assert sentinel_formula() is SENTINEL_FORMULA
+        assert translate(src("(bot)")) is SENTINEL_FORMULA
+        fresh = sentinel_formula("z")
+        assert printed(fresh) == "(or (= z 0) (apart z 0))"
+
+    @pytest.mark.parametrize("expansion", list(Expansion))
+    def test_the_target_reader_returns_the_shared_node(self, expansion):
+        # Comments and odd spacing inside the sentinel change no token.
+        odd = "(or(=  y\t0)  # the sentinel\n ( apart y 0\n) )"
+        for f in corpus_formulas(40, seed=3):
+            target = translate(f, config=TranslationConfig(expansion))
+            text = printed(target).replace(SENTINEL, odd)
+            back = parse_formula(text, Language.TARGET)
+            assert back == target
+            copies = sentinel_copies(back)
+            assert len(copies) == len(sentinel_copies(target))
+            assert all(node is SENTINEL_FORMULA for node in copies)
+
+    def test_the_source_reader_shares_nothing(self):
+        text = format_formula(SENTINEL_FORMULA, Language.SOURCE)
+        assert text == "(or (= (var y Real) 0) (apart (var y Real) 0))"
+        back = parse_formula(text, Language.SOURCE)
+        assert back == SENTINEL_FORMULA and back is not SENTINEL_FORMULA
+        assert parse_formula(SENTINEL, Language.SOURCE) != SENTINEL_FORMULA
+
+    @pytest.mark.parametrize("text", [
+        "(or (= y 0) (apart y 1))", "(or (= y 0) (apart 0 y))",
+        "(or (= (var y Real) 0) (apart y 0))", "(or (= y 0) (< y 0))"])
+    def test_other_target_disjunctions_are_read_as_written(self, text):
+        f = parse_formula(text, Language.TARGET)
+        assert f is not SENTINEL_FORMULA
+        assert format_formula(f, Language.TARGET) == text.replace(
+            "(var y Real)", "y")
+
+    @pytest.mark.parametrize("text, message", [
+        ("(or (= y 0) (apart y 0) (bot))",
+         "line 1, column 25: expected ')', got '('"),
+        ("(or (= y 0) (apart y 0)",
+         "at end of input: unexpected end of input"),
+        ("(or (= y 0) (apart y 0)) x",
+         "line 1, column 26: trailing input after formula"),
+    ])
+    def test_a_sentinel_cut_short_or_run_on_is_an_error(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_formula(text, Language.TARGET)
+        assert str(err.value) == message
 
 
 @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))

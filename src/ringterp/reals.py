@@ -17,11 +17,12 @@ check_modulus is the opposite way around: it tests the universally
 quantified modulus promise on a finite range, so a False is a genuine
 counterexample while True only covers the range inspected.
 
-The searches read stage lists (RealGen.stages), which library
-generators build once, bottom up, and user-supplied ones fill stage by
-stage through the checked RealGen.at.  eq_at and lt_at first test
-stage horizon, which every witness window holds; check_modulus scans
-each distinct promised stage once.
+Each generator has one stage rule.  With a record (below) it is built
+of library rules alone, natural by construction, and the searches call
+it for just the stages they test: eq_at and lt_at test stage horizon
+first, which every witness window holds.  Any other generator is read
+through the checked, memoized RealGen.at, stages 0 .. 2 * horizon in
+order.  check_modulus scans each distinct promised stage once.
 
 A library generator keeps one exact record (num, den, err, start): for
 every stage x >= start, num * 2^x - err <= den * xi(x) <= num * 2^x.
@@ -57,7 +58,7 @@ class Precision:
 
     k is the number of binary digits of agreement or separation demanded,
     horizon the length of the stage windows inspected: stages 0 through
-    2 * horizon are computed and a witness must hold on horizon + 1
+    2 * horizon are inspected and a witness must hold on horizon + 1
     consecutive stages.
     """
 
@@ -78,29 +79,24 @@ class RealGen:
     at(x) / 2^x.  hint(k) is a stage from which approximations are
     promised to vary by less than 2^-k (see the module docstring for the
     exact inequality).  Both are memoized, and at() checks each stage it
-    computes.  stages(n) lists stages 0 .. n for the searches.  Library
-    constructors pass vector, which builds that list from the operands'
-    lists; its values are natural by construction, so the list is kept
-    unchecked.  Without vector (a user-supplied generator, or a library
-    one over it), stages(n) asks at() stage by stage.
+    computes.  stages(n) lists stages 0 .. n for the searches.
 
-    _exact is a library generator's record (num, den, err, start), set
-    after construction, or None (see the module docstring).
+    _exact is a library generator's record, or None (see the module
+    docstring).  _stage reads a stage for the searches and the library
+    rules: the unchecked rule where there is a record, else at().
     """
 
     __slots__ = ("_approx", "_hint", "name", "_memo", "_hint_memo",
-                 "_vector", "_stages", "_exact")
+                 "_stage", "_exact")
 
     def __init__(self, approx: Callable[[int], int],
-                 hint: Callable[[int], int], name: str = "", *,
-                 vector: Optional[Callable[[int], list[int]]] = None) -> None:
+                 hint: Callable[[int], int], name: str = "") -> None:
         self._approx = approx
         self._hint = hint
         self.name = name
         self._memo: dict[int, int] = {}
         self._hint_memo: dict[int, int] = {}
-        self._vector = vector
-        self._stages: list[int] = []
+        self._stage: Callable[[int], int] = self.at
         self._exact: Optional[Record] = None
 
     def at(self, x: int) -> int:
@@ -132,32 +128,33 @@ class RealGen:
         return got
 
     def stages(self, n: int) -> list[int]:
-        """Stage values 0 .. n as one list, which may run past n."""
-        if len(self._stages) <= n:
-            if self._vector is None:
-                return [self.at(x) for x in range(n + 1)]
-            self._stages = self._vector(n)
-        return self._stages
+        """Stage values 0 .. n as a new list, read as _stage reads them."""
+        return [self._stage(x) for x in range(n + 1)]
 
     def __repr__(self) -> str:
         return f"RealGen({self.name or '?'})"
 
 
-def _lifted(vector: Callable[[int], list[int]],
-           *operands: RealGen) -> Optional[Callable[[int], list[int]]]:
-    """vector if every operand has one, else None: over a user-supplied
-    generator, stages are asked for one at a time, as at() asks."""
-    return vector if all(g._vector is not None for g in operands) else None
+def _library(approx: Callable[[int], int], hint: Callable[[int], int],
+             name: str, record: Optional[Record]) -> RealGen:
+    """A library generator with stage rule approx and the record its
+    constructor derived, None over a user-supplied operand."""
+    g = RealGen(approx, hint, name)
+    if record is not None:
+        g._exact, g._stage = record, approx
+    return g
 
 
 def from_nat(n: int) -> RealGen:
-    """The natural number n as a generator: stage value n * 2^x, exact."""
+    """The natural number n: stage value n * 2^x, exact, by n's bound
+    __lshift__ and a shared hint, so no closure is made per natural."""
     if n < 0:
         raise ValueError("from_nat takes a natural number")
-    g = RealGen(lambda x: n << x, lambda k: 0, name=str(n),
-                vector=lambda top: [n << x for x in range(top + 1)])
-    g._exact = (n, 1, 0, 0)
-    return g
+    return _library(n.__lshift__, _from_stage_0, str(n), (n, 1, 0, 0))
+
+
+def _from_stage_0(k: int) -> int:
+    return 0
 
 
 def from_unit_fraction(q: int) -> RealGen:
@@ -172,27 +169,19 @@ def cutover_unit_fraction(q: int, start: int, name: str) -> RealGen:
     carry no information before their run fires).  From start on it is
     the unit fraction's approximant, whose hint k + 2 works once it is
     also pushed past start."""
-    g = RealGen(lambda x: 0 if x < start else (1 << x) // q,
-                lambda k: max(k + 2, start), name=name,
-                vector=lambda top: [0] * start + [(1 << x) // q for x
-                                                  in range(start, top + 1)])
-    g._exact = (1, q, q - 1, start)
-    return g
+    return _library(lambda x: 0 if x < start else (1 << x) // q,
+                    lambda k: max(k + 2, start), name, (1, q, q - 1, start))
 
 
 def add(a: RealGen, b: RealGen) -> RealGen:
     """Pointwise sum; each summand is asked for one extra digit."""
-    g = RealGen(
-        lambda x: a.at(x) + b.at(x),
-        lambda k: max(a.hint(k + 1), b.hint(k + 1)),
-        name=f"({a.name}+{b.name})",
-        vector=_lifted(lambda top: [u + v for u, v in
-                                   zip(a.stages(top), b.stages(top))], a, b),
-    )
+    record = None
     if a._exact and b._exact:
         (na, da, ea, sa), (nb, db, eb, sb) = a._exact, b._exact
-        g._exact = (na * db + nb * da, da * db, ea * db + eb * da, max(sa, sb))
-    return g
+        record = (na * db + nb * da, da * db, ea * db + eb * da, max(sa, sb))
+    return _library(lambda x: a._stage(x) + b._stage(x),
+                    lambda k: max(a.hint(k + 1), b.hint(k + 1)),
+                    f"({a.name}+{b.name})", record)
 
 
 def mul(a: RealGen, b: RealGen) -> RealGen:
@@ -210,25 +199,19 @@ def mul(a: RealGen, b: RealGen) -> RealGen:
 
     def hint(k: int) -> int:
         ha, hb = a.hint(1), b.hint(1)
-        bound_a = (a.at(ha) >> ha) + 2
-        bound_b = (b.at(hb) >> hb) + 2
+        bound_a = (a._stage(ha) >> ha) + 2
+        bound_b = (b._stage(hb) >> hb) + 2
         shift = (bound_a + bound_b).bit_length()
         finer = k + 1 + shift
         return max(a.hint(finer), b.hint(finer), ha, hb, k + 2)
 
-    g = RealGen(
-        lambda x: (a.at(x) * b.at(x)) >> x,
-        hint,
-        name=f"({a.name}*{b.name})",
-        vector=_lifted(lambda top: [(u * v) >> x for x, (u, v) in
-                                   enumerate(zip(a.stages(top), b.stages(top)))],
-                      a, b),
-    )
+    record = None
     if a._exact and b._exact:
         (na, da, ea, sa), (nb, db, eb, sb) = a._exact, b._exact
         unit = 0 if (ea, da) == (0, 1) or (eb, db) == (0, 1) else da * db
-        g._exact = (na * nb, da * db, na * eb + nb * ea + unit, max(sa, sb))
-    return g
+        record = (na * nb, da * db, na * eb + nb * ea + unit, max(sa, sb))
+    return _library(lambda x: (a._stage(x) * b._stage(x)) >> x, hint,
+                    f"({a.name}*{b.name})", record)
 
 
 def nat_scalar(n: int, g: RealGen) -> RealGen:
@@ -240,14 +223,9 @@ def nat_scalar(n: int, g: RealGen) -> RealGen:
     """
     if n < 0:
         raise ValueError("nat_scalar takes a natural scale")
-    scaled = RealGen(
-        lambda x: n * g.at(x),
-        lambda k: g.hint(k + n.bit_length()),
-        name=f"({n}*{g.name})",
-        vector=_lifted(lambda top: [n * u for u in g.stages(top)], g),
-    )
-    scaled._exact = _scaled(n, g._exact)
-    return scaled
+    return _library(lambda x: n * g._stage(x),
+                    lambda k: g.hint(k + n.bit_length()),
+                    f"({n}*{g.name})", _scaled(n, g._exact))
 
 
 def _scaled(n: int, record: Optional[Record]) -> Optional[Record]:
@@ -274,6 +252,19 @@ def _has_run(passes: Callable[[int], bool], horizon: int) -> bool:
     return True
 
 
+def _search(a: RealGen, b: RealGen, prec: Precision,
+            passes: Callable[[int, int, int], bool]) -> bool:
+    """_has_run over passes(i, stage i of a, stage i of b).  Two records'
+    rules are called for just the stages _has_run tests; otherwise
+    stages 0 .. 2 * horizon of a, then of b, are listed through at()."""
+    h = prec.horizon
+    if a._exact and b._exact:
+        sa, sb = a._stage, b._stage
+    else:
+        sa, sb = a.stages(2 * h).__getitem__, b.stages(2 * h).__getitem__
+    return _has_run(lambda i: passes(i, sa(i), sb(i)), h)
+
+
 def eq_at(a: RealGen, b: RealGen, prec: Precision) -> bool:
     """Bounded witness that a and b denote the same real.
 
@@ -283,10 +274,9 @@ def eq_at(a: RealGen, b: RealGen, prec: Precision) -> bool:
     to at least prec.k digits.  True means such a run exists; False means
     none was found, which refutes nothing.
     """
-    top, k = 2 * prec.horizon, prec.k
-    sa, sb = a.stages(top), b.stages(top)
-    return _has_run(lambda i: sa[i] == sb[i]
-                    or i - abs(sa[i] - sb[i]).bit_length() >= k, prec.horizon)
+    k = prec.k
+    return _search(a, b, prec, lambda i, u, v: u == v
+                   or i - abs(u - v).bit_length() >= k)
 
 
 def lt_at(a: RealGen, b: RealGen, prec: Precision) -> bool:
@@ -299,10 +289,9 @@ def lt_at(a: RealGen, b: RealGen, prec: Precision) -> bool:
     True means a < b was witnessed with margin 2^-prec.k; False only
     means no witness within the horizon.
     """
-    top, k = 2 * prec.horizon, prec.k
-    sa, sb = a.stages(top), b.stages(top)
-    return _has_run(lambda i: sb[i] > sa[i]
-                    and i - (sb[i] - sa[i]).bit_length() < k, prec.horizon)
+    k = prec.k
+    return _search(a, b, prec, lambda i, u, v: v > u
+                   and i - (v - u).bit_length() < k)
 
 
 def exact_order(a: Optional[Record], b: Optional[Record],
@@ -409,11 +398,7 @@ def check_certified(g: RealGen, prec: Precision) -> bool:
 
 def _slack(g: RealGen, x: int, horizon: int, k: int) -> float:
     """Slack of stage x over p = 0 .. horizon, cut short once below k."""
-    if g._vector is None:
-        values = map(g.at, range(x, x + horizon + 1))
-    else:
-        # x <= horizon, so one list serves every promised stage
-        values = iter(g.stages(2 * horizon)[x:x + horizon + 1])
+    values = map(g._stage, range(x, x + horizon + 1))
     base = next(values)
     least = math.inf
     for p, value in enumerate(values, 1):

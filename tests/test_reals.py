@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import sys
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringterp import encoder, selftest
 from ringterp.encoder import encode_stabilized
 from ringterp.reals import (
     InsufficientHorizon, Precision, RealGen, _has_run, _slack, add, apart_at,
@@ -83,6 +86,223 @@ def deque_lt_at(a: RealGen, b: RealGen, prec: Precision) -> bool:
         d = b.at(i) - a.at(i)
         levels.append(math.inf if d <= 0 else max(0, i - d.bit_length() + 1))
     return _window_ok(levels, prec.horizon + 1, want_min=False, bound=prec.k)
+
+
+class FrozenGen:
+    """Reference implementation: RealGen as it was when each library
+    constructor stated its stage rule twice, as approx and as a vector
+    that builds the stage list from its operands' lists.  The list was
+    kept unchecked; without a vector (a user-supplied generator, or a
+    library one over it), stages(n) asked at() stage by stage."""
+
+    __slots__ = ("_approx", "_hint", "name", "_memo", "_hint_memo",
+                 "_vector", "_stages", "_exact")
+
+    def __init__(self, approx, hint, name="", *, vector=None):
+        self._approx = approx
+        self._hint = hint
+        self.name = name
+        self._memo = {}
+        self._hint_memo = {}
+        self._vector = vector
+        self._stages = []
+        self._exact = None
+
+    def at(self, x):
+        if not isinstance(x, int) or x < 0:
+            raise ValueError(f"stage must be a nonnegative integer, got {x!r}")
+        got = self._memo.get(x)
+        if got is None:
+            got = self._approx(x)
+            if not isinstance(got, int) or got < 0:
+                raise ValueError(
+                    f"approximant of {self.name or 'generator'} at stage {x} "
+                    f"is not a natural: {got!r}"
+                )
+            self._memo[x] = got
+        return got
+
+    def hint(self, k):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError(f"precision must be a nonnegative integer, got {k!r}")
+        got = self._hint_memo.get(k)
+        if got is None:
+            got = self._hint(k)
+            if not isinstance(got, int) or got < 0:
+                raise ValueError(
+                    f"modulus hint of {self.name or 'generator'} at precision "
+                    f"{k} is not a natural: {got!r}"
+                )
+            self._hint_memo[k] = got
+        return got
+
+    def stages(self, n):
+        if len(self._stages) <= n:
+            if self._vector is None:
+                return [self.at(x) for x in range(n + 1)]
+            self._stages = self._vector(n)
+        return self._stages
+
+    def __repr__(self):
+        return f"RealGen({self.name or '?'})"
+
+
+def _frozen_lifted(vector, *operands):
+    return vector if all(g._vector is not None for g in operands) else None
+
+
+def frozen_from_nat(n):
+    if n < 0:
+        raise ValueError("from_nat takes a natural number")
+    g = FrozenGen(lambda x: n << x, lambda k: 0, name=str(n),
+                  vector=lambda top: [n << x for x in range(top + 1)])
+    g._exact = (n, 1, 0, 0)
+    return g
+
+
+def frozen_from_unit_fraction(q):
+    if q < 1:
+        raise ValueError("from_unit_fraction takes a positive denominator")
+    return frozen_cutover_unit_fraction(q, 0, f"1/{q}")
+
+
+def frozen_cutover_unit_fraction(q, start, name):
+    g = FrozenGen(lambda x: 0 if x < start else (1 << x) // q,
+                  lambda k: max(k + 2, start), name=name,
+                  vector=lambda top: [0] * start + [(1 << x) // q for x
+                                                    in range(start, top + 1)])
+    g._exact = (1, q, q - 1, start)
+    return g
+
+
+def frozen_add(a, b):
+    g = FrozenGen(
+        lambda x: a.at(x) + b.at(x),
+        lambda k: max(a.hint(k + 1), b.hint(k + 1)),
+        name=f"({a.name}+{b.name})",
+        vector=_frozen_lifted(lambda top: [u + v for u, v in
+                                           zip(a.stages(top), b.stages(top))],
+                              a, b),
+    )
+    if a._exact and b._exact:
+        (na, da, ea, sa), (nb, db, eb, sb) = a._exact, b._exact
+        g._exact = (na * db + nb * da, da * db, ea * db + eb * da, max(sa, sb))
+    return g
+
+
+def frozen_mul(a, b):
+    def hint(k):
+        ha, hb = a.hint(1), b.hint(1)
+        bound_a = (a.at(ha) >> ha) + 2
+        bound_b = (b.at(hb) >> hb) + 2
+        shift = (bound_a + bound_b).bit_length()
+        finer = k + 1 + shift
+        return max(a.hint(finer), b.hint(finer), ha, hb, k + 2)
+
+    g = FrozenGen(
+        lambda x: (a.at(x) * b.at(x)) >> x,
+        hint,
+        name=f"({a.name}*{b.name})",
+        vector=_frozen_lifted(lambda top: [(u * v) >> x for x, (u, v) in
+                                           enumerate(zip(a.stages(top),
+                                                         b.stages(top)))],
+                              a, b),
+    )
+    if a._exact and b._exact:
+        (na, da, ea, sa), (nb, db, eb, sb) = a._exact, b._exact
+        unit = 0 if (ea, da) == (0, 1) or (eb, db) == (0, 1) else da * db
+        g._exact = (na * nb, da * db, na * eb + nb * ea + unit, max(sa, sb))
+    return g
+
+
+def frozen_nat_scalar(n, g):
+    if n < 0:
+        raise ValueError("nat_scalar takes a natural scale")
+    scaled = FrozenGen(
+        lambda x: n * g.at(x),
+        lambda k: g.hint(k + n.bit_length()),
+        name=f"({n}*{g.name})",
+        vector=_frozen_lifted(lambda top: [n * u for u in g.stages(top)], g),
+    )
+    record = g._exact
+    scaled._exact = record and (n * record[0], record[1], n * record[2],
+                                record[3])
+    return scaled
+
+
+def frozen_eq_at(a, b, prec):
+    top, k = 2 * prec.horizon, prec.k
+    sa, sb = a.stages(top), b.stages(top)
+    return _has_run(lambda i: sa[i] == sb[i]
+                    or i - abs(sa[i] - sb[i]).bit_length() >= k, prec.horizon)
+
+
+def frozen_lt_at(a, b, prec):
+    top, k = 2 * prec.horizon, prec.k
+    sa, sb = a.stages(top), b.stages(top)
+    return _has_run(lambda i: sb[i] > sa[i]
+                    and i - (sb[i] - sa[i]).bit_length() < k, prec.horizon)
+
+
+def frozen_order_at(a, b, prec):
+    order = exact_order(a._exact, b._exact, prec)
+    return order if order is not None else 0 if frozen_eq_at(a, b, prec) \
+        else -1 if frozen_lt_at(a, b, prec) \
+        else 1 if frozen_lt_at(b, a, prec) else None
+
+
+def frozen_check_modulus(g, prec):
+    slack = {}
+    for k in range(prec.k + 1):
+        x = g.hint(k)
+        if x > prec.horizon:
+            raise InsufficientHorizon(
+                f"{g.name or 'generator'}: hint({k}) = {x} exceeds "
+                f"horizon {prec.horizon}"
+            )
+        s = slack.get(x)
+        if s is None:
+            s = slack[x] = _frozen_slack(g, x, prec.horizon, k)
+        if s < k:
+            return False
+    return True
+
+
+def frozen_check_certified(g, prec):
+    r = g._exact
+    if r is not None and r[2] < r[1] and g.hint(prec.k) <= prec.horizon:
+        return True
+    return frozen_check_modulus(g, prec)
+
+
+def _frozen_slack(g, x, horizon, k):
+    if g._vector is None:
+        values = map(g.at, range(x, x + horizon + 1))
+    else:
+        values = iter(g.stages(2 * horizon)[x:x + horizon + 1])
+    base = next(values)
+    least = math.inf
+    for p, value in enumerate(values, 1):
+        d = abs((base << p) - value)
+        if d:
+            least = min(least, x + p - d.bit_length())
+            if least < k:
+                break
+    return least
+
+
+# The constructors by name, as the library gives them and as the frozen
+# reference gave them.
+CONSTRUCTORS = ("from_nat", "from_unit_fraction", "cutover_unit_fraction",
+                "add", "mul", "nat_scalar")
+LIBRARY = {name: globals()[name] for name in CONSTRUCTORS}
+FROZEN = {name: globals()["frozen_" + name] for name in CONSTRUCTORS}
+
+# Each search as the library gives it and as the frozen reference gave it.
+PAIR_SEARCHES = [(eq_at, frozen_eq_at), (lt_at, frozen_lt_at),
+                 (order_at, frozen_order_at)]
+CHECKS = [(check_modulus, frozen_check_modulus),
+          (check_certified, frozen_check_certified)]
 
 
 def counter_has_run(passes, horizon: int) -> bool:
@@ -359,7 +579,6 @@ class TestAgainstReferences:
             gens += [u, v]
         for g in gens:
             assert g.stages(40)[:41] == [g.at(x) for x in range(41)]
-            assert g.stages(12) is g.stages(40)
 
     def test_corpus_pairs_match_the_deque_searches(self):
         corpus = generator_corpus()
@@ -420,6 +639,165 @@ class TestAgainstReferences:
                         assert (outcome(search, other, g, prec)
                                 == outcome(reference, other, ref, prec))
                         assert log == ref_log
+
+
+def twins(make, monkeypatch) -> tuple[list, list]:
+    """make() as the library builds it, and again with the frozen
+    constructors wherever generator_corpus, encode_stabilized and this
+    module's builders look theirs up, so both lists have one shape."""
+    new = make()
+    with monkeypatch.context() as m:
+        for module in (selftest, encoder, sys.modules[__name__]):
+            for name, frozen in FROZEN.items():
+                if hasattr(module, name):
+                    m.setattr(module, name, frozen)
+        old = make()
+    return new, old
+
+
+def blueprints(depth: int):
+    """The trees of tree(depth), each as a function that builds it from
+    the constructors it is given by name."""
+    leaves = st.builds(
+        lambda kind, value, start: lambda lib: (
+            lib["from_nat"](value) if kind == 0
+            else lib["from_unit_fraction"](value + 1) if kind == 1
+            else lib["cutover_unit_fraction"](value + 1, start, "cut")),
+        st.integers(0, 2), st.integers(0, 58), st.integers(0, 11))
+    if depth == 0:
+        return leaves
+    sub = blueprints(depth - 1)
+    return st.one_of(
+        leaves,
+        st.builds(lambda x, y: lambda lib: lib["add"](x(lib), y(lib)),
+                  sub, sub),
+        st.builds(lambda x, y: lambda lib: lib["mul"](x(lib), y(lib)),
+                  sub, sub),
+        st.builds(lambda n, x: lambda lib: lib["nat_scalar"](n, x(lib)),
+                  st.integers(0, 12), sub))
+
+
+def assert_same_generator(g: RealGen, frozen: FrozenGen,
+                          precisions: list[Precision]) -> None:
+    """Names, reprs, records, stages 0..40, hints 0..24 and both modulus
+    checks of g equal the frozen reference's."""
+    assert (g.name, repr(g), g._exact) == (
+        frozen.name, repr(frozen), frozen._exact)
+    for prec in precisions:
+        for check, reference in CHECKS:
+            assert outcome(check, g, prec) == outcome(reference, frozen, prec), (
+                g, prec, check)
+    assert [g.at(x) for x in range(41)] == [frozen.at(x) for x in range(41)]
+    assert g.stages(40) == frozen.stages(40)[:41]
+    assert [g.hint(k) for k in range(25)] == [frozen.hint(k)
+                                              for k in range(25)]
+
+
+def assert_same_verdicts(a: RealGen, b: RealGen, fa: FrozenGen,
+                         fb: FrozenGen, precisions: list[Precision]) -> None:
+    """eq_at, lt_at each way and order_at on a and b give the frozen
+    reference's verdicts."""
+    for prec in precisions:
+        for search, reference in PAIR_SEARCHES:
+            assert outcome(search, a, b, prec) == outcome(
+                reference, fa, fb, prec), (a, b, prec, search)
+        assert outcome(lt_at, b, a, prec) == outcome(frozen_lt_at, fb, fa,
+                                                     prec)
+
+
+def logged_user(cls, log: list, name: str, approx):
+    """A user-supplied generator built by cls that logs (name, stage)
+    for every approximant call into log."""
+    return cls(lambda x: log.append((name, x)) or approx(x),
+               lambda k: k + 2, name)
+
+
+def user_pair(cls, log: list, combine: str):
+    """combine of two logged user-supplied generators, a = 1/3 and b =
+    1/5 except that b's stage 9 is -1, built by cls and the constructors
+    in LIBRARY or FROZEN; both log into one list."""
+    lib = LIBRARY if cls is RealGen else FROZEN
+    return lib[combine](
+        logged_user(cls, log, "a", lambda x: (1 << x) // 3),
+        logged_user(cls, log, "b", lambda x: -1 if x == 9 else (1 << x) // 5))
+
+
+def user_other(cls, log: list, kind: str):
+    """The other side of a search against user_pair: the library's 1/4,
+    or a logged user-supplied 1/4 whose stage 7 is -1."""
+    if kind == "library":
+        return (from_unit_fraction if cls is RealGen
+                else frozen_from_unit_fraction)(4)
+    return logged_user(cls, log, "c", lambda x: -1 if x == 7
+                       else (1 << x) // 4)
+
+
+class TestAgainstFrozenGenerators:
+    """Each generator states its stage rule once; the frozen copy of the
+    generators that stated it twice, as a rule and as a stage vector, is
+    the reference for every value, record, verdict and error."""
+
+    def test_corpus_and_encoder_generators(self, monkeypatch):
+        new, old = twins(lambda: generator_corpus() + [
+            g for pair in encoder_pairs() for g in pair], monkeypatch)
+        assert len(new) == len(old) == 90
+        for g, frozen in zip(new, old):
+            assert type(frozen) is FrozenGen
+            assert_same_generator(g, frozen, REFERENCE_PRECISIONS)
+
+    def test_corpus_pairs(self, monkeypatch):
+        new, old = twins(generator_corpus, monkeypatch)
+        for (a, b), (fa, fb) in zip(itertools.product(new, repeat=2),
+                                    itertools.product(old, repeat=2)):
+            assert_same_verdicts(a, b, fa, fb, REFERENCE_PRECISIONS)
+
+    def test_encoder_pairs(self, monkeypatch):
+        new, old = twins(encoder_pairs, monkeypatch)
+        for (a, b), (fa, fb) in zip(new, old):
+            assert_same_verdicts(a, b, fa, fb, REFERENCE_PRECISIONS)
+
+    @settings(max_examples=200)
+    @given(plan_a=blueprints(3), plan_b=blueprints(3),
+           j=st.integers(0, len(REFERENCE_PRECISIONS) - 1))
+    def test_trees(self, plan_a, plan_b, j):
+        a, b = plan_a(LIBRARY), plan_b(LIBRARY)
+        fa, fb = plan_a(FROZEN), plan_b(FROZEN)
+        precisions = REFERENCE_PRECISIONS[j::17]
+        assert_same_generator(a, fa, precisions)
+        assert_same_verdicts(a, b, fa, fb, precisions)
+
+    @pytest.mark.parametrize("kind", ["library", "user"])
+    @pytest.mark.parametrize("combine", ["add", "mul"])
+    def test_two_user_generators_are_read_in_the_frozen_order(self, combine,
+                                                              kind):
+        searches = [(search, reference, flip)
+                    for search, reference in PAIR_SEARCHES
+                    for flip in (False, True)]
+        searches += [(lambda g, _, prec: check(g, prec),
+                      lambda g, _, prec: reference(g, prec), False)
+                     for check, reference in CHECKS]
+        errors = set()
+        for prec in (Precision(3, 3), Precision(2, 5), Precision(6, 12)):
+            for search, reference, flip in searches:
+                log, ref_log = [], []
+                g = user_pair(RealGen, log, combine)
+                other = user_other(RealGen, log, kind)
+                ref = user_pair(FrozenGen, ref_log, combine)
+                ref_other = user_other(FrozenGen, ref_log, kind)
+                got = (outcome(search, other, g, prec) if flip
+                       else outcome(search, g, other, prec))
+                expect = (outcome(reference, ref_other, ref, prec) if flip
+                          else outcome(reference, ref, ref_other, prec))
+                assert (got, log) == (expect, ref_log), (prec, search, flip)
+                if isinstance(got, tuple) and got[0] is ValueError:
+                    errors.add(got[1].split()[2])
+        assert errors == ({"b"} if kind == "library" else {"b", "c"})
+        log = []
+        with pytest.raises(ValueError):
+            eq_at(user_pair(RealGen, log, combine),
+                  user_other(RealGen, log, kind), Precision(2, 5))
+        assert log[:4] == [("a", 0), ("b", 0), ("a", 1), ("b", 1)]
+        assert log[-2:] == [("a", 9), ("b", 9)]
 
 
 def certified_generators() -> list[RealGen]:
@@ -520,7 +898,8 @@ class TestCertificate:
 
 class TestWork:
     """Time-free guards: every stage of a user-supplied generator is
-    computed once, however many searches read it."""
+    computed once, however many searches read it, and a pair of records
+    is read in memory that does not grow with the horizon."""
 
     HORIZON = 16
 
@@ -542,6 +921,21 @@ class TestWork:
         self.searches(nat_scalar(3, add(g, from_nat(0))))
         assert len(log) <= 2 * self.HORIZON + 1
         assert sorted(log) == sorted(set(log))
+
+    def test_a_long_scan_of_two_records_keeps_no_stage_lists(self):
+        # 1/10 against 1/11 at k = 3: the records leave it to the scan,
+        # which witnesses equality; stage lists of 2h + 1 values of up
+        # to 2h bits would peak at over 30 MiB
+        a, b = encode_stabilized(1, 10).v, encode_stabilized(1, 11).v
+        prec = Precision(3, 8000)
+        tracemalloc.start()
+        try:
+            assert order_at(a, b, prec) == 0
+            assert eq_at(a, b, prec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def listed(values: list, name: str) -> tuple[RealGen, list[int]]:

@@ -16,22 +16,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from importlib import import_module
 from typing import Callable, Mapping, NoReturn, Optional, Sequence, TypeVar
 
 from . import __version__
-from .encoder import (
-    SpeciesEncoding, adaptive_precision, encode_run, membership_profile,
-)
-from .evaluate import PrecisionError, eval_formula, parse_structure
-from .kripke import (
-    ChoiceSeq, format_trace, parse_alpha_spec, parse_schedule_spec,
-    parse_trace, simulate,
-)
-from .manifest import render_manifest
 from .pairing import parse_natural
-from .reals import InsufficientHorizon
-from .sexpr import format_formula, parse_formula
-from .selftest import format_table, run_all
 from .syntax import Language
 from .translate import (
     ORIENTATION_NAMES, Expansion, TranslationConfig, nat_core_formula,
@@ -43,9 +32,15 @@ T = TypeVar("T")
 TOOL_NAME = "ringterp"
 TOOL = f"{TOOL_NAME} {__version__}"
 
-# The other domain errors subclass ValueError.  OSError covers input
-# files that cannot be read and --out paths that cannot be written.
-_DOMAIN_ERRORS = (PrecisionError, InsufficientHorizon, ValueError, OSError)
+
+def _domain_errors() -> tuple[type[Exception], ...]:
+    """The errors main reports in one line, imported only once an
+    exception reaches main's except clause.  The other domain errors
+    subclass ValueError; OSError covers input files that cannot be read
+    and --out paths that cannot be written."""
+    from .evaluate import PrecisionError
+    from .reals import InsufficientHorizon
+    return (PrecisionError, InsufficientHorizon, ValueError, OSError)
 
 
 def _read(path: str) -> str:
@@ -65,6 +60,7 @@ def _write(path: str, text: str) -> None:
 
 def _finish(args: argparse.Namespace, subcommand: str, body: str,
             flags: Mapping[str, str], inputs: Mapping[str, bytes]) -> int:
+    from .manifest import render_manifest
     stamp = render_manifest(TOOL, subcommand, flags, inputs)
     _write(args.out, body + stamp)
     return 0
@@ -75,6 +71,7 @@ def _finish(args: argparse.Namespace, subcommand: str, body: str,
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
+    from .sexpr import format_formula, parse_formula
     orientation = ORIENTATION_NAMES[args.orientation]
     flags = {
         "--mode": args.mode,
@@ -97,6 +94,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .kripke import format_trace, simulate
     body = "".join(
         format_trace(simulate(args.alpha, args.schedule, args.horizon, seed))
         for seed in range(args.seed, args.seed + args.seeds)
@@ -111,16 +109,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return _finish(args, "simulate", body, flags, {})
 
 
-def _describe_generator(enc: SpeciesEncoding, which: str) -> str:
-    if enc.stabilized is None:
+def _describe_generator(stabilized: Optional[tuple[int, int]],
+                        which: str) -> str:
+    if stabilized is None:
         return f"{which}: 0 at every stage"
-    moment, value = enc.stabilized
+    moment, value = stabilized
     denom = moment if which == "u" else moment * value
     return (f"{which}: 0 before stage {moment}, "
             f"floor(2^x / {denom}) from stage {moment} on")
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
+    from .encoder import adaptive_precision, encode_run, membership_profile
+    from .kripke import parse_trace
     text = _read(args.from_run)
     run = parse_trace(text)
     enc = encode_run(run)
@@ -129,8 +130,8 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     if enc.stabilized is not None:
         lines.append(f"moment: {enc.stabilized[0]}")
         lines.append(f"value: {enc.stabilized[1]}")
-    lines.append(_describe_generator(enc, "u"))
-    lines.append(_describe_generator(enc, "v"))
+    lines.append(_describe_generator(enc.stabilized, "u"))
+    lines.append(_describe_generator(enc.stabilized, "v"))
     lines.append("quotient-status:")
     for n, status in membership_profile(enc, 20, prec).items():
         lines.append(f"{n} {status.value} k={prec.k}")
@@ -139,6 +140,8 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from .evaluate import eval_formula, parse_structure
+    from .sexpr import parse_formula
     structure_text = _read(args.structure)
     formula_text = _read(args.formula)
     structure = parse_structure(structure_text,
@@ -156,6 +159,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    from .selftest import format_table, run_all
     results = run_all()
     _finish(args, "selftest", format_table(results), {}, {})
     return 0 if all(r.passed for r in results) else 1
@@ -176,6 +180,13 @@ def _spec_type(parse: Callable[[str], T]) -> Callable[[str], T]:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
     return convert
+
+
+def _lazy(module: str, name: str) -> Callable[[str], object]:
+    """Function name of the package's module, imported on its first call,
+    so that building the parser loads no subcommand's modules."""
+    return lambda text: getattr(import_module(f"{__package__}.{module}"),
+                                name)(text)
 
 
 def _positive(text: str) -> int:
@@ -219,11 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_translate)
 
     p = sub.add_parser("simulate", help="run the choice-sequence simulator")
-    p.add_argument("--schedule", type=_spec_type(parse_schedule_spec),
+    p.add_argument("--schedule",
+                   type=_spec_type(_lazy("kripke", "parse_schedule_spec")),
                    required=True,
                    help="never, phi:<t> or notphi:<t>")
-    p.add_argument("--alpha", type=_spec_type(parse_alpha_spec),
-                   default=ChoiceSeq.one(),
+    p.add_argument("--alpha",
+                   type=_spec_type(_lazy("kripke", "parse_alpha_spec")),
+                   default="total",
                    help="evidence stream spec (default: total)")
     p.add_argument("--horizon", type=_spec_type(_positive), default=64)
     p.add_argument("--seed", type=_spec_type(parse_natural), default=0)
@@ -262,7 +275,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _DOMAIN_ERRORS as exc:
+    except _domain_errors() as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,7 +17,6 @@ no ring translation).
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from .encoder import encode_stabilized
 from .evaluate import FiniteStructure
@@ -54,14 +53,6 @@ class _FormulaGen:
         self.rng = rng
         self.nat_counter = 0
         self.species_counter = 0
-
-    def fresh_nat(self) -> str:
-        self.nat_counter += 1
-        return f"x{self.nat_counter}"
-
-    def fresh_species(self) -> int:
-        self.species_counter += 1
-        return self.species_counter
 
     def term(self, scope: list[str], depth: int) -> Term:
         r = self.rng
@@ -111,18 +102,9 @@ class _FormulaGen:
         if depth <= 0:
             return self.atom(scope, species_scope)
 
-        def sub(extra_scope: Optional[str] = None,
-                extra_species: Optional[int] = None,
-                spend_quant: bool = False,
-                spend_species: bool = False) -> Formula:
-            return self.formula(
-                depth - 1,
-                scope + [extra_scope] if extra_scope else scope,
-                species_scope + [extra_species]
-                if extra_species is not None else species_scope,
-                quants - (1 if spend_quant else 0),
-                species_quants - (1 if spend_species else 0),
-            )
+        def sub() -> Formula:
+            return self.formula(depth - 1, scope, species_scope, quants,
+                                species_quants)
 
         roll = r.random()
         if roll < 0.20:
@@ -137,17 +119,17 @@ class _FormulaGen:
             return Implies(sub(), BOT)
         if quants <= 0:
             return And(sub(), sub()) if r.random() < 0.5 else Or(sub(), sub())
-        exists = r.random() < 0.5
+        make = Exists if r.random() < 0.5 else Forall
         if species_quants > 0 and r.random() < 0.3:
-            index = self.fresh_species()
+            self.species_counter += 1
+            index = self.species_counter
             body = self.formula(depth - 1, scope, species_scope + [index],
                                 quants - 1, 0)
-            make = Exists if exists else Forall
             return make(species_binder_name(index), Sort.SPECIES, body)
-        var = self.fresh_nat()
+        self.nat_counter += 1
+        var = f"x{self.nat_counter}"
         body = self.formula(depth - 1, scope + [var], species_scope,
                             quants - 1, species_quants)
-        make = Exists if exists else Forall
         return make(var, Sort.NAT, body)
 
 

@@ -22,9 +22,9 @@ is unknown in principle.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
+from .frozen import frozen
 from .kripke import RunResult
 from .reals import Precision, RealGen, cutover_unit_fraction, \
     exact_relation, from_nat, nat_scalar, order_at
@@ -36,7 +36,7 @@ class MembershipStatus(enum.Enum):
     UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
+@frozen
 class SpeciesEncoding:
     """Pair of generators whose quotient codes a species of naturals.
 

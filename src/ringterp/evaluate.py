@@ -31,7 +31,6 @@ silent encoding) and answer for every candidate.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Iterable, Mapping, NoReturn, Optional, Union
 
 from .encoder import MembershipStatus, SpeciesEncoding, encode_silent, \
@@ -129,7 +128,7 @@ class FiniteStructure:
         self.real_domain = tuple(reals)
         precision = precision if precision is not None else Precision()
         k = max([precision.k] + [gap_digits(e) for e in self.species.values()])
-        self.precision = replace(precision, k=k)
+        self.precision = Precision(k, precision.horizon)
 
         self._memo: dict[tuple, object] = {}
         self._family: Optional[tuple[frozenset[int], ...]] = None

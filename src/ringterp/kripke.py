@@ -39,11 +39,11 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
 from typing import Iterable, Optional
 
+from .frozen import frozen
 from .pairing import pair, parse_natural, unpair
 
 
@@ -80,7 +80,7 @@ def _least_root(n: int) -> int:
     return s if s * (s + 1) // 2 == n else s + 1
 
 
-@dataclass(frozen=True)
+@frozen
 class ChoiceSeq:
     """Eventually periodic binary stream: prefix bits, then a repeating
     default pattern.
@@ -90,6 +90,7 @@ class ChoiceSeq:
     count) and converts it once.
     """
 
+    __slots__ = ("__dict__",)  # holds the cached witness index
     prefix: bytes
     default: bytes
 
@@ -157,7 +158,7 @@ class ChoiceSeq:
         """Least witnessing stage of every candidate witnessed inside the
         prefix, from one pass over the prefix's set bits.
 
-        Not a dataclass field, so equality, hashing and repr ignore it.
+        Not a field, so equality, hashing and repr ignore it.
         Bits are visited in increasing position, and pair(p, k) grows
         with p, so the first bit seen for k carries its least stage.
         """
@@ -287,7 +288,7 @@ class ScheduleKind(enum.Enum):
     NOT_PHI_PROVED = "notphi"
 
 
-@dataclass(frozen=True)
+@frozen
 class Schedule:
     """When, if ever, the tracked statement or its negation gets proved."""
 
@@ -339,14 +340,14 @@ def parse_schedule_spec(spec: str) -> Schedule:
 # Simulation
 
 
-@dataclass(frozen=True)
+@frozen
 class Draw:
     moment: int
     candidate: int
     witnessed: bool
 
 
-@dataclass(frozen=True)
+@frozen
 class RunResult:
     alpha: ChoiceSeq
     schedule: Schedule
@@ -426,7 +427,7 @@ _SEVERITY = {
 }
 
 
-@dataclass(frozen=True)
+@frozen
 class ConjunctReport:
     c1: ConjunctStatus
     c2: ConjunctStatus

@@ -41,8 +41,9 @@ check_modulus always scans, the reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
+
+from .frozen import frozen
 
 
 Record = tuple[int, int, int, int]
@@ -52,7 +53,7 @@ class InsufficientHorizon(Exception):
     """A modulus hint points beyond the stages the horizon allows."""
 
 
-@dataclass(frozen=True)
+@frozen
 class Precision:
     """Search bounds for witnessed comparisons.
 

@@ -7,12 +7,13 @@ so repeated selftests are byte-identical (which criterion 7 relies on).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cache
 
 from . import goldens
 from .corpus import collapse_structure, corpus_formulas
 from .encoder import MembershipStatus, encode_stabilized, quotient_status
 from .evaluate import eval_formula
+from .frozen import frozen
 from .kripke import (
     ChoiceSeq, ConjunctStatus, RunResult, Schedule, ScheduleKind,
     check_conjuncts, format_trace, parse_alpha_spec, run_total, simulate,
@@ -30,7 +31,7 @@ from .translate import (
 )
 
 
-@dataclass(frozen=True)
+@frozen
 class CriterionResult:
     number: int
     name: str
@@ -43,29 +44,18 @@ class CriterionResult:
 
 
 def check_goldens() -> CriterionResult:
-    target = Language.TARGET
+    def show(f):
+        return format_formula(f, Language.TARGET)
     membership = In(Var("x", Sort.NAT), SpeciesVar(1))
+    normalized = TranslationConfig(orientation=Orientation.QUOTIENT_NORMALIZED)
     cases = [
-        (format_formula(sentinel_formula(), target), goldens.SENTINEL),
-        (format_formula(translate(BOT), target), goldens.TAU_BOTTOM),
-        (
-            format_formula(translate(membership), target),
-            goldens.MEMBERSHIP_AS_WRITTEN,
-        ),
-        (
-            format_formula(
-                translate(
-                    membership,
-                    config=TranslationConfig(
-                        orientation=Orientation.QUOTIENT_NORMALIZED
-                    ),
-                ),
-                target,
-            ),
-            goldens.MEMBERSHIP_NORMALIZED,
-        ),
-        (format_formula(nat_core_formula(), target), goldens.NAT_CORE),
-        (format_formula(nat_predicate(), target), goldens.NAT_PREDICATE),
+        (show(sentinel_formula()), goldens.SENTINEL),
+        (show(translate(BOT)), goldens.TAU_BOTTOM),
+        (show(translate(membership)), goldens.MEMBERSHIP_AS_WRITTEN),
+        (show(translate(membership, config=normalized)),
+         goldens.MEMBERSHIP_NORMALIZED),
+        (show(nat_core_formula()), goldens.NAT_CORE),
+        (show(nat_predicate()), goldens.NAT_PREDICATE),
     ]
     hits = sum(1 for got, want in cases if got == want)
     return CriterionResult(
@@ -78,11 +68,14 @@ def check_goldens() -> CriterionResult:
 # 2 and 3. Collapse and absorption oracles
 
 
-def _collapse_counts(orientation: Orientation,
-                     formulas) -> tuple[int, int, int]:
+@cache
+def _collapse_results(orientation: Orientation) -> tuple[int, int, int]:
+    """How many corpus formulas collapse and how many are absorbed, of
+    how many, over the collapse structures of orientation."""
     plain = collapse_structure(orientation, sentinel_true=False)
     absorbing = collapse_structure(orientation, sentinel_true=True)
     config = TranslationConfig(Expansion.MACRO, orientation)
+    formulas = corpus_formulas()
     agree = absorbed = 0
     for f in formulas:
         translated = translate(f, config=config)
@@ -95,42 +88,26 @@ def _collapse_counts(orientation: Orientation,
     return agree, absorbed, len(formulas)
 
 
-_COLLAPSE_CACHE: dict[Orientation, tuple[int, int, int]] = {}
-
-
-def _collapse_results(orientation: Orientation) -> tuple[int, int, int]:
-    if orientation not in _COLLAPSE_CACHE:
-        _COLLAPSE_CACHE[orientation] = _collapse_counts(
-            orientation, corpus_formulas()
-        )
-    return _COLLAPSE_CACHE[orientation]
+def _oracle(number: int, name: str, which: int, lead: str) -> CriterionResult:
+    """Criterion number, passed when count which of _collapse_results
+    (0 collapsed, 1 absorbed) is the whole corpus in every orientation."""
+    parts = []
+    passed = True
+    for orientation in Orientation:
+        counts = _collapse_results(orientation)
+        parts.append(f"{counts[which]}/{counts[2]} {orientation.value}")
+        passed = passed and counts[which] == counts[2]
+    return CriterionResult(number, name, passed, lead + ", ".join(parts))
 
 
 def check_collapse() -> CriterionResult:
-    parts = []
-    passed = True
-    for orientation in Orientation:
-        agree, _, total = _collapse_results(orientation)
-        parts.append(f"{agree}/{total} {orientation.value}")
-        passed = passed and agree == total
-    return CriterionResult(
-        2, "classical collapse", passed,
-        "source and translated evaluations agree: " + ", ".join(parts),
-    )
+    return _oracle(2, "classical collapse", 0,
+                   "source and translated evaluations agree: ")
 
 
 def check_absorption() -> CriterionResult:
-    parts = []
-    passed = True
-    for orientation in Orientation:
-        _, absorbed, total = _collapse_results(orientation)
-        parts.append(f"{absorbed}/{total} {orientation.value}")
-        passed = passed and absorbed == total
-    return CriterionResult(
-        3, "sentinel absorption", passed,
-        "translations evaluate true under a true sentinel: "
-        + ", ".join(parts),
-    )
+    return _oracle(3, "sentinel absorption", 1,
+                   "translations evaluate true under a true sentinel: ")
 
 
 # ---------------------------------------------------------------------------
@@ -230,20 +207,14 @@ ENSEMBLE_SEEDS = tuple(range(100, 125))
 
 ENSEMBLE_HORIZON = 256
 
-_ENSEMBLE: list[RunResult] = []
 
-
+@cache
 def simulation_ensemble() -> list[RunResult]:
     """All 500 runs of the frozen schedule x alpha x seed grid."""
-    if not _ENSEMBLE:
-        for schedule in ENSEMBLE_SCHEDULES:
-            for spec in ENSEMBLE_ALPHAS:
-                alpha = parse_alpha_spec(spec)
-                for seed in ENSEMBLE_SEEDS:
-                    _ENSEMBLE.append(
-                        simulate(alpha, schedule, ENSEMBLE_HORIZON, seed)
-                    )
-    return _ENSEMBLE
+    alphas = [parse_alpha_spec(spec) for spec in ENSEMBLE_ALPHAS]
+    return [simulate(alpha, schedule, ENSEMBLE_HORIZON, seed)
+            for schedule in ENSEMBLE_SCHEDULES for alpha in alphas
+            for seed in ENSEMBLE_SEEDS]
 
 
 def check_simulator() -> CriterionResult:
@@ -332,22 +303,13 @@ def check_replay() -> CriterionResult:
         format_trace(simulate(ChoiceSeq.one(), Schedule.phi_proved(2), 40, 7))
         for _ in range(2)
     ]
-    corpora = [
-        format_formula_list(corpus_formulas(count=20)) for _ in range(2)
-    ]
-    same = (
-        outputs[0] == outputs[1]
-        and traces[0] == traces[1]
-        and corpora[0] == corpora[1]
-    )
+    corpora = [[format_formula(f, Language.SOURCE)
+                for f in corpus_formulas(count=20)] for _ in range(2)]
+    same = all(first == second for first, second in (outputs, traces, corpora))
     return CriterionResult(
         7, "replay determinism", same,
         "translate, simulate, and corpus replays are byte-identical",
     )
-
-
-def format_formula_list(formulas) -> str:
-    return "\n".join(format_formula(f, Language.SOURCE) for f in formulas)
 
 
 def run_all() -> list[CriterionResult]:

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence
+
+from .frozen import Frozen, compile_methods, frozen
 
 
 class Sort(enum.Enum):
@@ -75,19 +76,13 @@ def species_binder_name(index: int) -> str:
 # Nodes
 
 
-class Node:
+class Node(Frozen):
     """Immutable AST node, equal to another node of the same class with
     equal fields.  Each concrete class is built from its row of _NODES."""
 
     __slots__ = ()
     data_fields: tuple[str, ...] = ()
     child_kinds: tuple[type, ...] = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Term(Node):
@@ -142,55 +137,27 @@ _NODES = (
 )
 
 
-# The methods of a node class, compiled per class as dataclasses does, so
-# that they name the fields and read them without a call.  __init__
-# stores through the slot descriptors, which Node.__setattr__ does not
-# intercept.  Equality, hashing and repr recurse one frame per level of
-# nesting.
-_METHODS = """\
-def make(negative, {setters}):
-    def __init__(self, {fields}):
-{check}{stores}
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return {values} == {other_values}
-        return NotImplemented
-    def __hash__(self):
-        return hash({values})
-    def __repr__(self):
-        return f"{name}({repr_fields})"
-    return __init__, __eq__, __hash__, __repr__
-"""
-
-
 def _node_class(name: str, base: type, data: tuple[str, ...],
                 kids: tuple[tuple[str, type], ...],
                 negative: Optional[str] = None) -> type:
-    """The class of one row of _NODES."""
+    """The class of one row of _NODES; its compiled methods name the fields,
+    and equality, hashing and repr recurse one frame per level of
+    nesting."""
     fields = data + tuple(field for field, _ in kids)
     cls = type(name, (base,), {
         "__slots__": fields,
         "data_fields": data,
         "child_kinds": tuple(kind for _, kind in kids),
     })
-    source = _METHODS.format(
-        name=name,
-        setters=", ".join(f"set_{f}" for f in fields),
-        fields=", ".join(fields),
-        check=(f"        if {fields[0]} < 0:\n"
-               f"            raise ValueError(negative.format({fields[0]}))\n"
-               if negative else ""),
-        stores="".join(f"        set_{f}(self, {f})\n" for f in fields)
-        or "        pass\n",
-        values="(" + "".join(f"self.{f}, " for f in fields) + ")",
-        other_values="(" + "".join(f"other.{f}, " for f in fields) + ")",
-        repr_fields=", ".join(f"{f}={{self.{f}!r}}" for f in fields),
-    )
-    namespace: dict = {}
-    exec(source, {}, namespace)
-    setters = [getattr(cls, field).__set__ for field in fields]
-    (cls.__init__, cls.__eq__, cls.__hash__,
-     cls.__repr__) = namespace["make"](negative, *setters)
+    check = None
+    if negative:
+        get = attrgetter(fields[0])
+
+        def check(node: Node) -> None:
+            if get(node) < 0:
+                raise ValueError(negative.format(get(node)))
+
+    compile_methods(cls, fields, check)
     return cls
 
 
@@ -374,7 +341,7 @@ def infer_term_sort(t: Term) -> Optional[Sort]:
 # Variable bookkeeping
 
 
-@dataclass(frozen=True)
+@frozen
 class FreeVars:
     nat: frozenset[str]
     species: frozenset[int]

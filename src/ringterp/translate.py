@@ -34,9 +34,9 @@ compound of the translations byte for byte.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, TypeVar
 
+from .frozen import frozen
 from .pairing import bounded_op
 from .syntax import (
     ATOMS, Add, And, Apart, Bottom, DefinedQuant, Eq, Exists, Forall, Formula,
@@ -81,7 +81,7 @@ ORIENTATION_NAMES = {
 }
 
 
-@dataclass(frozen=True)
+@frozen
 class TranslationConfig:
     expansion: Expansion = Expansion.MACRO
     orientation: Orientation = Orientation.AS_WRITTEN

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import hashlib
 import re
 import shutil
 import subprocess
@@ -8,16 +9,20 @@ from pathlib import Path
 
 import pytest
 
+from ringterp import cli
 from ringterp.cli import main
+from ringterp.evaluate import PrecisionError
 from ringterp.goldens import (
     MEMBERSHIP_AS_WRITTEN, MEMBERSHIP_NORMALIZED, NAT_CORE, NAT_PREDICATE,
     SENTINEL,
 )
 from ringterp.kripke import (
-    ChoiceSeq, format_trace, parse_schedule_spec, parse_trace, simulate,
+    ChoiceSeq, TraceError, format_trace, parse_schedule_spec, parse_trace,
+    simulate,
 )
 from ringterp.pairing import MAX_TERM_BITS
-from ringterp.sexpr import MAX_NESTING
+from ringterp.reals import InsufficientHorizon
+from ringterp.sexpr import MAX_NESTING, ParseError
 
 
 def run_cli(*args: str, stdin: str = "") -> subprocess.CompletedProcess:
@@ -520,3 +525,180 @@ class TestMisc:
         module = run_cli("translate", stdin="(bot)\n")
         assert script.returncode == module.returncode == 0
         assert script.stdout == module.stdout
+
+
+# ---------------------------------------------------------------------------
+# The command line surface, pinned byte for byte: help texts at 80
+# columns, whole outputs, exit codes and one-line errors.  Building the
+# parser and reporting an error import no subcommand's modules, so these
+# pin that neither changed what a call prints.
+
+HELP = {
+    "": """\
+usage: ringterp [-h] [--version] {translate,simulate,encode,eval,selftest} ...
+
+translate two-sorted arithmetic into ordered-ring formulas, simulate proof-
+event choice sequences, encode runs as real quotients, and evaluate formulas
+over finite structures
+
+positional arguments:
+  {translate,simulate,encode,eval,selftest}
+    translate           translate a source formula
+    simulate            run the choice-sequence simulator
+    encode              encode a finished run as a quotient
+    eval                evaluate a formula over a structure
+    selftest            run the acceptance checks
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+""",
+    "translate": """\
+usage: ringterp translate [-h] [--mode {macro,full}]
+                          [--orientation {as-written,normalized,quotient-normalized}]
+                          [--in IN] [--out OUT] [--emit-psi | --emit-phiN]
+
+options:
+  -h, --help            show this help message and exit
+  --mode {macro,full}   keep defined quantifiers or expand them
+  --orientation {as-written,normalized,quotient-normalized}
+                        membership atom orientation
+  --in IN               formula file or - for stdin
+  --out OUT             output file or - for stdout
+  --emit-psi            print the naturals predicate instead
+  --emit-phiN           print its quantifier-free core instead
+""",
+    "simulate": """\
+usage: ringterp simulate [-h] --schedule SCHEDULE [--alpha ALPHA]
+                         [--horizon HORIZON] [--seed SEED] [--seeds SEEDS]
+                         [--out OUT]
+
+options:
+  -h, --help           show this help message and exit
+  --schedule SCHEDULE  never, phi:<t> or notphi:<t>
+  --alpha ALPHA        evidence stream spec (default: total)
+  --horizon HORIZON
+  --seed SEED
+  --seeds SEEDS        number of consecutive seeds to run
+  --out OUT
+""",
+    "encode": """\
+usage: ringterp encode [-h] --from-run FROM_RUN [--out OUT]
+
+options:
+  -h, --help           show this help message and exit
+  --from-run FROM_RUN  trace file or - for stdin
+  --out OUT
+""",
+    "eval": """\
+usage: ringterp eval [-h] --structure STRUCTURE --formula FORMULA
+                     [--sentinel {true,false}] [--language {source,target}]
+                     [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --structure STRUCTURE
+                        structure file or - for stdin
+  --formula FORMULA     formula file or - for stdin
+  --sentinel {true,false}
+                        how to force atoms mentioning the sentinel
+  --language {source,target}
+  --out OUT
+""",
+    "selftest": """\
+usage: ringterp selftest [-h] [--out OUT]
+
+options:
+  -h, --help  show this help message and exit
+  --out OUT
+""",
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(HELP))
+def test_help_texts_are_pinned(monkeypatch, capsys, subcommand):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        main([subcommand, "-h"] if subcommand else ["-h"])
+    assert stop.value.code == 0
+    assert capsys.readouterr() == (HELP[subcommand], "")
+
+
+@pytest.mark.parametrize("argv, stdin, digest", [
+    (["translate", "--mode", "full", "--orientation", "normalized"],
+     "(in x X1)\n",
+     "653aa22dca8c839ad55c4c216087bb3b44f78769637b5f4ec17b075725c026f5"),
+    (["simulate", "--schedule", "phi:3", "--horizon", "8", "--seed", "5"], "",
+     "b6f452dae84bdfa42e4f76307845d63dee552c1e3cea61a8577c9c52c680fa29"),
+    (["simulate", "--schedule", "never", "--horizon", "2", "--seeds", "2"],
+     "", "d40df302f37c74625be8d083155310bff52abcab07aeabc1ccf5fedd80be4381"),
+    (["simulate", "--schedule", "never", "--horizon", "2", "--seeds", "2",
+      "--alpha", "prefix:;default:1"], "",
+     "d40df302f37c74625be8d083155310bff52abcab07aeabc1ccf5fedd80be4381"),
+    (["encode", "--from-run", "-"], "run",
+     "57a761859dc19d30a796eca7b075e205435ee0c8540b1c0a7479be807571d231"),
+    (["eval", "--structure", "-", "--formula", "{formula}", "--language",
+      "source"], "nats: 0 1 2 3\nspecies: 1 singleton 1 moment 2\n"
+                 "species: 2 singleton 2 moment 3\n",
+     "d8bee4a4434b1176f5763a0a5dd7c6515aa6327199fa49e496bcb08a27317a58"),
+])
+def test_whole_outputs_are_pinned(tmp_path, argv, stdin, digest):
+    formula = tmp_path / "formula.sexp"
+    formula.write_text("(in 1 (sconst 1))\n")
+    if stdin == "run":
+        stdin = run_cli("simulate", "--schedule", "phi:3", "--horizon", "8",
+                        "--seed", "5").stdout
+    proc = run_cli(*(arg.format(formula=formula) for arg in argv),
+                   stdin=stdin)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+def test_the_default_stream_is_recorded_in_canonical_form():
+    proc = run_cli("simulate", "--schedule", "never", "--horizon", "2")
+    assert "# flag: --alpha=prefix:;default:1\n" in proc.stdout
+
+
+@pytest.mark.parametrize("argv, stdin, code, stderr", [
+    (["eval", "--structure", "-", "--formula", "{formula}"],
+     "nats: 0 5\nspecies: 0 singleton 5 moment 10\n"
+     "precision: k=4 horizon=6\n", 1,
+     "ringterp: error: structure precision cannot host a generator: "
+     "u[m=10]: hint(0) = 10 exceeds horizon 6\n"),
+    (["translate"], "(= x\n", 1,
+     "ringterp: error: at end of input: unexpected end of input\n"),
+    (["simulate", "--schedule", "bogus"], "", 2,
+     "ringterp simulate: error: argument --schedule: unrecognized schedule "
+     "spec 'bogus'\n"),
+    (["simulate", "--schedule", "never", "--alpha", "members:0"], "", 2,
+     "ringterp simulate: error: argument --alpha: candidates must be "
+     "positive, got 0\n"),
+])
+def test_errors_are_pinned(tmp_path, argv, stdin, code, stderr):
+    formula = tmp_path / "formula.sexp"
+    formula.write_text("(bot)\n")
+    proc = run_cli(*(arg.format(formula=formula) for arg in argv),
+                   stdin=stdin)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", stderr)
+
+
+@pytest.mark.parametrize("error", [
+    PrecisionError("p"), InsufficientHorizon("h"), ParseError("q"),
+    TraceError("t"), OSError("o"), ValueError("v"),
+])
+def test_every_domain_error_ends_in_one_line(monkeypatch, capsys, error):
+    """main's error boundary, whose error classes are imported only once
+    an error reaches it."""
+    def fail(args):
+        raise error
+    monkeypatch.setattr(cli, "_cmd_selftest", fail)
+    assert main(["selftest"]) == 1
+    assert capsys.readouterr() == ("", f"ringterp: error: {error}\n")
+
+
+def test_other_errors_are_not_caught(monkeypatch):
+    def fail(args):
+        raise KeyError("k")
+    monkeypatch.setattr(cli, "_cmd_selftest", fail)
+    with pytest.raises(KeyError):
+        main(["selftest"])

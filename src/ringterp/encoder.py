@@ -14,26 +14,26 @@ candidate against that pair.
 
 quotient_status decides membership by bounded witness search, or by
 the verdict that search would find where exact values prove it.
-Confirmed and excluded both rest on a witness; undetermined means the
-precision or horizon was too small to produce one, not that the answer
-is unknown in principle.
+Confirmed and excluded both rest on a witness the exact values do not
+contradict; undetermined means the precision or horizon was too small
+to produce one, not that the answer is unknown in principle.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from typing import Optional, Union
 
 from .frozen import frozen
 from .kripke import RunResult
-from .reals import Precision, RealGen, cutover_unit_fraction, \
-    exact_relation, from_nat, nat_scalar, order_at
+from .reals import UNDETERMINED, Precision, RealGen, cutover_unit_fraction, \
+    from_nat, relation_at
 
 
 class MembershipStatus(enum.Enum):
     CONFIRMED = "confirmed"
     EXCLUDED = "excluded"
-    UNDETERMINED = "undetermined"
+    UNDETERMINED = UNDETERMINED
 
 
 @frozen
@@ -78,35 +78,30 @@ def encode_run(run: RunResult) -> SpeciesEncoding:
     return encode_stabilized(moment, value)
 
 
+def membership_at(enc: SpeciesEncoding, n: int,
+                  prec: Precision) -> Union[bool, str]:
+    """reals.relation_at on n * v = u, or UNDETERMINED at a horizon
+    shorter than the encoding's cutover moment: every window it could
+    inspect fits inside the silent prefix where both generators are
+    still 0, which would pass as an equality witness for any candidate.
+    """
+    if enc.stabilized is not None and prec.horizon < enc.stabilized[0]:
+        return UNDETERMINED
+    return relation_at(n, enc.v, enc.u, prec)
+
+
 def quotient_status(enc: SpeciesEncoding, n: int,
                     prec: Precision) -> MembershipStatus:
-    """Bounded membership check of n against the encoded species.
-
-    Confirmed when n * v = u is witnessed, excluded when the two sides
-    are witnessed apart, undetermined when neither search succeeds
-    within the precision.
-
-    A horizon shorter than the encoding's cutover moment is reported
-    undetermined outright: every window it could inspect fits inside the
-    silent prefix where both generators are still 0, which would let the
-    prefix itself pass as an equality witness for any candidate.  Longer
-    windows necessarily reach informative stages, so this cannot happen
-    once the horizon clears the cutover.  Past it, a candidate whose
-    verdict the generators' records prove, such as every candidate of a
-    silent encoding, gets it from exact_relation without a search; the
-    rest are scanned by reals.order_at.
-    """
+    """Bounded membership check of n against the encoded species:
+    confirmed when n * v = u is witnessed, excluded when the two sides
+    are witnessed apart, undetermined where membership_at gives a fault
+    (no witness, or one the exact values contradict)."""
     if n < 0:
         raise ValueError("candidates are nonnegative")
-    if enc.stabilized is not None and prec.horizon < enc.stabilized[0]:
-        return MembershipStatus.UNDETERMINED
-    verdict = exact_relation(n, enc.v, enc.u, prec)
-    if verdict is None:
-        order = order_at(nat_scalar(n, enc.v), enc.u, prec)
-        if order is None:
-            return MembershipStatus.UNDETERMINED
-        verdict = order == 0
-    return MembershipStatus.CONFIRMED if verdict else MembershipStatus.EXCLUDED
+    verdict = membership_at(enc, n, prec)
+    return (MembershipStatus.UNDETERMINED if isinstance(verdict, str)
+            else MembershipStatus.CONFIRMED if verdict
+            else MembershipStatus.EXCLUDED)
 
 
 def adaptive_precision(enc: SpeciesEncoding, k: int = 16) -> Precision:

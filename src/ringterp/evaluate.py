@@ -31,14 +31,14 @@ silent encoding) and answer for every candidate.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, NoReturn, Optional, Union
+from typing import Callable, Iterable, Mapping, NoReturn, Optional
 
-from .encoder import MembershipStatus, SpeciesEncoding, encode_silent, \
-    encode_stabilized, gap_digits, quotient_status
+from .encoder import SpeciesEncoding, encode_silent, encode_stabilized, \
+    gap_digits, membership_at
 from .pairing import bounded_op, parse_natural
-from .reals import InsufficientHorizon, Precision, RealGen, add, \
-    check_certified, exact_relation, exact_sign, from_nat, lt_at, mul, \
-    nat_scalar, order_at
+from .reals import AGAINST, UNDETERMINED, InsufficientHorizon, Precision, \
+    RealGen, add, check_certified, exact_sign, from_nat, lt_at, mul, \
+    order_at, relation_at, undecided_run
 from .syntax import (
     Add, And, Apart, Bottom, DefinedQuant, Eq, Exists, Forall, Formula,
     Implies, In, Language, Lt, Mul, NatConst, Or, Pair, QuantKind, RealConst,
@@ -68,8 +68,8 @@ def _witnessed_order(a: RealGen, b: RealGen, prec: Precision) -> Optional[int]:
     if verdict is not None and \
             exact_sign(a._exact, b._exact) not in (None, verdict):
         raise PrecisionError(
-            f"comparison of {a.name or '?'} and {b.name or '?'} witnessed "
-            f"against its exact value at k={prec.k}, horizon={prec.horizon}"
+            f"comparison of {a.name or '?'} and {b.name or '?'} {AGAINST} "
+            f"at k={prec.k}, horizon={prec.horizon}"
         )
     return verdict
 
@@ -77,19 +77,18 @@ def _witnessed_order(a: RealGen, b: RealGen, prec: Precision) -> Optional[int]:
 class FiniteStructure:
     """Finite classical model shared by the source and target languages.
 
-    nat_domain is the range of the source natural quantifiers and of
-    the target defined quantifiers; real_domain (the generators f_n for
-    the domain naturals plus the coding pair of every species constant)
-    is the range of plain real quantifiers.  species maps constant
-    indices to encodings; their exact extensions are derived from the
-    encodings and verified against bounded membership checks during
-    construction, as is the modulus promise of every domain generator:
-    a library generator (from_nat, or an encoder's cutover unit
-    fraction) by the slack floor of its exact record, any other by
-    check_modulus's scan (see reals.check_certified).  A membership
-    verdict against the exact values of a library encoding is the
-    precision's fault (PrecisionError), any other mismatch the
-    encoding's (StructureError).
+    nat_domain (ints, not bools) is the range of the source natural
+    quantifiers and of the target defined quantifiers; real_domain (the
+    generators f_n for the domain naturals plus the coding pair of every
+    species constant) is the range of plain real quantifiers.  species
+    maps constant indices (ints) to encodings; their exact extensions
+    are derived from the encodings and verified against
+    encoder.membership_at during construction, as is the modulus
+    promise of every domain generator: a library generator by the slack
+    floor of its exact record, any other by check_modulus's scan (see
+    reals.check_certified).  A membership fault is the precision's
+    (PrecisionError), a verdict against the extension the encoding's
+    (StructureError).
     The precision's k is raised to the gap_digits of every species
     constant, so that a candidate next to a singleton's member is not
     witnessed equal to it; the horizon is kept as given.
@@ -102,15 +101,16 @@ class FiniteStructure:
                  orientation: Orientation = Orientation.AS_WRITTEN,
                  precision: Optional[Precision] = None, *,
                  sentinel_true: bool = False) -> None:
-        domain = tuple(sorted(set(nat_domain)))
+        domain, species = tuple(nat_domain), dict(species or {})
+        if any(type(n) is not int or n < 0 for n in domain):
+            raise StructureError("nat domain elements must be naturals")
+        if any(type(i) is not int or i < 0 for i in species):
+            raise StructureError("species indices must be naturals")
+        domain = tuple(sorted(set(domain)))
         if not domain:
             raise StructureError("nat domain must be nonempty")
-        if any(not isinstance(n, int) or n < 0 for n in domain):
-            raise StructureError("nat domain elements must be naturals")
         self.nat_domain = domain
-        self.species = dict(sorted((species or {}).items()))
-        if any(i < 0 for i in self.species):
-            raise StructureError("species indices must be nonnegative")
+        self.species = dict(sorted(species.items()))
         self.orientation = orientation
         self.sentinel_true = sentinel_true
         self.family_bound = max(domain)
@@ -137,11 +137,7 @@ class FiniteStructure:
     # -- construction checks ------------------------------------------------
 
     def _verify(self) -> None:
-        seen: set[RealGen] = set()
-        for g in self.real_domain:
-            if g in seen:
-                continue
-            seen.add(g)
+        for g in dict.fromkeys(self.real_domain):
             try:
                 ok = check_certified(g, self.precision)
             except InsufficientHorizon as exc:
@@ -154,22 +150,17 @@ class FiniteStructure:
                 )
         for i, enc in self.species.items():
             for n in range(self.family_bound + 1):
-                status = quotient_status(enc, n, self.precision)
-                member = enc.stabilized is None or n == enc.stabilized[1]
-                if status is MembershipStatus.UNDETERMINED:
-                    fault = "undetermined"
-                elif (status is MembershipStatus.CONFIRMED) == member:
+                verdict = membership_at(enc, n, self.precision)
+                if verdict is (enc.stabilized is None
+                               or n == enc.stabilized[1]):
                     continue
-                elif exact_sign(nat_scalar(n, enc.v)._exact, enc.u._exact) \
-                        in ((0,) if member else (-1, 1)):
-                    fault = "witnessed against its exact value"
-                else:
+                if isinstance(verdict, bool):
                     raise StructureError(
                         f"species {i} encoding disagrees with its extension "
                         f"at candidate {n}"
                     )
                 raise PrecisionError(
-                    f"membership of {n} in species {i} is {fault} "
+                    f"membership of {n} in species {i} is {verdict} "
                     f"at k={self.precision.k}, "
                     f"horizon={self.precision.horizon}"
                 )
@@ -193,14 +184,14 @@ class FiniteStructure:
             self._nat_gens[value] = got
         return got
 
-    def memo(self, op: Callable, a: Union[int, RealGen], b: RealGen,
+    def memo(self, op: Callable, a: RealGen, b: RealGen,
              *extra: object) -> object:
         """op(a, b, *extra), computed once per operation and operands.
 
         The key is (op, a, b) itself.  RealGen defines no equality, so a
         generator hashes by identity, and the key keeps it alive for the
-        structure's lifetime; a natural scalar is keyed by value.  extra
-        (the precision) is fixed per structure.
+        structure's lifetime.  extra (the precision) is fixed per
+        structure.
         """
         key = (op, a, b)
         if key not in self._memo:
@@ -208,73 +199,32 @@ class FiniteStructure:
         return self._memo[key]
 
     def relation_holds(self, n: int, scaled: RealGen, other: RealGen) -> bool:
-        """Decide n * scaled = other by bounded witness, aborting when
-        neither equality nor apartness is witnessed, or when the witness
-        contradicts the exact values of two library generators.  Where
-        their records prove the witness, exact_relation gives it without
-        a generator for n * scaled or a search, and never raises."""
-        verdict = exact_relation(n, scaled, other, self.precision)
-        if verdict is not None:
+        """reals.relation_at on n * scaled = other, raising its fault as
+        a PrecisionError."""
+        verdict = relation_at(n, scaled, other, self.precision)
+        if isinstance(verdict, bool):
             return verdict
-        left = self.memo(nat_scalar, n, scaled)
-        order = self.memo(order_at, left, other, self.precision)
-        if order is None or exact_sign(left._exact, other._exact) \
-                in ((0,) if order else (-1, 1)):
-            fault = ("undetermined" if order is None
-                     else "witnessed against its exact value")
-            raise PrecisionError(
-                f"relation {n} * {scaled.name or '?'} = {other.name or '?'} "
-                f"{fault} at k={self.precision.k}, "
-                f"horizon={self.precision.horizon}"
-            )
-        return order == 0
+        raise PrecisionError(
+            f"relation {n} * {scaled.name or '?'} = {other.name or '?'} "
+            f"{verdict} at k={self.precision.k}, "
+            f"horizon={self.precision.horizon}"
+        )
 
     @property
     def species_family(self) -> tuple[frozenset[int], ...]:
         """Species definable from ordered pairs of domain generators,
         as extensions over 0..family_bound, deduplicated in first-seen
-        order, each candidate the records leave (_candidates) decided by
-        relation_holds."""
+        order, each candidate the records leave (reals.undecided_run)
+        decided by relation_holds."""
         if self._family is None:
-            sets: list[frozenset[int]] = []
-            seen: set[frozenset[int]] = set()
-            for ga in self.real_domain:
-                for gb in self.real_domain:
-                    scaled, other = self.orientation.orient(ga, gb)
-                    members = frozenset(
-                        n for n in self._candidates(scaled, other)
-                        if self.relation_holds(n, scaled, other))
-                    if members not in seen:
-                        seen.add(members)
-                        sets.append(members)
-            self._family = tuple(sets)
+            top, prec = self.family_bound, self.precision
+            pairs = (self.orientation.orient(a, b) for a in self.real_domain
+                     for b in self.real_domain)
+            self._family = tuple(dict.fromkeys(
+                frozenset(n for n in undecided_run(scaled, other, top, prec)
+                          if self.relation_holds(n, scaled, other))
+                for scaled, other in pairs))
         return self._family
-
-    def _candidates(self, scaled: RealGen, other: RealGen) -> range:
-        """The candidates 0..family_bound the records leave to
-        relation_holds.  With two records, n * scaled = other exactly at
-        n = p / q alone (nowhere if q = 0 alone, everywhere if p = q = 0).
-        exact_order certifies a prefix of the candidates below p / q,
-        where its error term is fixed, and a suffix of those above, where
-        the distance less the error grows linearly in n; what is left is
-        one run through p / q.  A skipped candidate is a non-member
-        relation_holds gives without a search, so the members and the
-        first PrecisionError stay the same.
-        """
-        top, a, b = self.family_bound, scaled._exact, other._exact
-        if a is None or b is None or a[0] == b[0] == 0:
-            return range(top + 1)
-        p, q = b[0] * a[1], a[0] * b[1]
-        lo = min(-(-p // q), top + 1) if q else top + 1
-        hi = min(p // q + 1, top + 1) if q else top + 1
-
-        def undecided(n: int) -> bool:
-            return exact_relation(n, scaled, other, self.precision) is None
-        while lo and undecided(lo - 1):
-            lo -= 1
-        while hi <= top and undecided(hi):
-            hi += 1
-        return range(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +545,7 @@ class _Compiler:
                 return verdict == 0
             raise PrecisionError(
                 f"equality of {a.name or '?'} and {b.name or '?'} "
-                f"undetermined at k={prec.k}, horizon={prec.horizon}"
+                f"{UNDETERMINED} at k={prec.k}, horizon={prec.horizon}"
             )
         return equal
 

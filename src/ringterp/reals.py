@@ -29,11 +29,13 @@ every stage x >= start, num * 2^x - err <= den * xi(x) <= num * 2^x.
 from_nat(n) records (n, 1, 0, 0), a cutover unit fraction (1, q, q - 1,
 start); add, mul and nat_scalar carry their operands' records, and a
 generator over a user-supplied one has none.  exact_order reads two
-records to give the searches' verdict where the errors prove it.  A
-record also proves a slack floor: past start, the least x + j -
-bits(|2^j * xi(x) - xi(x + j)|) over nonzero differences is at least
-x - bits(err // den), as the two differ by at most err * 2^j / den: x
-where err < den, as for every library atom, and infinite where err = 0.
+records to give the searches' verdict where the errors prove it;
+relation_at decides n * scaled = other from them, or by a scan checked
+against them.  A record also proves a slack floor: past start, the
+least x + j - bits(|2^j * xi(x) - xi(x + j)|) over nonzero differences
+is at least x - bits(err // den), as the two differ by at most
+err * 2^j / den: x where err < den, as for every library atom, and
+infinite where err = 0.
 check_certified relies on it there and scans any other generator;
 check_modulus always scans, the reference.
 """
@@ -41,12 +43,16 @@ check_modulus always scans, the reference.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from .frozen import frozen
 
 
 Record = tuple[int, int, int, int]
+
+# The faults of relation_at.
+UNDETERMINED = "undetermined"
+AGAINST = "witnessed against its exact value"
 
 
 class InsufficientHorizon(Exception):
@@ -346,6 +352,55 @@ def order_at(a: RealGen, b: RealGen, prec: Precision) -> Optional[int]:
     order = exact_order(a._exact, b._exact, prec)
     return order if order is not None else 0 if eq_at(a, b, prec) \
         else -1 if lt_at(a, b, prec) else 1 if lt_at(b, a, prec) else None
+
+
+def relation_at(n: int, scaled: RealGen, other: RealGen,
+                prec: Precision) -> Union[bool, str]:
+    """Decide n * scaled = other: True for eq_at witnessed, False for
+    lt_at witnessed one way, else the fault UNDETERMINED (nothing is
+    witnessed) or AGAINST (the witness contradicts the records).  Where
+    the records prove it, exact_relation gives the verdict without a
+    generator for n * scaled or a search; the rest are scanned by
+    order_at.  Only equality is checked against the records: a scan
+    that orders two unequal values the wrong way gives the right
+    verdict."""
+    verdict = exact_relation(n, scaled, other, prec)
+    if verdict is not None:
+        return verdict
+    left = nat_scalar(n, scaled)
+    order = order_at(left, other, prec)
+    if order is None:
+        return UNDETERMINED
+    if exact_sign(left._exact, other._exact) in ((0,) if order else (-1, 1)):
+        return AGAINST
+    return order == 0
+
+
+def undecided_run(scaled: RealGen, other: RealGen, top: int,
+                  prec: Precision) -> range:
+    """The candidates 0..top whose relation n * scaled = other the
+    records leave to relation_at's scan.  With two records, n * scaled
+    = other exactly at n = p / q alone (nowhere if q = 0 alone,
+    everywhere if p = q = 0).  exact_order certifies a prefix of the
+    candidates below p / q, where its error term is fixed, and a suffix
+    of those above, where the distance less the error grows linearly in
+    n; what is left is one run through p / q.  A skipped candidate is a
+    non-member relation_at gives without a search or a fault.
+    """
+    a, b = scaled._exact, other._exact
+    if a is None or b is None or a[0] == b[0] == 0:
+        return range(top + 1)
+    p, q = b[0] * a[1], a[0] * b[1]
+    lo = min(-(-p // q), top + 1) if q else top + 1
+    hi = min(p // q + 1, top + 1) if q else top + 1
+
+    def undecided(n: int) -> bool:
+        return exact_relation(n, scaled, other, prec) is None
+    while lo and undecided(lo - 1):
+        lo -= 1
+    while hi <= top and undecided(hi):
+        hi += 1
+    return range(lo, hi)
 
 
 def apart_at(a: RealGen, b: RealGen, prec: Precision) -> bool:

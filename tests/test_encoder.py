@@ -1,5 +1,7 @@
 """Tests for encoding finished runs as quotient pairs of reals."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,15 +23,26 @@ values = st.integers(min_value=1, max_value=12)
 def scanning_status(enc: SpeciesEncoding, n: int,
                     prec: Precision) -> MembershipStatus:
     """Reference implementation: quotient_status with every candidate
-    searched, as before pairs of naturals were decided in closed form."""
+    searched, as before pairs of naturals were decided in closed form,
+    and a witness that the exact values refute reported undetermined."""
     if enc.stabilized is not None and prec.horizon < enc.stabilized[0]:
         return MembershipStatus.UNDETERMINED
     scaled = nat_scalar(n, enc.v)
     if eq_at(scaled, enc.u, prec):
-        return MembershipStatus.CONFIRMED
-    if lt_at(scaled, enc.u, prec) or lt_at(enc.u, scaled, prec):
-        return MembershipStatus.EXCLUDED
-    return MembershipStatus.UNDETERMINED
+        witnessed = True
+    elif lt_at(scaled, enc.u, prec) or lt_at(enc.u, scaled, prec):
+        witnessed = False
+    else:
+        return MembershipStatus.UNDETERMINED
+    if witnessed is not (n * exact_value(enc.v) == exact_value(enc.u)):
+        return MembershipStatus.UNDETERMINED
+    return (MembershipStatus.CONFIRMED if witnessed
+            else MembershipStatus.EXCLUDED)
+
+
+def exact_value(g) -> Fraction:
+    """The rational a library generator denotes, from its record."""
+    return Fraction(*g._exact[:2])
 
 
 encodings = st.one_of(
@@ -110,6 +123,35 @@ class TestQuotientStatus:
         for n in range(13):
             assert quotient_status(enc, n, prec) is scanning_status(
                 enc, n, prec)
+
+    def test_no_status_is_refuted_by_the_exact_value(self):
+        # Over library encodings at every small precision, a confirmed
+        # or excluded row is the exact verdict; a witness against it
+        # reads undetermined.
+        encodings = [encode_silent()] + [
+            encode_stabilized(m, value) for m in (1, 2, 3)
+            for value in range(1, 11)]
+        for enc in encodings:
+            for k in range(1, 9):
+                for horizon in range(1, 14):
+                    prec = Precision(k, horizon)
+                    profile = membership_profile(enc, 12, prec)
+                    for n, status in profile.items():
+                        assert status is quotient_status(enc, n, prec)
+                        member = (enc.stabilized is None
+                                  or n == enc.stabilized[1])
+                        if status is not MembershipStatus.UNDETERMINED:
+                            assert (status is MembershipStatus.CONFIRMED) \
+                                is member, (enc.stabilized, n, prec)
+
+    def test_the_misjudged_member_reads_undetermined(self):
+        # At a short horizon 9 * floor(2^x / 9) falls short of 2^x, so
+        # the scan sees 9 * v below u for the member 9.
+        enc, prec = encode_stabilized(1, 9), Precision(6, 8)
+        assert quotient_status(enc, 9, prec) is MembershipStatus.UNDETERMINED
+        assert membership_profile(enc, 9, prec)[9] is \
+            MembershipStatus.UNDETERMINED
+        assert lt_at(nat_scalar(9, enc.v), enc.u, prec)
 
     def test_candidates_are_nonnegative(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Tests for finite-structure evaluation of both languages."""
 
+import itertools
 import random
 import re
 import time
@@ -34,7 +35,7 @@ from ringterp.translate import (
     SENTINEL, Expansion, Orientation, TranslationConfig, TranslationError,
     nat_predicate, translate,
 )
-from test_reals import trees
+from test_reals import frozen_relation, trees
 from test_syntax import reference_check_formula
 
 
@@ -224,8 +225,7 @@ class TestFamilyOfNaturals:
     def test_pairs_of_naturals_run_no_search(self, monkeypatch):
         calls = []
         for target in ("ringterp.reals.eq_at", "ringterp.reals.lt_at",
-                       "ringterp.evaluate.nat_scalar",
-                       "ringterp.encoder.nat_scalar"):
+                       "ringterp.reals.nat_scalar"):
             module, name = target.rsplit(".", 1)
             search = getattr(reals, name)
             monkeypatch.setattr(target, lambda *args, search=search: (
@@ -324,14 +324,16 @@ class TestFamilyCandidates:
     def test_skipped_candidates_change_nothing(self, scaled, other, top, k,
                                                horizon):
         s = FiniteStructure(range(top + 1), precision=Precision(k, horizon))
-        asked = s._candidates(scaled, other)
+        asked = reals.undecided_run(scaled, other, s.family_bound,
+                                    s.precision)
         assert (relation_outcome(s, scaled, other, asked)
                 == relation_outcome(s, scaled, other, range(top + 1)))
 
     def test_most_candidates_are_skipped(self):
         s = FiniteStructure(range(61), {0: encode_stabilized(1, 9),
                                         1: encode_silent()})
-        asked = [len(s._candidates(*s.orientation.orient(a, b)))
+        asked = [len(reals.undecided_run(*s.orientation.orient(a, b),
+                                         s.family_bound, s.precision))
                  for a in s.real_domain for b in s.real_domain]
         # the pair 0, 0 has every candidate as its member
         assert sum(asked) < len(asked) + 2 * 61
@@ -395,6 +397,169 @@ class TestVerdictsAgreeWithExactValues:
             parse_structure(text.format(8))
         s = parse_structure(text.format(10))
         assert s.species_family == exact_family(s)
+
+
+def frozen_quotient_status(enc: SpeciesEncoding, n: int,
+                           prec: Precision) -> MembershipStatus:
+    """Reference implementation: quotient_status as it was before
+    encoder.membership_at, whose scanned verdicts were not checked
+    against the records."""
+    if enc.stabilized is not None and prec.horizon < enc.stabilized[0]:
+        return MembershipStatus.UNDETERMINED
+    verdict = reals.exact_relation(n, enc.v, enc.u, prec)
+    if verdict is None:
+        order = reals.order_at(reals.nat_scalar(n, enc.v), enc.u, prec)
+        if order is None:
+            return MembershipStatus.UNDETERMINED
+        verdict = order == 0
+    return (MembershipStatus.CONFIRMED if verdict
+            else MembershipStatus.EXCLUDED)
+
+
+def frozen_verify(self: FiniteStructure) -> None:
+    """Reference implementation: FiniteStructure._verify as it was
+    before encoder.membership_at, which checked a scanned status
+    against the records only where it missed the extension."""
+    seen: set[RealGen] = set()
+    for g in self.real_domain:
+        if g in seen:
+            continue
+        seen.add(g)
+        try:
+            ok = reals.check_certified(g, self.precision)
+        except reals.InsufficientHorizon as exc:
+            raise PrecisionError(
+                f"structure precision cannot host a generator: {exc}"
+            ) from exc
+        if not ok:
+            raise StructureError(
+                f"generator {g.name or '?'} violates its modulus promise")
+    for i, enc in self.species.items():
+        for n in range(self.family_bound + 1):
+            status = frozen_quotient_status(enc, n, self.precision)
+            member = enc.stabilized is None or n == enc.stabilized[1]
+            if status is MembershipStatus.UNDETERMINED:
+                fault = "undetermined"
+            elif (status is MembershipStatus.CONFIRMED) == member:
+                continue
+            elif reals.exact_sign(reals.nat_scalar(n, enc.v)._exact,
+                                  enc.u._exact) in ((0,) if member
+                                                    else (-1, 1)):
+                fault = "witnessed against its exact value"
+            else:
+                raise StructureError(
+                    f"species {i} encoding disagrees with its extension "
+                    f"at candidate {n}")
+            raise PrecisionError(
+                f"membership of {n} in species {i} is {fault} "
+                f"at k={self.precision.k}, "
+                f"horizon={self.precision.horizon}")
+
+
+def frozen_candidates(s: FiniteStructure, scaled: RealGen,
+                      other: RealGen) -> range:
+    """Reference implementation: FiniteStructure._candidates as it was
+    before reals.undecided_run."""
+    top, a, b = s.family_bound, scaled._exact, other._exact
+    if a is None or b is None or a[0] == b[0] == 0:
+        return range(top + 1)
+    p, q = b[0] * a[1], a[0] * b[1]
+    lo = min(-(-p // q), top + 1) if q else top + 1
+    hi = min(p // q + 1, top + 1) if q else top + 1
+
+    def undecided(n: int) -> bool:
+        return reals.exact_relation(n, scaled, other, s.precision) is None
+    while lo and undecided(lo - 1):
+        lo -= 1
+    while hi <= top and undecided(hi):
+        hi += 1
+    return range(lo, hi)
+
+
+def frozen_family(s: FiniteStructure) -> tuple[frozenset[int], ...]:
+    """Reference implementation: the species family as it was before
+    reals.relation_at, asking frozen_relation about frozen_candidates."""
+    sets: list[frozenset[int]] = []
+    for ga in s.real_domain:
+        for gb in s.real_domain:
+            scaled, other = s.orientation.orient(ga, gb)
+            members = set()
+            for n in frozen_candidates(s, scaled, other):
+                verdict = frozen_relation(n, scaled, other, s.precision)
+                if isinstance(verdict, str):
+                    raise PrecisionError(
+                        f"relation {n} * {scaled.name or '?'} = "
+                        f"{other.name or '?'} {verdict} at k={s.precision.k}, "
+                        f"horizon={s.precision.horizon}")
+                if verdict:
+                    members.add(n)
+            if frozenset(members) not in sets:
+                sets.append(frozenset(members))
+    return tuple(sets)
+
+
+def frozen_outcome(make) -> object:
+    """outcome of make() with _verify and the family frozen."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(FiniteStructure, "_verify", frozen_verify)
+        m.setattr(FiniteStructure, "species_family", property(frozen_family))
+        return outcome(make)
+
+
+class TestAgainstTheFrozenStructure:
+    """Over library structures, construction and the family give the
+    values, error types and messages of the frozen _verify and family."""
+
+    @settings(max_examples=300)
+    @given(domain=hs.sets(hs.integers(0, 12), min_size=1, max_size=4),
+           species=species_lines, orientation=hs.sampled_from(Orientation),
+           k=hs.integers(1, 12), horizon=hs.integers(1, 16))
+    def test_library_structures(self, domain, species, orientation, k,
+                                horizon):
+        text = "".join([
+            "nats: " + " ".join(map(str, sorted(domain))) + "\n",
+            *(f"species: {i} {line}\n" for i, line in enumerate(species)),
+            f"orientation: {orientation.value}\n",
+            f"precision: k={k} horizon={horizon}\n"])
+
+        def family():
+            return parse_structure(text).species_family
+        assert outcome(family) == frozen_outcome(family)
+
+    def test_a_grid_of_two_singletons(self):
+        # short horizons, where membership and family faults are common
+        errors = set()
+        for value, moment, horizon, orientation in itertools.product(
+                range(1, 13), (1, 2, 3), range(6, 15, 2), Orientation):
+            text = (f"nats: 0 3 12\n"
+                    f"species: 0 singleton {value} moment {moment}\n"
+                    f"species: 1 singleton {13 - value} moment 1\n"
+                    f"orientation: {orientation.value}\n"
+                    f"precision: k=1 horizon={horizon}\n")
+
+            def family():
+                return parse_structure(text).species_family
+            got = outcome(family)
+            assert got == frozen_outcome(family), text
+            if isinstance(got[0], type):
+                errors.add(got[1].split()[0])
+        assert errors == {"structure", "membership", "relation"}
+
+    def test_a_hand_built_encoding_against_its_records(self):
+        # The pair of encode_stabilized(1, 9), declared the singleton
+        # {10}: at horizon 8 the scan sees 9 * v below u, which the
+        # declared extension agrees with and the records refute.  The
+        # frozen _verify accepted it; now the witness is the fault.
+        enc = encode_stabilized(1, 9)
+        lying = SpeciesEncoding(enc.u, enc.v, (1, 10))
+
+        def build():
+            return FiniteStructure((0, 9), {0: lying},
+                                   precision=Precision(6, 8))
+        assert type(frozen_outcome(build)) is FiniteStructure
+        assert outcome(build) == (
+            PrecisionError, "membership of 9 in species 0 is witnessed "
+            "against its exact value at k=6, horizon=8")
 
 
 class TestTargetEvaluation:
@@ -491,6 +656,22 @@ class TestConstructionChecks:
             FiniteStructure((0,), {-1: encode_silent()})
         with pytest.raises(StructureError):
             FiniteStructure((0,), {1: "not an encoding"})
+
+    @pytest.mark.parametrize("domain", [[1, "a"], [1.5], [True], [0, 2.0]])
+    def test_nat_domain_elements_are_ints(self, domain):
+        with pytest.raises(StructureError,
+                           match="nat domain elements must be naturals"):
+            FiniteStructure(domain)
+
+    @pytest.mark.parametrize("index", ["x", 1.5, True, -1])
+    def test_species_indices_are_ints(self, index):
+        # "x" alone, and beside 1, used to be a TypeError; 1.5 named the
+        # constants a1.5 and b1.5
+        for species in ({index: encode_silent()},
+                        {index: encode_silent(), 1: encode_silent()}):
+            with pytest.raises(StructureError,
+                               match="species indices must be naturals"):
+                FiniteStructure((0,), species)
 
     def test_insufficient_horizon_is_a_precision_error(self):
         enc = encode_stabilized(200, 1)

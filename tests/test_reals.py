@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 from ringterp import encoder, selftest
 from ringterp.encoder import encode_stabilized
 from ringterp.reals import (
-    InsufficientHorizon, Precision, RealGen, _has_run, _slack, add, apart_at,
-    check_certified, check_modulus, cutover_unit_fraction, eq_at,
-    exact_order, exact_relation, exact_sign, from_nat, from_unit_fraction,
-    lt_at, mul, nat_scalar, order_at,
+    AGAINST, UNDETERMINED, InsufficientHorizon, Precision, RealGen, _has_run,
+    _slack, add, apart_at, check_certified, check_modulus,
+    cutover_unit_fraction, eq_at, exact_order, exact_relation, exact_sign,
+    from_nat, from_unit_fraction, lt_at, mul, nat_scalar, order_at,
+    relation_at,
 )
 from ringterp.selftest import generator_corpus
 
@@ -1211,3 +1212,62 @@ class TestRecords:
                 prec = Precision(k, horizon)
                 assert (outcome(check_certified, g, prec)
                         == outcome(check_modulus, g, prec)), (g, prec)
+
+
+def frozen_relation(n, scaled, other, prec):
+    """Reference implementation: the decision of
+    FiniteStructure.relation_holds as it was before reals.relation_at,
+    without its memo: the verdict, or the text its error named."""
+    verdict = exact_relation(n, scaled, other, prec)
+    if verdict is not None:
+        return verdict
+    left = nat_scalar(n, scaled)
+    order = order_at(left, other, prec)
+    if order is None or exact_sign(left._exact, other._exact) \
+            in ((0,) if order else (-1, 1)):
+        return ("undetermined" if order is None
+                else "witnessed against its exact value")
+    return order == 0
+
+
+class TestRelation:
+    """relation_at gives the verdicts and faults of the frozen decision."""
+
+    @settings(max_examples=300)
+    @given(scaled=trees, other=trees, k=st.integers(1, 8),
+           horizon=st.integers(1, 13))
+    def test_trees_match_the_frozen_decision(self, scaled, other, k,
+                                             horizon):
+        prec = Precision(k, horizon)
+        for n in range(13):
+            got = relation_at(n, scaled, other, prec)
+            want = frozen_relation(n, scaled, other, prec)
+            assert (type(got), got) == (type(want), want), (n, prec)
+
+    def test_user_generators_match_the_frozen_decision(self):
+        odd = RealGen(lambda x: 0 if x % 2 else 1 << x, lambda k: 0, "odd")
+        third = RealGen(lambda x: (1 << x) // 3, lambda k: k + 2, "third")
+        for scaled, other in itertools.product(
+                [odd, third, from_unit_fraction(3)], repeat=2):
+            for prec in REFERENCE_PRECISIONS[::7]:
+                for n in range(5):
+                    assert relation_at(n, scaled, other, prec) == \
+                        frozen_relation(n, scaled, other, prec)
+
+    def test_each_fault(self):
+        odd = RealGen(lambda x: 0 if x % 2 else 1 << x, lambda k: 0, "odd")
+        assert relation_at(1, odd, from_nat(1), Precision(4, 6)) \
+            == UNDETERMINED
+        # 9 * floor(2^x / 9) falls short of 2^x, and 1/10 meets 1/11
+        enc = encode_stabilized(1, 9)
+        assert relation_at(9, enc.v, enc.u, Precision(6, 8)) == AGAINST
+        assert relation_at(1, from_unit_fraction(10), from_unit_fraction(11),
+                           Precision(6, 18)) == AGAINST
+
+    def test_a_wrong_order_of_unequal_values_is_a_verdict(self):
+        # The scan sees 4 * floor(2^x / 3) below 2^x at horizon 1: the
+        # order is against the exact values, but inequality is right.
+        third, prec = from_unit_fraction(3), Precision(1, 1)
+        assert order_at(nat_scalar(4, third), from_nat(1), prec) == -1
+        assert exact_sign(nat_scalar(4, third)._exact, (1, 1, 0, 0)) == 1
+        assert relation_at(4, third, from_nat(1), prec) is False

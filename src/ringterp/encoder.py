@@ -96,6 +96,8 @@ def quotient_status(enc: SpeciesEncoding, n: int,
     confirmed when n * v = u is witnessed, excluded when the two sides
     are witnessed apart, undetermined where membership_at gives a fault
     (no witness, or one the exact values contradict)."""
+    if type(n) is not int:
+        raise ValueError(f"candidates are ints, got {n!r}")
     if n < 0:
         raise ValueError("candidates are nonnegative")
     verdict = membership_at(enc, n, prec)

@@ -194,9 +194,12 @@ class FiniteStructure:
         structure.
         """
         key = (op, a, b)
-        if key not in self._memo:
-            self._memo[key] = op(a, b, *extra)
-        return self._memo[key]
+        try:
+            return self._memo[key]
+        except KeyError:  # op runs below, so its errors chain no KeyError
+            pass
+        got = self._memo[key] = op(a, b, *extra)
+        return got
 
     def relation_holds(self, n: int, scaled: RealGen, other: RealGen) -> bool:
         """reals.relation_at on n * scaled = other, raising its fault as

@@ -22,7 +22,8 @@ position is a variable of the ambient sort of the language being parsed
 form overrides that.  Species binders must be named X0, X1, ... and bind
 the species variable with that index.  (not f) is sugar for
 (imp f (bot)) and is also the printed form.  Apartness prints as
-(apart a b).  A # starts a comment that runs to the end of the line.
+(apart a b).  A # comment runs to the end of the line.  Comments are
+removed, then text splits at parentheses and str.isspace() whitespace.
 Parentheses nest at most MAX_NESTING deep; deeper input is a ParseError.
 The shared sentinel node syntax.SENTINEL_FORMULA prints from text made at
 import, and only the target reader returns it, for the sentinel's tokens.
@@ -75,14 +76,16 @@ _FIXED = {kind: frozenset(cls for cls in _HEADS
                           if issubclass(cls, kind) and not cls.data_fields)
           for kind in (Term, Formula)}
 
-# A token is a parenthesis or a run of other non-space characters; a #
-# comment matches as a whole with an empty group and is dropped.
+# A token is a parenthesis or a run of other non-space characters, and a
+# comment matches with an empty group; only _position scans with this.
 _TOKEN = re.compile(r"#[^\n]*|([()]|[^\s()#]+)")
 
 
 def tokenize(text: str) -> list[str]:
     """The tokens of text, comments dropped."""
-    return [tok for tok in _TOKEN.findall(text) if tok]
+    if "#" in text:
+        text = re.sub(r"#[^\n]*", " ", text)
+    return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
 def _position(text: str, index: int) -> str:

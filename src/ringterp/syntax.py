@@ -354,13 +354,14 @@ def free_vars(f: Formula) -> FreeVars:
     real: set[str] = set()
 
     def walk(node: Node, bound: frozenset[str], bspec: frozenset[int]) -> None:
-        if isinstance(node, Var):
+        cls = type(node)
+        if cls is Var:
             if node.name not in bound:
                 (nat if node.sort is Sort.NAT else real).add(node.name)
-        elif isinstance(node, SpeciesVar):
+        elif cls is SpeciesVar:
             if node.index not in bspec:
                 species.add(node.index)
-        elif isinstance(node, _QUANTIFIERS):
+        elif cls is Exists or cls is Forall or cls is DefinedQuant:
             if _bound_sort(node) is Sort.SPECIES:
                 walk(node.body, bound, bspec | {species_binder_index(node.var)})
             else:

@@ -157,6 +157,17 @@ class TestQuotientStatus:
         with pytest.raises(ValueError):
             quotient_status(encode_silent(), -1, Precision())
 
+    @pytest.mark.parametrize("n, message", [
+        (1.5, "^candidates are ints, got 1.5$"),
+        ("3", "^candidates are ints, got '3'$"),
+        (True, "^candidates are ints, got True$"),
+        (-1, "^candidates are nonnegative$"),
+    ])
+    def test_candidates_are_checked_before_any_search(self, n, message):
+        for enc in (encode_stabilized(2, 3), encode_silent()):
+            with pytest.raises(ValueError, match=message):
+                quotient_status(enc, n, Precision(8, 20))
+
     def test_profile_keys(self):
         enc = encode_stabilized(2, 1)
         profile = membership_profile(enc, 5, adaptive_precision(enc))

@@ -301,6 +301,28 @@ class TestWork:
                 eval_formula(f, s, Language.TARGET, {"z": odd})
         assert len(calls) == 5
 
+    def test_memo_runs_an_op_once_per_key(self):
+        # A None verdict (no witness) is cached like any other.
+        s = structure()
+        a, b = s.real_domain[:2]
+        calls = []
+
+        def stub(x, y, prec):
+            calls.append((x, y, prec))
+            return None if x is a else len(calls)
+
+        def other(x, y, prec):
+            calls.append((x, y, prec))
+            return "other"
+
+        for _ in range(3):
+            assert s.memo(stub, a, b, s.precision) is None
+            assert s.memo(stub, b, a, s.precision) == 2
+            assert s.memo(stub, a, a, s.precision) is None
+            assert s.memo(other, a, b, s.precision) == "other"
+        assert calls == [(a, b, s.precision), (b, a, s.precision),
+                         (a, a, s.precision), (a, b, s.precision)]
+
 
 def relation_outcome(s: FiniteStructure, scaled: RealGen, other: RealGen,
                      candidates) -> object:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from dataclasses import dataclass
 
 import pytest
@@ -9,8 +10,8 @@ import pytest
 from ringterp.corpus import corpus_formulas
 from ringterp.evaluate import FiniteStructure, eval_formula
 from ringterp.sexpr import (
-    MAX_NESTING, ParseError, format_formula, format_term, parse_formula,
-    parse_term,
+    MAX_NESTING, ParseError, _TOKEN, format_formula, format_term,
+    parse_formula, parse_term, tokenize,
 )
 from ringterp.syntax import (
     Add, And, Apart, DefinedQuant, Eq, Exists, Forall, Formula, Implies, In,
@@ -198,6 +199,68 @@ class TestErrors:
     def test_trailing_term_input_raises(self):
         with pytest.raises(ParseError):
             parse_term("x y", Language.SOURCE)
+
+
+# The code points str.isspace() accepts, which are also those regex \s
+# matches: the separators tokenize splits on.
+SPACES = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+          + "".join(map(chr, range(0x2000, 0x200b)))
+          + "\u2028\u2029\u202f\u205f\u3000")
+
+
+def regex_tokenize(text: str) -> list[str]:
+    """The tokens of text as the one-pattern regex scan finds them."""
+    return [tok for tok in _TOKEN.findall(text) if tok]
+
+
+class TestTokenize:
+    """tokenize splits where the _TOKEN scan, which places error
+    positions, finds its tokens."""
+
+    def test_the_spaces_are_those_of_isspace_and_regex(self):
+        assert len(SPACES) == 29
+        assert [c for c in map(chr, range(sys.maxunicode + 1))
+                if c.isspace()] == list(SPACES)
+        assert [c for c in SPACES if _TOKEN.fullmatch(c)] == []
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_every_space_separates(self, space):
+        text = space.join(["", "(=", "x", "(+", "1", "2))", "#c", "d\n(bot)",
+                           ""])
+        assert tokenize(text) == regex_tokenize(text)
+        assert tokenize(text).count("(") == 3
+
+    @pytest.mark.parametrize("text", [
+        "(and (bot)\r\n  (bot))\r\n# comment\r\n",
+        "(= ab#cd ef\n x 0)",
+        "#(= x 0) only a comment",
+        "(= x 0)#(",
+        "",
+        "#",
+        "a##b\n#\n\n(c)#d",
+        "\u3000(\u3000)\u3000",
+    ])
+    def test_texts(self, text):
+        assert tokenize(text) == regex_tokenize(text)
+
+    def test_random_texts(self):
+        rng = random.Random(21)
+        alphabet = "()#= \n\r\t\x1c\x85\u3000ax1"
+        for _ in range(2000):
+            text = "".join(rng.choices(alphabet, k=rng.randrange(20)))
+            assert tokenize(text) == regex_tokenize(text), repr(text)
+
+    @pytest.mark.parametrize("text,message", [
+        ("# a comment (\n(=\u3000x\u3000(bad 1))",
+         "line 2, column 7: unknown term head 'bad'"),
+        ("(and # (frob)\n\u3000(frob))",
+         "line 2, column 3: unknown formula head 'frob'"),
+        ("(=\r\nx\r\n(bad 1))", "line 3, column 2: unknown term head 'bad'"),
+    ])
+    def test_error_positions_after_comments_and_spaces(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_formula(text, Language.SOURCE)
+        assert str(err.value) == message
 
 
 class TestAsciiDigits:

@@ -37,8 +37,8 @@ from .encoder import SpeciesEncoding, encode_silent, encode_stabilized, \
     gap_digits, membership_at
 from .pairing import bounded_op, parse_natural
 from .reals import AGAINST, UNDETERMINED, InsufficientHorizon, Precision, \
-    RealGen, add, check_certified, exact_sign, from_nat, lt_at, mul, \
-    order_at, relation_at, undecided_run
+    RealGen, add, check_certified, exact_sign, from_nat, mul, order_at, \
+    relation_at, undecided_run
 from .syntax import (
     Add, And, Apart, Bottom, DefinedQuant, Eq, Exists, Forall, Formula,
     Implies, In, Language, Lt, Mul, NatConst, Or, Pair, QuantKind, RealConst,
@@ -63,10 +63,9 @@ class StructureError(ValueError):
 
 def _witnessed_order(a: RealGen, b: RealGen, prec: Precision) -> Optional[int]:
     """order_at, raising PrecisionError on a scanned verdict against the
-    exact values of two library generators."""
+    exact values."""
     verdict = order_at(a, b, prec)
-    if verdict is not None and \
-            exact_sign(a._exact, b._exact) not in (None, verdict):
+    if verdict is not None and exact_sign(a._exact, b._exact) != verdict:
         raise PrecisionError(
             f"comparison of {a.name or '?'} and {b.name or '?'} {AGAINST} "
             f"at k={prec.k}, horizon={prec.horizon}"
@@ -84,8 +83,8 @@ class FiniteStructure:
     maps constant indices (ints) to encodings; their exact extensions
     are derived from the encodings and verified against
     encoder.membership_at during construction, as is the modulus
-    promise of every domain generator: a library generator by the slack
-    floor of its exact record, any other by check_modulus's scan (see
+    promise of every domain generator: by the slack floor of its exact
+    record where that proves it, else by check_modulus's scan (see
     reals.check_certified).  A membership fault is the precision's
     (PrecisionError), a verdict against the extension the encoding's
     (StructureError).
@@ -130,7 +129,7 @@ class FiniteStructure:
         k = max([precision.k] + [gap_digits(e) for e in self.species.values()])
         self.precision = Precision(k, precision.horizon)
 
-        self._memo: dict[tuple, object] = {}
+        self._cache: dict[tuple, object] = {}
         self._family: Optional[tuple[frozenset[int], ...]] = None
         self._verify()
 
@@ -195,10 +194,10 @@ class FiniteStructure:
         """
         key = (op, a, b)
         try:
-            return self._memo[key]
+            return self._cache[key]
         except KeyError:  # op runs below, so its errors chain no KeyError
             pass
-        got = self._memo[key] = op(a, b, *extra)
+        got = self._cache[key] = op(a, b, *extra)
         return got
 
     def relation_holds(self, n: int, scaled: RealGen, other: RealGen) -> bool:
@@ -534,11 +533,7 @@ class _Compiler:
             wanted = (-1,) if cls is Lt else (-1, 1)
 
             def strict() -> bool:
-                a, b = left(), right()
-                if a._exact and b._exact:  # records to check a scan against
-                    return memo(_witnessed_order, a, b, prec) in wanted
-                return memo(lt_at, a, b, prec) or (
-                    cls is Apart and memo(lt_at, b, a, prec))
+                return memo(_witnessed_order, left(), right(), prec) in wanted
             return strict
 
         def equal() -> bool:

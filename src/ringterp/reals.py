@@ -17,27 +17,25 @@ check_modulus is the opposite way around: it tests the universally
 quantified modulus promise on a finite range, so a False is a genuine
 counterexample while True only covers the range inspected.
 
-Each generator has one stage rule.  With a record (below) it is built
-of library rules alone, natural by construction, and the searches call
-it for just the stages they test: eq_at and lt_at test stage horizon
-first, which every witness window holds.  Any other generator is read
-through the checked, memoized RealGen.at, stages 0 .. 2 * horizon in
-order.  check_modulus scans each distinct promised stage once.
-
-A library generator keeps one exact record (num, den, err, start): for
-every stage x >= start, num * 2^x - err <= den * xi(x) <= num * 2^x.
+Every generator is a rational that a library constructor below builds
+with one stage rule, made of library rules alone and natural by
+construction, and one exact record (num, den, err, start): for every
+stage x >= start, num * 2^x - err <= den * xi(x) <= num * 2^x.
 from_nat(n) records (n, 1, 0, 0), a cutover unit fraction (1, q, q - 1,
-start); add, mul and nat_scalar carry their operands' records, and a
-generator over a user-supplied one has none.  exact_order reads two
-records to give the searches' verdict where the errors prove it;
-relation_at decides n * scaled = other from them, or by a scan checked
+start); add, mul and nat_scalar carry their operands' records.
+exact_order reads two records to give the searches' verdict where the
+errors prove it, and the searches serve what the records leave: they
+call the rules for just the stages they test, as eq_at and lt_at test
+stage horizon first, which every witness window holds.  relation_at
+decides n * scaled = other from the records, or by a scan checked
 against them.  A record also proves a slack floor: past start, the
 least x + j - bits(|2^j * xi(x) - xi(x + j)|) over nonzero differences
 is at least x - bits(err // den), as the two differ by at most
 err * 2^j / den: x where err < den, as for every library atom, and
 infinite where err = 0.
-check_certified relies on it there and scans any other generator;
-check_modulus always scans, the reference.
+check_certified relies on it there and scans the rest, such as the sum
+1/2 + 1/3; check_modulus always scans, each distinct promised stage
+once, the reference.
 """
 
 from __future__ import annotations
@@ -73,6 +71,10 @@ class Precision:
     horizon: int = 96
 
     def __post_init__(self) -> None:
+        if type(self.k) is not int:
+            raise ValueError(f"precision k must be an int, got {self.k!r}")
+        if type(self.horizon) is not int:
+            raise ValueError(f"horizon must be an int, got {self.horizon!r}")
         if self.k < 1:
             raise ValueError("precision k must be at least 1")
         if self.horizon < 1:
@@ -80,84 +82,50 @@ class Precision:
 
 
 class RealGen:
-    """A real number given by dyadic approximants and a modulus hint.
+    """A nonnegative rational given by its stage rule, modulus hint and
+    exact record.
 
     at(x) is the stage-x numerator: the value is approximated by
     at(x) / 2^x.  hint(k) is a stage from which approximations are
     promised to vary by less than 2^-k (see the module docstring for the
-    exact inequality).  Both are memoized, and at() checks each stage it
-    computes.  stages(n) lists stages 0 .. n for the searches.
-
-    _exact is a library generator's record, or None (see the module
-    docstring).  _stage reads a stage for the searches and the library
-    rules: the unchecked rule where there is a record, else at().
+    exact inequality).  Each checks its argument and calls the rule; the
+    searches and the library rules call _stage, the rule itself, for
+    arguments they know are stages.  _exact is the record (see the
+    module docstring).  Generators come from the library constructors
+    below: the constructor is not public API, as it cannot check that a
+    rule and a record fit.
     """
 
-    __slots__ = ("_approx", "_hint", "name", "_memo", "_hint_memo",
-                 "_stage", "_exact")
+    __slots__ = ("_stage", "_hint", "name", "_exact")
 
-    def __init__(self, approx: Callable[[int], int],
-                 hint: Callable[[int], int], name: str = "") -> None:
-        self._approx = approx
+    def __init__(self, stage: Callable[[int], int],
+                 hint: Callable[[int], int], name: str,
+                 record: Record) -> None:
+        self._stage = stage
         self._hint = hint
         self.name = name
-        self._memo: dict[int, int] = {}
-        self._hint_memo: dict[int, int] = {}
-        self._stage: Callable[[int], int] = self.at
-        self._exact: Optional[Record] = None
+        self._exact = record
 
     def at(self, x: int) -> int:
         if not isinstance(x, int) or x < 0:
             raise ValueError(f"stage must be a nonnegative integer, got {x!r}")
-        got = self._memo.get(x)
-        if got is None:
-            got = self._approx(x)
-            if not isinstance(got, int) or got < 0:
-                raise ValueError(
-                    f"approximant of {self.name or 'generator'} at stage {x} "
-                    f"is not a natural: {got!r}"
-                )
-            self._memo[x] = got
-        return got
+        return self._stage(x)
 
     def hint(self, k: int) -> int:
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"precision must be a nonnegative integer, got {k!r}")
-        got = self._hint_memo.get(k)
-        if got is None:
-            got = self._hint(k)
-            if not isinstance(got, int) or got < 0:
-                raise ValueError(
-                    f"modulus hint of {self.name or 'generator'} at precision "
-                    f"{k} is not a natural: {got!r}"
-                )
-            self._hint_memo[k] = got
-        return got
-
-    def stages(self, n: int) -> list[int]:
-        """Stage values 0 .. n as a new list, read as _stage reads them."""
-        return [self._stage(x) for x in range(n + 1)]
+        return self._hint(k)
 
     def __repr__(self) -> str:
         return f"RealGen({self.name or '?'})"
 
 
-def _library(approx: Callable[[int], int], hint: Callable[[int], int],
-             name: str, record: Optional[Record]) -> RealGen:
-    """A library generator with stage rule approx and the record its
-    constructor derived, None over a user-supplied operand."""
-    g = RealGen(approx, hint, name)
-    if record is not None:
-        g._exact, g._stage = record, approx
-    return g
-
-
 def from_nat(n: int) -> RealGen:
     """The natural number n: stage value n * 2^x, exact, by n's bound
     __lshift__ and a shared hint, so no closure is made per natural."""
-    if n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError("from_nat takes a natural number")
-    return _library(n.__lshift__, _from_stage_0, str(n), (n, 1, 0, 0))
+    return RealGen(n.__lshift__, _from_stage_0, str(n), (n, 1, 0, 0))
 
 
 def _from_stage_0(k: int) -> int:
@@ -166,7 +134,7 @@ def _from_stage_0(k: int) -> int:
 
 def from_unit_fraction(q: int) -> RealGen:
     """The rational 1/q for q >= 1: stage value floor(2^x / q)."""
-    if q < 1:
+    if type(q) is not int or q < 1:
         raise ValueError("from_unit_fraction takes a positive denominator")
     return cutover_unit_fraction(q, 0, f"1/{q}")
 
@@ -176,19 +144,20 @@ def cutover_unit_fraction(q: int, start: int, name: str) -> RealGen:
     carry no information before their run fires).  From start on it is
     the unit fraction's approximant, whose hint k + 2 works once it is
     also pushed past start."""
-    return _library(lambda x: 0 if x < start else (1 << x) // q,
-                    lambda k: max(k + 2, start), name, (1, q, q - 1, start))
+    if type(q) is not int or q < 1 or type(start) is not int or start < 0:
+        raise ValueError("cutover_unit_fraction takes a positive "
+                         "denominator and a natural start")
+    return RealGen(lambda x: 0 if x < start else (1 << x) // q,
+                   lambda k: max(k + 2, start), name, (1, q, q - 1, start))
 
 
 def add(a: RealGen, b: RealGen) -> RealGen:
     """Pointwise sum; each summand is asked for one extra digit."""
-    record = None
-    if a._exact and b._exact:
-        (na, da, ea, sa), (nb, db, eb, sb) = a._exact, b._exact
-        record = (na * db + nb * da, da * db, ea * db + eb * da, max(sa, sb))
-    return _library(lambda x: a._stage(x) + b._stage(x),
-                    lambda k: max(a.hint(k + 1), b.hint(k + 1)),
-                    f"({a.name}+{b.name})", record)
+    (na, da, ea, sa), (nb, db, eb, sb) = a._exact, b._exact
+    record = (na * db + nb * da, da * db, ea * db + eb * da, max(sa, sb))
+    return RealGen(lambda x: a._stage(x) + b._stage(x),
+                   lambda k: max(a.hint(k + 1), b.hint(k + 1)),
+                   f"({a.name}+{b.name})", record)
 
 
 def mul(a: RealGen, b: RealGen) -> RealGen:
@@ -212,13 +181,11 @@ def mul(a: RealGen, b: RealGen) -> RealGen:
         finer = k + 1 + shift
         return max(a.hint(finer), b.hint(finer), ha, hb, k + 2)
 
-    record = None
-    if a._exact and b._exact:
-        (na, da, ea, sa), (nb, db, eb, sb) = a._exact, b._exact
-        unit = 0 if (ea, da) == (0, 1) or (eb, db) == (0, 1) else da * db
-        record = (na * nb, da * db, na * eb + nb * ea + unit, max(sa, sb))
-    return _library(lambda x: (a._stage(x) * b._stage(x)) >> x, hint,
-                    f"({a.name}*{b.name})", record)
+    (na, da, ea, sa), (nb, db, eb, sb) = a._exact, b._exact
+    unit = 0 if (ea, da) == (0, 1) or (eb, db) == (0, 1) else da * db
+    record = (na * nb, da * db, na * eb + nb * ea + unit, max(sa, sb))
+    return RealGen(lambda x: (a._stage(x) * b._stage(x)) >> x, hint,
+                   f"({a.name}*{b.name})", record)
 
 
 def nat_scalar(n: int, g: RealGen) -> RealGen:
@@ -228,16 +195,16 @@ def nat_scalar(n: int, g: RealGen) -> RealGen:
     floor(n * 2^x * g.at(x) / 2^x) suffers no floor loss.  The direct
     form just needs the cheaper hint g.hint(k + bits of n).
     """
-    if n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError("nat_scalar takes a natural scale")
-    return _library(lambda x: n * g._stage(x),
-                    lambda k: g.hint(k + n.bit_length()),
-                    f"({n}*{g.name})", _scaled(n, g._exact))
+    return RealGen(lambda x: n * g._stage(x),
+                   lambda k: g.hint(k + n.bit_length()),
+                   f"({n}*{g.name})", _scaled(n, g._exact))
 
 
-def _scaled(n: int, record: Optional[Record]) -> Optional[Record]:
+def _scaled(n: int, record: Record) -> Record:
     """nat_scalar's record rule: num and err scale by n."""
-    return record and (n * record[0], record[1], n * record[2], record[3])
+    return n * record[0], record[1], n * record[2], record[3]
 
 
 def _has_run(passes: Callable[[int], bool], horizon: int) -> bool:
@@ -261,15 +228,10 @@ def _has_run(passes: Callable[[int], bool], horizon: int) -> bool:
 
 def _search(a: RealGen, b: RealGen, prec: Precision,
             passes: Callable[[int, int, int], bool]) -> bool:
-    """_has_run over passes(i, stage i of a, stage i of b).  Two records'
-    rules are called for just the stages _has_run tests; otherwise
-    stages 0 .. 2 * horizon of a, then of b, are listed through at()."""
-    h = prec.horizon
-    if a._exact and b._exact:
-        sa, sb = a._stage, b._stage
-    else:
-        sa, sb = a.stages(2 * h).__getitem__, b.stages(2 * h).__getitem__
-    return _has_run(lambda i: passes(i, sa(i), sb(i)), h)
+    """_has_run over passes(i, stage i of a, stage i of b), calling the
+    rules for just the stages _has_run tests."""
+    sa, sb = a._stage, b._stage
+    return _has_run(lambda i: passes(i, sa(i), sb(i)), prec.horizon)
 
 
 def eq_at(a: RealGen, b: RealGen, prec: Precision) -> bool:
@@ -301,8 +263,7 @@ def lt_at(a: RealGen, b: RealGen, prec: Precision) -> bool:
                    and i - (v - u).bit_length() < k)
 
 
-def exact_order(a: Optional[Record], b: Optional[Record],
-                prec: Precision) -> Optional[int]:
+def exact_order(a: Record, b: Record, prec: Precision) -> Optional[int]:
     """The searches' verdict on records a and b where they prove it, else
     None: 0 for eq_at witnessed, -1 for lt_at(a, b), 1 for lt_at(b, a).
 
@@ -315,7 +276,7 @@ def exact_order(a: Optional[Record], b: Optional[Record],
     sign, so no verdict contradicts the exact values.
     """
     h = prec.horizon
-    if a is None or b is None or h < a[3] or h < b[3]:
+    if h < a[3] or h < b[3]:
         return None
     na, da, ea, _ = a
     nb, db, eb, _ = b
@@ -337,10 +298,8 @@ def exact_relation(n: int, scaled: RealGen, other: RealGen,
     return None if order is None else order == 0
 
 
-def exact_sign(a: Optional[Record], b: Optional[Record]) -> Optional[int]:
-    """The sign of a - b from records a and b, else None."""
-    if a is None or b is None:
-        return None
+def exact_sign(a: Record, b: Record) -> int:
+    """The sign of a - b from records a and b."""
     diff = a[0] * b[1] - b[0] * a[1]
     return (diff > 0) - (diff < 0)
 
@@ -379,16 +338,16 @@ def relation_at(n: int, scaled: RealGen, other: RealGen,
 def undecided_run(scaled: RealGen, other: RealGen, top: int,
                   prec: Precision) -> range:
     """The candidates 0..top whose relation n * scaled = other the
-    records leave to relation_at's scan.  With two records, n * scaled
-    = other exactly at n = p / q alone (nowhere if q = 0 alone,
-    everywhere if p = q = 0).  exact_order certifies a prefix of the
-    candidates below p / q, where its error term is fixed, and a suffix
-    of those above, where the distance less the error grows linearly in
-    n; what is left is one run through p / q.  A skipped candidate is a
+    records leave to relation_at's scan.  n * scaled = other exactly at
+    n = p / q alone (nowhere if q = 0 alone, everywhere if p = q = 0).
+    exact_order certifies a prefix of the candidates below p / q, where
+    its error term is fixed, and a suffix of those above, where the
+    distance less the error grows linearly in n; what is left is one run
+    through p / q.  A skipped candidate is a
     non-member relation_at gives without a search or a fault.
     """
     a, b = scaled._exact, other._exact
-    if a is None or b is None or a[0] == b[0] == 0:
+    if a[0] == b[0] == 0:
         return range(top + 1)
     p, q = b[0] * a[1], a[0] * b[1]
     lo = min(-(-p // q), top + 1) if q else top + 1
@@ -446,8 +405,8 @@ def check_certified(g: RealGen, prec: Precision) -> bool:
     Otherwise g is scanned as check_modulus scans it, which raises
     InsufficientHorizon at the same k with the same message.
     """
-    r = g._exact
-    if r is not None and r[2] < r[1] and g.hint(prec.k) <= prec.horizon:
+    _, den, err, _ = g._exact
+    if err < den and g.hint(prec.k) <= prec.horizon:
         return True
     return check_modulus(g, prec)
 

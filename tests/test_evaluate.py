@@ -23,7 +23,8 @@ from ringterp.evaluate import (
 )
 from ringterp import pairing, reals
 from ringterp.pairing import MAX_TERM_BITS, pair
-from ringterp.reals import Precision, RealGen, add, from_unit_fraction, mul
+from ringterp.reals import Precision, RealGen, add, from_unit_fraction, mul, \
+    nat_scalar
 from ringterp.sexpr import parse_formula
 from ringterp.syntax import (
     BOT, Add, And, Apart, Bottom, DefinedQuant, Eq, Exists, Forall, Formula,
@@ -35,7 +36,7 @@ from ringterp.translate import (
     SENTINEL, Expansion, Orientation, TranslationConfig, TranslationError,
     nat_predicate, translate,
 )
-from test_reals import frozen_relation, trees
+from test_reals import faulty, frozen_relation, trees
 from test_syntax import reference_check_formula
 
 
@@ -249,15 +250,12 @@ class TestFamilyOfNaturals:
 
 
 def count_searches(monkeypatch) -> list:
-    """Record the arguments of every eq_at and lt_at call, from reals
-    and from the evaluator's own import of lt_at."""
+    """Record the arguments of every eq_at and lt_at call."""
     calls: list = []
-    searches = {name: getattr(reals, name) for name in ("eq_at", "lt_at")}
-    for target in ("reals.eq_at", "reals.lt_at", "evaluate.lt_at"):
-        search = searches[target.rsplit(".", 1)[1]]
-        monkeypatch.setattr("ringterp." + target,
-                            lambda *args, search=search: (
-                                calls.append(args) or search(*args)))
+    for name in ("eq_at", "lt_at"):
+        search = getattr(reals, name)
+        monkeypatch.setattr(reals, name, lambda *args, search=search: (
+            calls.append(args) or search(*args)))
     return calls
 
 
@@ -285,21 +283,22 @@ class TestWork:
 
     def test_an_undecided_pair_is_searched_once(self, monkeypatch):
         calls = count_searches(monkeypatch)
-        # equal to 1 at even stages, 0 at odd ones: no search is witnessed
-        odd = RealGen(lambda x: 0 if x % 2 else 1 << x, lambda k: 0, "odd")
-        s = structure()
-        # without a record, < scans lt_at alone, and apart adds lt_at the
-        # other way; = scans eq_at, then lt_at each way
-        for text, searches in (("(< z 1)", 1), ("(apart z 1)", 2)):
+        # 1/4 against 1/5 at k = 4, horizon 6: the records prove nothing
+        # and no search is witnessed
+        env = {"z": from_unit_fraction(4), "w": from_unit_fraction(5)}
+        s = structure(species={}, precision=Precision(4, 6))
+        # the first atom scans eq_at, then lt_at each way; apart and =
+        # read the same verdict
+        for text in ("(< z w)", "(apart z w)"):
             f = parse_formula(text, Language.TARGET)
             for _ in range(2):
-                assert not eval_formula(f, s, Language.TARGET, {"z": odd})
-            assert len(calls) == searches
-        f = parse_formula("(= z 1)", Language.TARGET)
+                assert not eval_formula(f, s, Language.TARGET, env)
+            assert len(calls) == 3
+        f = parse_formula("(= z w)", Language.TARGET)
         for _ in range(2):
             with pytest.raises(PrecisionError, match="undetermined"):
-                eval_formula(f, s, Language.TARGET, {"z": odd})
-        assert len(calls) == 5
+                eval_formula(f, s, Language.TARGET, env)
+        assert len(calls) == 3
 
     def test_memo_runs_an_op_once_per_key(self):
         # A None verdict (no witness) is cached like any other.
@@ -701,26 +700,26 @@ class TestConstructionChecks:
             FiniteStructure((0, 1), {1: enc}, precision=Precision(16, 96))
 
     def test_lying_modulus_is_a_structure_error(self):
-        bad = RealGen(lambda x: 0 if x % 2 else 1 << x, lambda k: 0, "bad")
+        bad = faulty(lambda x: 0 if x % 2 else 1 << x, lambda k: 0, "bad")
         enc = SpeciesEncoding(bad, bad, (1, 1))
         with pytest.raises(StructureError):
             FiniteStructure((0, 1), {1: enc})
 
     @pytest.mark.parametrize("u, v, error, message", [
-        # a user generator whose promise fails is scanned and rejected
-        (RealGen(lambda x: 0 if x % 2 else 1 << x, lambda k: 0, "bad"),
+        # a generator whose promise fails is scanned and rejected
+        (faulty(lambda x: 0 if x % 2 else 1 << x, lambda k: 0, "bad"),
          from_unit_fraction(2), StructureError,
          "generator bad violates its modulus promise"),
-        (from_unit_fraction(2), RealGen(lambda x: 1 << (x // 2),
-                                        lambda k: k, "slow"),
+        (from_unit_fraction(2), faulty(lambda x: 1 << (x // 2),
+                                       lambda k: k, "slow"),
          StructureError, "generator slow violates its modulus promise"),
         # a library sum over it too
-        (add(from_unit_fraction(2), RealGen(
+        (add(from_unit_fraction(2), faulty(
             lambda x: 0 if x % 2 else 1 << x, lambda k: 0, "bad")),
          from_unit_fraction(2), StructureError,
          "generator (1/2+bad) violates its modulus promise"),
         # a lazy hint
-        (RealGen(lambda x: 0, lambda k: 1000, "lazy"), from_unit_fraction(2),
+        (faulty(lambda x: 0, lambda k: 1000, "lazy"), from_unit_fraction(2),
          PrecisionError, "structure precision cannot host a generator: "
                          "lazy: hint(0) = 1000 exceeds horizon 96"),
         # a library cutover past the horizon
@@ -728,17 +727,17 @@ class TestConstructionChecks:
          "structure precision cannot host a generator: "
          "u[m=200]: hint(0) = 200 exceeds horizon 96"),
     ])
-    def test_user_generators_are_checked_with_the_same_messages(
-            self, u, v, error, message):
+    def test_generator_faults_keep_their_messages(self, u, v, error,
+                                                  message):
         enc = SpeciesEncoding(u, v, (1, 2))
         with pytest.raises(error) as err:
             FiniteStructure((0, 1), {1: enc}, precision=Precision(16, 96))
         assert str(err.value) == message
 
-    def test_honest_user_generators_are_accepted(self):
-        # 1/4 and 1/8, each scanned: the singleton {2} at moment 4.
-        u = RealGen(lambda x: (1 << x) // 4, lambda k: k + 2, "quarter")
-        v = RealGen(lambda x: (1 << x) // 8, lambda k: k + 2, "eighth")
+    def test_hand_built_encodings_are_accepted(self):
+        # 1/4 and 1/8 from stage 0 in place of the cutover pair: the
+        # singleton {2} at moment 4.
+        u, v = from_unit_fraction(4), from_unit_fraction(8)
         st = FiniteStructure((0, 1, 2, 3), {1: SpeciesEncoding(u, v, (4, 2))})
         assert st.const_extension(1) == frozenset({2})
 
@@ -755,10 +754,11 @@ class TestConstructionChecks:
                         "precision: k=16 horizon=400\n")
         structure()
         assert calls == []
-        u = RealGen(lambda x: (1 << x) // 4, lambda k: k + 2, "quarter")
+        # 1/8 + 1/8 = 1/4 has err >= den, and is scanned
+        u = add(from_unit_fraction(8), from_unit_fraction(8))
         FiniteStructure((0, 1), {1: SpeciesEncoding(u, encode_stabilized(
             4, 2).v, (4, 2))})
-        assert {args[0].name for args in calls} == {"quarter"}
+        assert {args[0].name for args in calls} == {"(1/8+1/8)"}
 
     def test_inconsistent_extension_is_a_structure_error(self):
         # Claims to be the singleton {1} at moment 2 but codes 1/3, 1/2.
@@ -774,6 +774,18 @@ class TestConstructionChecks:
         f = Eq(Var("p", Sort.REAL), Var("q", Sort.REAL))
         with pytest.raises(PrecisionError):
             eval_formula(f, st, Language.TARGET, env={"p": p, "q": q})
+
+    def test_an_order_against_equal_values_is_a_precision_error(self):
+        # 9 * floor(2^x / 9) falls short of 2^x: at horizon 8 the scan
+        # witnesses 9 * 1/9 below 1, which the records say are equal
+        st = FiniteStructure((0, 1), precision=Precision(6, 8))
+        env = {"z": nat_scalar(9, from_unit_fraction(9))}
+        for text in ("(< z 1)", "(apart z 1)", "(< 1 z)"):
+            f = parse_formula(text, Language.TARGET)
+            with pytest.raises(PrecisionError) as err:
+                eval_formula(f, st, Language.TARGET, env=env)
+            assert str(err.value).endswith(
+                "witnessed against its exact value at k=6, horizon=8")
 
 
     def test_precision_resolves_every_singleton_gap(self):

@@ -322,10 +322,15 @@ def counter_has_run(passes, horizon: int) -> bool:
     return False
 
 
+def stage_list(g, top: int) -> list[int]:
+    """Stages 0 .. top of g, read through at()."""
+    return [g.at(x) for x in range(top + 1)]
+
+
 def counter_eq_at(a: RealGen, b: RealGen, prec: Precision) -> bool:
     """Reference implementation: eq_at over counter_has_run."""
     top, k = 2 * prec.horizon, prec.k
-    sa, sb = a.stages(top), b.stages(top)
+    sa, sb = stage_list(a, top), stage_list(b, top)
     return counter_has_run((sa[i] == sb[i]
                             or i - abs(sa[i] - sb[i]).bit_length() >= k
                             for i in range(top + 1)), prec.horizon)
@@ -334,7 +339,7 @@ def counter_eq_at(a: RealGen, b: RealGen, prec: Precision) -> bool:
 def counter_lt_at(a: RealGen, b: RealGen, prec: Precision) -> bool:
     """Reference implementation: lt_at over counter_has_run."""
     top, k = 2 * prec.horizon, prec.k
-    sa, sb = a.stages(top), b.stages(top)
+    sa, sb = stage_list(a, top), stage_list(b, top)
     return counter_has_run((sb[i] > sa[i]
                             and i - (sb[i] - sa[i]).bit_length() < k
                             for i in range(top + 1)), prec.horizon)
@@ -380,12 +385,28 @@ class TestConstruction:
         assert [g.at(x) for x in range(5)] == [0, 0, 1, 2, 5]
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            from_nat(-1)
-        with pytest.raises(ValueError):
-            from_unit_fraction(0)
-        with pytest.raises(ValueError):
-            nat_scalar(-2, from_nat(1))
+        for build in [
+            lambda: from_nat(-1),
+            # 1.5 raised AttributeError, and True was read as 1
+            lambda: from_nat(1.5),
+            lambda: from_nat(True),
+            lambda: from_unit_fraction(0),
+            # 2.5 built the record (1, 2.5, 1.5, 0)
+            lambda: from_unit_fraction(2.5),
+            lambda: from_unit_fraction(True),
+            lambda: cutover_unit_fraction(0, 0, "c"),
+            lambda: cutover_unit_fraction(2.5, 0, "c"),
+            lambda: cutover_unit_fraction(True, 0, "c"),
+            lambda: cutover_unit_fraction(2, -1, "c"),
+            lambda: cutover_unit_fraction(2, 1.0, "c"),
+            lambda: cutover_unit_fraction(2, False, "c"),
+            lambda: nat_scalar(-2, from_nat(1)),
+            # 2.0 built the record (2.0, 1, 0.0, 0)
+            lambda: nat_scalar(2.0, from_nat(1)),
+            lambda: nat_scalar(True, from_nat(1)),
+        ]:
+            with pytest.raises(ValueError):
+                build()
 
     def test_stage_arguments_validated(self):
         g = from_nat(1)
@@ -394,23 +415,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             g.hint(-1)
 
-    def test_approximants_must_be_natural(self):
-        g = RealGen(lambda x: -1, lambda k: 0, name="bad")
-        with pytest.raises(ValueError):
-            g.at(0)
-
-    def test_stages_are_memoized(self):
-        calls = []
-        g = RealGen(lambda x: calls.append(x) or (1 << x), lambda k: 0)
-        g.at(7)
-        g.at(7)
-        assert calls == [7]
-
     def test_precision_validation(self):
-        with pytest.raises(ValueError):
-            Precision(k=0)
-        with pytest.raises(ValueError):
-            Precision(horizon=0)
+        for k, horizon, message in [
+            (0, 96, "precision k must be at least 1"),
+            (24, 0, "horizon must be at least 1"),
+            # 24.0 raised TypeError from a shift in the first comparison
+            (24.0, 96, "precision k must be an int, got 24.0"),
+            (True, 96, "precision k must be an int, got True"),
+            (24, 96.5, "horizon must be an int, got 96.5"),
+            (24, "96", "horizon must be an int, got '96'"),
+        ]:
+            with pytest.raises(ValueError) as err:
+                Precision(k, horizon)
+            assert str(err.value) == message
 
 
 class TestArithmetic:
@@ -494,6 +511,14 @@ class TestComparisons:
         assert lt_at(a, b, prec) is naive_lt_at(a, b, prec)
 
 
+def faulty(stage, hint, name: str = "faulty") -> RealGen:
+    """A generator whose stage rule and hint no library constructor
+    builds, for the modulus checks and the searches.  Its record
+    (1, 1, 1, 0) has err >= den, so check_certified scans it as
+    check_modulus does; eq_at and lt_at read no record."""
+    return RealGen(stage, hint, name, (1, 1, 1, 0))
+
+
 class TestModulus:
     @pytest.mark.parametrize("g", [
         from_nat(0),
@@ -509,17 +534,17 @@ class TestModulus:
         assert check_modulus(g, Precision(16, 64))
 
     def test_oscillating_generator_is_caught(self):
-        bad = RealGen(lambda x: 0 if x % 2 else 1 << x, lambda k: 0,
-                      name="oscillator")
+        bad = faulty(lambda x: 0 if x % 2 else 1 << x, lambda k: 0,
+                     "oscillator")
         assert check_modulus(bad, Precision(4, 16)) is False
 
     def test_dishonest_hint_is_caught(self):
         # Converges to 0 but far slower than the hint promises.
-        slow = RealGen(lambda x: 1 << (x // 2), lambda k: k, name="slow")
+        slow = faulty(lambda x: 1 << (x // 2), lambda k: k, "slow")
         assert check_modulus(slow, Precision(8, 32)) is False
 
     def test_hint_beyond_horizon_raises(self):
-        lazy = RealGen(lambda x: 0, lambda k: 1000, name="lazy")
+        lazy = faulty(lambda x: 0, lambda k: 1000, "lazy")
         with pytest.raises(InsufficientHorizon):
             check_modulus(lazy, Precision(4, 16))
 
@@ -530,19 +555,15 @@ REFERENCE_PRECISIONS = [Precision(k, horizon) for horizon in range(1, 21)
                         for k in (1, 2, 5, 12, 24, 40)]
 
 
-# User-supplied generators, each with a precision that exercises it.
-USER_GENERATORS = [
+# Stage rules and hints that break or test the modulus promise, each
+# with a precision that exercises it.
+FAULTY_RULES = [
     # oscillating
     (lambda x: 0 if x % 2 else 1 << x, lambda k: 0, Precision(4, 16)),
     # dishonest hint: converges far slower than promised
     (lambda x: 1 << (x // 2), lambda k: k, Precision(8, 32)),
     # lazy hint beyond the horizon
     (lambda x: 0, lambda k: 1000, Precision(4, 16)),
-    # honest, but not a natural below the promised stage
-    (lambda x: -1 if x < 5 else 1 << x, lambda k: 5, Precision(6, 12)),
-    # oscillating, and not a natural past the first counterexample
-    (lambda x: -1 if x == 12 else (0 if x % 2 else 1 << x), lambda k: 0,
-     Precision(4, 16)),
     # a late counterexample: exact up to stage 14, then 2^-6 off
     (lambda x: (5 << x) + (1 << x >> 6 if x > 14 else 0), lambda k: k // 2,
      Precision(10, 16)),
@@ -562,25 +583,7 @@ def encoder_pairs() -> list[tuple[RealGen, RealGen]]:
     return pairs
 
 
-def recorded(approx, hint, name: str = "recorded"):
-    """A user-supplied generator that logs every approximant call."""
-    log: list[int] = []
-
-    def logged(x: int) -> int:
-        log.append(x)
-        return approx(x)
-
-    return RealGen(logged, hint, name=name), log
-
-
 class TestAgainstReferences:
-    def test_library_stage_vectors_match_stagewise_values(self):
-        gens = generator_corpus()
-        for u, v in encoder_pairs():
-            gens += [u, v]
-        for g in gens:
-            assert g.stages(40)[:41] == [g.at(x) for x in range(41)]
-
     def test_corpus_pairs_match_the_deque_searches(self):
         corpus = generator_corpus()
         pairs = list(itertools.product(corpus, repeat=2)) + encoder_pairs()
@@ -607,39 +610,14 @@ class TestAgainstReferences:
                 assert (outcome(check_modulus, g, prec)
                         == outcome(per_k_check_modulus, g, prec))
 
-    @pytest.mark.parametrize("approx, hint, prec", USER_GENERATORS)
-    def test_user_generators_match_the_per_k_loop(self, approx, hint, prec):
-        g, log = recorded(approx, hint)
-        ref, ref_log = recorded(approx, hint)
+    @pytest.mark.parametrize("stage, hint, prec", FAULTY_RULES)
+    def test_faulty_rules_match_the_per_k_loop(self, stage, hint, prec):
+        g = faulty(stage, hint)
         assert outcome(check_modulus, g, prec) == outcome(
-            per_k_check_modulus, ref, prec)
-        assert log == ref_log
-        wrapped = add(recorded(approx, hint)[0], from_nat(0))
-        ref_wrapped = add(recorded(approx, hint)[0], from_nat(0))
+            per_k_check_modulus, g, prec)
+        wrapped = add(g, from_nat(0))
         assert outcome(check_modulus, wrapped, prec) == outcome(
-            per_k_check_modulus, ref_wrapped, prec)
-
-    def test_user_generators_match_the_deque_searches(self):
-        cases = [
-            lambda x: 0 if x % 2 else 1 << x,
-            lambda x: 1 << (x // 2),
-            lambda x: (1 << x) // 3,
-            lambda x: -1 if x > 24 else (1 << x) // 3,
-            lambda x: -1 if x == 7 else 1 << x,
-        ]
-        others = [from_nat(0), from_nat(1), from_unit_fraction(3)]
-        for approx in cases:
-            for other in others:
-                for prec in (Precision(4, 12), Precision(12, 5), Precision(2, 1)):
-                    for search, reference in ((eq_at, deque_eq_at),
-                                              (lt_at, deque_lt_at)):
-                        g, log = recorded(approx, lambda k: 0)
-                        ref, ref_log = recorded(approx, lambda k: 0)
-                        assert (outcome(search, g, other, prec)
-                                == outcome(reference, ref, other, prec))
-                        assert (outcome(search, other, g, prec)
-                                == outcome(reference, other, ref, prec))
-                        assert log == ref_log
+            per_k_check_modulus, wrapped, prec)
 
 
 def twins(make, monkeypatch) -> tuple[list, list]:
@@ -689,7 +667,6 @@ def assert_same_generator(g: RealGen, frozen: FrozenGen,
             assert outcome(check, g, prec) == outcome(reference, frozen, prec), (
                 g, prec, check)
     assert [g.at(x) for x in range(41)] == [frozen.at(x) for x in range(41)]
-    assert g.stages(40) == frozen.stages(40)[:41]
     assert [g.hint(k) for k in range(25)] == [frozen.hint(k)
                                               for k in range(25)]
 
@@ -704,33 +681,6 @@ def assert_same_verdicts(a: RealGen, b: RealGen, fa: FrozenGen,
                 reference, fa, fb, prec), (a, b, prec, search)
         assert outcome(lt_at, b, a, prec) == outcome(frozen_lt_at, fb, fa,
                                                      prec)
-
-
-def logged_user(cls, log: list, name: str, approx):
-    """A user-supplied generator built by cls that logs (name, stage)
-    for every approximant call into log."""
-    return cls(lambda x: log.append((name, x)) or approx(x),
-               lambda k: k + 2, name)
-
-
-def user_pair(cls, log: list, combine: str):
-    """combine of two logged user-supplied generators, a = 1/3 and b =
-    1/5 except that b's stage 9 is -1, built by cls and the constructors
-    in LIBRARY or FROZEN; both log into one list."""
-    lib = LIBRARY if cls is RealGen else FROZEN
-    return lib[combine](
-        logged_user(cls, log, "a", lambda x: (1 << x) // 3),
-        logged_user(cls, log, "b", lambda x: -1 if x == 9 else (1 << x) // 5))
-
-
-def user_other(cls, log: list, kind: str):
-    """The other side of a search against user_pair: the library's 1/4,
-    or a logged user-supplied 1/4 whose stage 7 is -1."""
-    if kind == "library":
-        return (from_unit_fraction if cls is RealGen
-                else frozen_from_unit_fraction)(4)
-    return logged_user(cls, log, "c", lambda x: -1 if x == 7
-                       else (1 << x) // 4)
 
 
 class TestAgainstFrozenGenerators:
@@ -766,39 +716,6 @@ class TestAgainstFrozenGenerators:
         precisions = REFERENCE_PRECISIONS[j::17]
         assert_same_generator(a, fa, precisions)
         assert_same_verdicts(a, b, fa, fb, precisions)
-
-    @pytest.mark.parametrize("kind", ["library", "user"])
-    @pytest.mark.parametrize("combine", ["add", "mul"])
-    def test_two_user_generators_are_read_in_the_frozen_order(self, combine,
-                                                              kind):
-        searches = [(search, reference, flip)
-                    for search, reference in PAIR_SEARCHES
-                    for flip in (False, True)]
-        searches += [(lambda g, _, prec: check(g, prec),
-                      lambda g, _, prec: reference(g, prec), False)
-                     for check, reference in CHECKS]
-        errors = set()
-        for prec in (Precision(3, 3), Precision(2, 5), Precision(6, 12)):
-            for search, reference, flip in searches:
-                log, ref_log = [], []
-                g = user_pair(RealGen, log, combine)
-                other = user_other(RealGen, log, kind)
-                ref = user_pair(FrozenGen, ref_log, combine)
-                ref_other = user_other(FrozenGen, ref_log, kind)
-                got = (outcome(search, other, g, prec) if flip
-                       else outcome(search, g, other, prec))
-                expect = (outcome(reference, ref_other, ref, prec) if flip
-                          else outcome(reference, ref, ref_other, prec))
-                assert (got, log) == (expect, ref_log), (prec, search, flip)
-                if isinstance(got, tuple) and got[0] is ValueError:
-                    errors.add(got[1].split()[2])
-        assert errors == ({"b"} if kind == "library" else {"b", "c"})
-        log = []
-        with pytest.raises(ValueError):
-            eq_at(user_pair(RealGen, log, combine),
-                  user_other(RealGen, log, kind), Precision(2, 5))
-        assert log[:4] == [("a", 0), ("b", 0), ("a", 1), ("b", 1)]
-        assert log[-2:] == [("a", 9), ("b", 9)]
 
 
 def certified_generators() -> list[RealGen]:
@@ -856,18 +773,15 @@ class TestCertificate:
                 assert (outcome(check_certified, g, prec)
                         == outcome(check_modulus, g, prec))
 
-    @pytest.mark.parametrize("approx, hint, prec", USER_GENERATORS)
-    def test_user_generators_are_scanned(self, approx, hint, prec):
-        g, log = recorded(approx, hint)
-        ref, ref_log = recorded(approx, hint)
+    @pytest.mark.parametrize("stage, hint, prec", FAULTY_RULES)
+    def test_records_with_err_at_least_den_are_scanned(self, stage, hint,
+                                                       prec):
+        g = faulty(stage, hint)
         assert outcome(check_certified, g, prec) == outcome(
-            check_modulus, ref, prec)
-        assert log == ref_log
-        wrapped = nat_scalar(2, add(recorded(approx, hint)[0], from_nat(0)))
-        ref_wrapped = nat_scalar(2, add(recorded(approx, hint)[0],
-                                        from_nat(0)))
+            check_modulus, g, prec)
+        wrapped = nat_scalar(2, add(g, from_nat(0)))
         assert outcome(check_certified, wrapped, prec) == outcome(
-            check_modulus, ref_wrapped, prec)
+            check_modulus, wrapped, prec)
 
     def test_a_lazy_library_hint_raises_the_same_error(self):
         u = encode_stabilized(30, 1).u
@@ -898,30 +812,8 @@ class TestCertificate:
 
 
 class TestWork:
-    """Time-free guards: every stage of a user-supplied generator is
-    computed once, however many searches read it, and a pair of records
-    is read in memory that does not grow with the horizon."""
-
-    HORIZON = 16
-
-    def searches(self, g: RealGen) -> None:
-        prec = Precision(8, self.HORIZON)
-        assert eq_at(g, from_unit_fraction(3), prec)
-        assert lt_at(g, from_nat(1), prec)
-        assert check_modulus(g, prec)
-
-    def test_a_plain_generator(self):
-        g, log = recorded(lambda x: (1 << x) // 3, lambda k: k + 2)
-        self.searches(g)
-        assert len(log) <= 2 * self.HORIZON + 1
-        assert sorted(log) == sorted(set(log))
-
-    def test_library_generators_over_it(self):
-        g, log = recorded(lambda x: (1 << x) // 9, lambda k: k + 2)
-        # 3 * (1/9 + 0) = 1/3
-        self.searches(nat_scalar(3, add(g, from_nat(0))))
-        assert len(log) <= 2 * self.HORIZON + 1
-        assert sorted(log) == sorted(set(log))
+    """Time-free guard: a pair of records is read in memory that does not
+    grow with the horizon."""
 
     def test_a_long_scan_of_two_records_keeps_no_stage_lists(self):
         # 1/10 against 1/11 at k = 3: the records leave it to the scan,
@@ -939,11 +831,10 @@ class TestWork:
         assert peak < 1 << 20
 
 
-def listed(values: list, name: str) -> tuple[RealGen, list[int]]:
-    """A user-supplied generator reading its stages from a list (0 past
-    its end), with a log of the stages asked for."""
-    return recorded(lambda x: values[x] if x < len(values) else 0,
-                    lambda k: 0, name)
+def listed(values: list, name: str) -> RealGen:
+    """A generator reading its stages from a list (0 past its end)."""
+    return faulty(lambda x: values[x] if x < len(values) else 0,
+                  lambda k: 0, name)
 
 
 # The stage offsets b - a that the stage lists draw from, before a
@@ -955,7 +846,7 @@ OFFSETS = (0, 0, 0, 1, 2, 3, 7, -1, -3, 1 << 5, 1 << 9, -(1 << 9))
 @st.composite
 def stage_lists(draw):
     """A precision with horizon 1..8 and k 1..12, and two stage lists
-    over 0 .. 2 * horizon, one of them sometimes holding a bad value."""
+    over 0 .. 2 * horizon."""
     horizon = draw(st.integers(min_value=1, max_value=8))
     k = draw(st.integers(min_value=1, max_value=12))
     top = 2 * horizon
@@ -965,12 +856,6 @@ def stage_lists(draw):
     offsets = draw(st.lists(st.sampled_from(OFFSETS),
                             min_size=top + 1, max_size=top + 1))
     b = [abs(u + d * scale) for u, d in zip(a, offsets)]
-    bad = draw(st.one_of(st.none(), st.tuples(
-        st.booleans(), st.integers(min_value=0, max_value=top),
-        st.sampled_from([-1, "x", 1.0]))))
-    if bad is not None:
-        in_a, stage, value = bad
-        (a if in_a else b)[stage] = value
     return Precision(k, horizon), a, b
 
 
@@ -984,18 +869,13 @@ class TestSearchFromStageHorizon:
     it; the run counter it replaced is the reference."""
 
     @given(stage_lists())
-    def test_user_generators_match_the_run_counter(self, case):
+    def test_stage_lists_match_the_run_counter(self, case):
         prec, a, b = case
         for search, reference in ((eq_at, counter_eq_at),
                                   (lt_at, counter_lt_at)):
             for first, second in ((a, b), (b, a)):
-                ga, log_a = listed(first, "a")
-                gb, log_b = listed(second, "b")
-                ra, ref_log_a = listed(first, "a")
-                rb, ref_log_b = listed(second, "b")
-                assert (outcome(search, ga, gb, prec)
-                        == outcome(reference, ra, rb, prec))
-                assert (log_a, log_b) == (ref_log_a, ref_log_b)
+                ga, gb = listed(first, "a"), listed(second, "b")
+                assert search(ga, gb, prec) is reference(ga, gb, prec)
 
     @pytest.mark.parametrize("horizon", range(1, 7))
     def test_every_pass_pattern_matches_the_run_counter(self, horizon):
@@ -1042,26 +922,6 @@ class TestNatRelation:
         assert [equal, below, above].count(True) == 1
         assert exact_relation(n, from_nat(a), other, prec) is equal is (
             n * a == b)
-
-    def test_only_library_generators_keep_a_record(self):
-        assert from_nat(7)._exact == (7, 1, 0, 0)
-        assert from_unit_fraction(3)._exact == (1, 3, 2, 0)
-        assert encode_stabilized(2, 3).v._exact == (1, 6, 5, 2)
-        assert nat_scalar(2, from_nat(3))._exact == (6, 1, 0, 0)
-        assert add(from_nat(1), from_unit_fraction(2))._exact == (3, 2, 1, 0)
-        # a factor that is an exact natural costs no floor unit
-        assert mul(from_nat(2), from_unit_fraction(3))._exact == (2, 3, 4, 0)
-        assert mul(from_unit_fraction(2),
-                   encode_stabilized(4, 1).u)._exact == (1, 8, 12, 4)
-        prec = Precision(24, 96)
-        three = RealGen(lambda x: 3 << x, lambda k: 0, "three")
-        for g in [three, nat_scalar(2, three), add(three, from_nat(1)),
-                  mul(from_nat(2), three)]:
-            assert g._exact is None
-            assert exact_relation(1, g, from_nat(3), prec) is None
-            assert exact_relation(1, from_nat(3), g, prec) is None
-            assert exact_sign(g._exact, from_nat(3)._exact) is None
-            assert exact_sign(from_nat(3)._exact, g._exact) is None
 
 
 def atom(kind: int, value: int, start: int) -> RealGen:
@@ -1244,20 +1104,11 @@ class TestRelation:
             want = frozen_relation(n, scaled, other, prec)
             assert (type(got), got) == (type(want), want), (n, prec)
 
-    def test_user_generators_match_the_frozen_decision(self):
-        odd = RealGen(lambda x: 0 if x % 2 else 1 << x, lambda k: 0, "odd")
-        third = RealGen(lambda x: (1 << x) // 3, lambda k: k + 2, "third")
-        for scaled, other in itertools.product(
-                [odd, third, from_unit_fraction(3)], repeat=2):
-            for prec in REFERENCE_PRECISIONS[::7]:
-                for n in range(5):
-                    assert relation_at(n, scaled, other, prec) == \
-                        frozen_relation(n, scaled, other, prec)
-
     def test_each_fault(self):
-        odd = RealGen(lambda x: 0 if x % 2 else 1 << x, lambda k: 0, "odd")
-        assert relation_at(1, odd, from_nat(1), Precision(4, 6)) \
-            == UNDETERMINED
+        # 1/4 against 1/5 at k = 4: neither equality nor order holds on
+        # 7 consecutive stages of 0..12
+        quarter, fifth = from_unit_fraction(4), from_unit_fraction(5)
+        assert relation_at(1, quarter, fifth, Precision(4, 6)) == UNDETERMINED
         # 9 * floor(2^x / 9) falls short of 2^x, and 1/10 meets 1/11
         enc = encode_stabilized(1, 9)
         assert relation_at(9, enc.v, enc.u, Precision(6, 8)) == AGAINST

@@ -24,15 +24,23 @@ candidate) pair, gives every candidate witnessed inside the prefix its
 least stage; any other candidate is settled by at most 2 * len(default)
 stages of the repeating pattern.  A membership query therefore costs
 O(len(default)) after an O(len(prefix)) set-up, and a run, its conjunct
-check and its trace round trip are linear in the horizon.  Streams
-spell out at most MAX_STREAM_BITS bits.
+check and its trace round trip are linear in the horizon.  On a stream
+whose pattern holds no 1 the members are exactly the candidates of the
+index, so C4 (below) and totality are decided from it without a query.
+Streams spell out at most MAX_STREAM_BITS bits.
 
 check_conjuncts classifies a finished run against the five clauses that
 the jump discipline is meant to satisfy, reporting each as holds,
 violated, vacuous, or undetermined (the horizon was too short to tell).
 Traces serialize a run to text; parsing a trace re-runs the simulation
 from the recorded parameters and refuses to accept a trace that does
-not match the re-run, so a trace doubles as an integrity check.
+not match the re-run, so a trace doubles as an integrity check.  A
+round trip does each piece of work once.  simulate makes one draw, an
+O(len(default)) query, per moment up to stabilization and fills beta's
+constant tail in one step.  format_trace prints each draw's line with
+an f-string and each stretch of undrawn moments, over which a simulated
+beta is constant, with one join.  parse_trace strips the lines of its
+input once, then simulates, formats and compares the lines once each.
 """
 
 from __future__ import annotations
@@ -208,6 +216,13 @@ class ChoiceSeq:
         """
         return self.first_witness(k) is not None
 
+    def has_member_upto(self, top: int) -> bool:
+        """Is some candidate in 1..top a member?  Where the pattern holds
+        no 1, the members are the witness index's candidates: no scan."""
+        if 1 not in self.default:
+            return any(1 <= k <= top for k in self._prefix_witnesses)
+        return any(self.is_member(k) for k in range(1, top + 1))
+
     def is_total(self) -> bool:
         """Is every positive candidate a member?
 
@@ -216,8 +231,11 @@ class ChoiceSeq:
         with period 2 * len(default); a finite scan decides totality.
         The least such k0 comes in closed form, so the scan makes
         k0 + 2 * len(default) membership queries, with k0 about the
-        square root of twice the prefix length.
+        square root of twice the prefix length.  A pattern holding no 1
+        leaves finitely many members, so the answer is no at once.
         """
+        if 1 not in self.default:
+            return False
         period = 2 * len(self.default)
         # pair(0, k) = (k+1)(k+2)/2 - 1.
         k0 = max(_least_root(len(self.prefix) + 1) - 1, 1)
@@ -375,25 +393,19 @@ def simulate(alpha: ChoiceSeq, schedule: Schedule, horizon: int,
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     rng = random.Random(seed)
-    beta: list[int] = []
+    beta = [0] * (horizon + 1)
     draws: list[Draw] = []
     stabilized: Optional[tuple[int, int]] = None
-    drawing = schedule.kind is ScheduleKind.PHI_PROVED
-    start = max(schedule.moment, 1) if drawing else None
-    for n in range(horizon + 1):
-        if stabilized is not None:
-            beta.append(stabilized[1])
-            continue
-        if drawing and n >= start:
+    if schedule.kind is ScheduleKind.PHI_PROVED:
+        for n in range(max(schedule.moment, 1), horizon + 1):
             k = rng.randint(1, n)
             w = alpha.first_witness(k)
             witnessed = w is not None and w <= n
             draws.append(Draw(n, k, witnessed))
             if witnessed:
                 stabilized = (n, k)
-                beta.append(k)
-                continue
-        beta.append(0)
+                beta[n:] = [k] * (horizon + 1 - n)
+                break
     return RunResult(alpha, schedule, horizon, seed, tuple(beta),
                      tuple(draws), stabilized)
 
@@ -479,7 +491,7 @@ def check_conjuncts(run: RunResult) -> ConjunctReport:
     else:
         c1 = ConjunctStatus.VACUOUS
 
-    if not run.alpha.is_total() or run.fired:
+    if run.fired or not run.alpha.is_total():
         c2 = ConjunctStatus.VACUOUS
     elif kind is ScheduleKind.NOT_PHI_PROVED:
         c2 = ConjunctStatus.HOLDS
@@ -488,7 +500,7 @@ def check_conjuncts(run: RunResult) -> ConjunctReport:
 
     c3 = ConjunctStatus.HOLDS if decided else ConjunctStatus.UNDETERMINED
 
-    if not any(run.alpha.is_member(k) for k in range(1, run.horizon + 1)):
+    if not run.alpha.has_member_upto(run.horizon):
         c4 = ConjunctStatus.VACUOUS
     elif run.fired or decided:
         c4 = ConjunctStatus.HOLDS
@@ -519,15 +531,23 @@ def format_trace(run: RunResult) -> str:
     """Serialize a run, its conjunct report and its parameters."""
     report = check_conjuncts(run)
     lines = [TRACE_HEADER, "# moments"]
-    draw_at = {d.moment: d for d in run.draws}
-    for n, value in enumerate(run.beta):
-        d = draw_at.get(n)
-        if d is None:
-            lines.append(f"{n} {value} - -")
-        else:
+    beta, size = run.beta, len(run.beta)
+    draw_at = {d.moment: d for d in run.draws}  # the last draw of a moment
+    n = 0  # the first moment not yet printed; size ends the last stretch
+    for m in sorted(m for m in draw_at if 0 <= m < size) + [size]:
+        if n < m:  # undrawn moments, over which a simulated beta is constant
+            part = beta[n:m]
+            if part.count(part[0]) == len(part):
+                tail = f" {part[0]} - -"
+                lines.append(f"{tail}\n".join(map(str, range(n, m))) + tail)
+            else:
+                lines += [f"{i} {v} - -" for i, v in enumerate(part, n)]
+        if m < size:
+            d = draw_at[m]
             lines.append(
-                f"{n} {value} {d.candidate} {'yes' if d.witnessed else 'no'}"
+                f"{m} {beta[m]} {d.candidate} {'yes' if d.witnessed else 'no'}"
             )
+        n = m + 1
     lines.append("# conjuncts")
     for key, status in report.as_dict().items():
         lines.append(f"{key}={status}")
@@ -544,11 +564,12 @@ def format_trace(run: RunResult) -> str:
 
 
 def _normalize(text: str) -> list[str]:
-    lines = [line.rstrip() for line in text.splitlines()]
-    for i, line in enumerate(lines):
-        if line.startswith("# manifest"):
-            lines = lines[:i]
-            break
+    lines = list(map(str.rstrip, text.splitlines()))
+    if "# manifest" in text:
+        for i, line in enumerate(lines):
+            if line.startswith("# manifest"):
+                lines = lines[:i]
+                break
     while lines and not lines[-1]:
         lines.pop()
     return lines
@@ -583,6 +604,8 @@ def parse_trace(text: str) -> RunResult:
         seed = parse_natural(summary["seed"])
         alpha = parse_alpha_spec(summary["alpha"])
         schedule = parse_schedule_spec(summary["schedule"])
+        if horizon < 1:
+            raise ValueError("horizon must be at least 1")
     except ValueError as exc:
         raise TraceError(f"bad summary value: {exc}") from None
     # horizon + 1 moments and 15 other lines, checked before the costly re-run.
@@ -592,7 +615,7 @@ def parse_trace(text: str) -> RunResult:
             f"{len(lines)} lines recorded, {horizon + 16} expected"
         )
     run = simulate(alpha, schedule, horizon, seed)
-    expected = _normalize(format_trace(run))
+    expected = format_trace(run).splitlines()
     if lines != expected:
         got, want = next(p for p in zip(lines, expected) if p[0] != p[1])
         raise TraceError(

@@ -169,15 +169,21 @@ def mul(a: RealGen, b: RealGen) -> RealGen:
     of the two bounds dictates how many extra digits of the factors are
     needed, and stages are additionally kept at k + 2 or later so the
     floor error of the product approximant stays below the demanded
-    tolerance.  The record's err adds na * eb + nb * ea, and da * db for
-    the floor of >> x unless a factor is an exact natural.
+    tolerance.  The bounds do not depend on k: a product finds them on
+    its first hint (a square asks its one factor once), and building a
+    product asks no hint.  The record's err adds na * eb + nb * ea, and
+    da * db for the floor of >> x unless a factor is an exact natural.
     """
+    bounds: list[int] = []  # ha, hb and shift, once found
 
     def hint(k: int) -> int:
-        ha, hb = a.hint(1), b.hint(1)
-        bound_a = (a._stage(ha) >> ha) + 2
-        bound_b = (b._stage(hb) >> hb) + 2
-        shift = (bound_a + bound_b).bit_length()
+        if not bounds:
+            ha = a.hint(1)
+            hb = ha if b is a else b.hint(1)
+            bound_a = (a._stage(ha) >> ha) + 2
+            bound_b = (b._stage(hb) >> hb) + 2
+            bounds[:] = ha, hb, (bound_a + bound_b).bit_length()
+        ha, hb, shift = bounds
         finer = k + 1 + shift
         return max(a.hint(finer), b.hint(finer), ha, hb, k + 2)
 

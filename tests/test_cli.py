@@ -270,6 +270,21 @@ class TestEncode:
         assert (out, err) == ("", "ringterp: error: bad summary value: "
                               f"expected digits 0-9, got {bad!r}\n")
 
+    def test_trace_claiming_horizon_zero_is_a_domain_error(self, tmp_path,
+                                                          capsys):
+        # 16 lines fit horizon=0, so the line count lets it through; the
+        # summary check refuses it before anything is simulated.
+        run = simulate(ChoiceSeq.one(), parse_schedule_spec("phi:2"), 1, 0)
+        lines = format_trace(run).splitlines()
+        del lines[3]
+        assert len(lines) == 16
+        text = "\n".join(lines) + "\n"
+        trace = tmp_path / "run.trace"
+        trace.write_text(text.replace("horizon=1\n", "horizon=0\n"))
+        assert main(["encode", "--from-run", str(trace)]) == 1
+        assert capsys.readouterr() == ("", "ringterp: error: bad summary "
+                                       "value: horizon must be at least 1\n")
+
 
 STRUCTURE = [
     "nats: 0 1 2 3",

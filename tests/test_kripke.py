@@ -1,6 +1,8 @@
 """Tests for choice sequence streams, schedules, simulation and traces."""
 
 import hashlib
+import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
@@ -11,8 +13,8 @@ from hypothesis import strategies as st
 
 from ringterp import kripke
 from ringterp.kripke import (
-    MAX_STREAM_BITS, ChoiceSeq, ConjunctStatus, Schedule, ScheduleKind,
-    TraceError, check_conjuncts, format_trace, parse_alpha_spec,
+    MAX_STREAM_BITS, ChoiceSeq, ConjunctStatus, Draw, RunResult, Schedule,
+    ScheduleKind, TraceError, check_conjuncts, format_trace, parse_alpha_spec,
     parse_schedule_spec, parse_trace, run_total, simulate,
 )
 from ringterp.pairing import pair, unpair
@@ -94,6 +96,20 @@ class TestChoiceSeq:
         expect = brute_first_witness(alpha, k)
         assert alpha.first_witness(k) == expect
         assert alpha.is_member(k) is (expect is not None)
+
+    @given(members=member_lists, top=st.integers(min_value=0, max_value=14))
+    def test_has_member_upto_matches_brute_scan(self, members, top):
+        alpha = ChoiceSeq.from_members(members)
+        assert alpha.has_member_upto(top) is any(
+            brute_is_member(alpha, k, scan=20) for k in range(1, top + 1))
+
+    @given(prefix=prefixes, default=defaults,
+           top=st.integers(min_value=0, max_value=40))
+    def test_has_member_upto_matches_the_is_member_scan(self, prefix,
+                                                        default, top):
+        alpha = ChoiceSeq(prefix, default)
+        assert alpha.has_member_upto(top) is any(
+            alpha.is_member(k) for k in range(1, top + 1))
 
     @given(prefix=st.lists(st.integers(0, 1), max_size=10),
            default=st.lists(st.integers(0, 1), min_size=1, max_size=4))
@@ -376,6 +392,31 @@ class TestSpecs:
             Schedule(ScheduleKind.PHI_PROVED, -1)
 
 
+def reference_simulate(alpha, schedule, horizon, seed):
+    """simulate as it was when it visited every moment through the
+    horizon, after stabilization too: the reference for beta and draws."""
+    rng = random.Random(seed)
+    beta, draws, stabilized = [], [], None
+    drawing = schedule.kind is ScheduleKind.PHI_PROVED
+    start = max(schedule.moment, 1) if drawing else None
+    for n in range(horizon + 1):
+        if stabilized is not None:
+            beta.append(stabilized[1])
+            continue
+        if drawing and n >= start:
+            k = rng.randint(1, n)
+            w = alpha.first_witness(k)
+            witnessed = w is not None and w <= n
+            draws.append(Draw(n, k, witnessed))
+            if witnessed:
+                stabilized = (n, k)
+                beta.append(k)
+                continue
+        beta.append(0)
+    return RunResult(alpha, schedule, horizon, seed, tuple(beta),
+                     tuple(draws), stabilized)
+
+
 class TestSimulate:
     def test_never_schedule_stays_silent(self):
         run = simulate(ChoiceSeq.one(), Schedule.never(), 50, seed=3)
@@ -436,6 +477,17 @@ class TestSimulate:
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
             simulate(ChoiceSeq.one(), Schedule.never(), 0, seed=1)
+
+    @given(prefix=prefixes, default=defaults, schedule=st.sampled_from(
+               ["never", "phi:0", "phi:3", "phi:40", "notphi:2"]),
+           horizon=st.integers(min_value=1, max_value=60),
+           seed=st.integers(min_value=0, max_value=30))
+    def test_matches_the_moment_by_moment_loop(self, prefix, default,
+                                               schedule, horizon, seed):
+        alpha = ChoiceSeq(prefix, default)
+        schedule = parse_schedule_spec(schedule)
+        assert simulate(alpha, schedule, horizon, seed) == reference_simulate(
+            alpha, schedule, horizon, seed)
 
 
 class TestConjuncts:
@@ -516,8 +568,11 @@ class TestTraces:
         lines[3] = lines[3].replace(" ", "  ", 1)
         tampered = next(i for i, l in enumerate(lines) if not l.startswith("#"))
         lines[tampered] = "0 9 - -"
-        with pytest.raises(TraceError):
+        with pytest.raises(TraceError) as caught:
             parse_trace("\n".join(lines) + "\n")
+        assert str(caught.value) == (
+            "trace does not match its own parameters: "
+            "got '0 9 - -', expected '0 0 - -'")
 
     def test_tampered_summary_is_rejected(self):
         run = run_total(Schedule.phi_proved(2), 12, seed=9)
@@ -578,3 +633,170 @@ class TestTraceBytes:
         run = simulate(alpha, parse_schedule_spec("phi:1"), 1000, 0)
         assert parse_trace(format_trace(run)) == run
         assert calls < 50_000
+
+    def test_a_round_trip_does_each_piece_of_work_once(self, monkeypatch):
+        # Counts calls instead of timing: one parse normalizes the text,
+        # re-runs the simulation and formats the re-run once each, and
+        # the silent members:999@5 run decides C2 and C4 from the witness
+        # index without a membership query.
+        run = simulate(parse_alpha_spec("members:999@5"),
+                       parse_schedule_spec("phi:1"), 1000, 0)
+        assert not run.fired
+        text = format_trace(run)
+        calls = Counter()
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+            return wrapper
+
+        for name in ("_normalize", "simulate", "format_trace"):
+            monkeypatch.setattr(kripke, name,
+                                counted(name, getattr(kripke, name)))
+        assert parse_trace(text) == run
+        assert calls == {"_normalize": 1, "simulate": 1, "format_trace": 1}
+
+        calls.clear()
+        monkeypatch.setattr(ChoiceSeq, "is_member",
+                            counted("is_member", ChoiceSeq.is_member))
+        check_conjuncts(run)
+        assert calls == {}
+
+
+def reference_format_trace(run: RunResult) -> str:
+    """format_trace as it was when it printed one f-string per moment:
+    the reference for every byte of every trace."""
+    report = check_conjuncts(run)
+    lines = [kripke.TRACE_HEADER, "# moments"]
+    draw_at = {d.moment: d for d in run.draws}
+    for n, value in enumerate(run.beta):
+        d = draw_at.get(n)
+        if d is None:
+            lines.append(f"{n} {value} - -")
+        else:
+            lines.append(
+                f"{n} {value} {d.candidate} {'yes' if d.witnessed else 'no'}"
+            )
+    lines.append("# conjuncts")
+    for key, status in report.as_dict().items():
+        lines.append(f"{key}={status}")
+    lines.append("# summary")
+    lines.append(f"horizon={run.horizon}")
+    lines.append(f"seed={run.seed}")
+    lines.append(f"alpha={run.alpha.canonical_spec()}")
+    lines.append(f"schedule={run.schedule.canonical_spec()}")
+    if run.stabilized is None:
+        lines.append("stabilized=none")
+    else:
+        lines.append(f"stabilized={run.stabilized[0]}:{run.stabilized[1]}")
+    return "\n".join(lines) + "\n"
+
+
+def hand_built(beta, draws, horizon=None, stabilized=None):
+    """A RunResult no simulation made: draws are (moment, candidate,
+    witnessed) triples, kept in the order given."""
+    return RunResult(ChoiceSeq.from_members([(2, 1), (5, 0)]),
+                     Schedule.phi_proved(1),
+                     len(beta) - 1 if horizon is None else horizon, 3,
+                     tuple(beta), tuple(Draw(*d) for d in draws), stabilized)
+
+
+@st.composite
+def hand_built_runs(draw):
+    beta = draw(st.lists(st.integers(0, 3), min_size=1, max_size=30))
+    draws = draw(st.lists(st.tuples(st.integers(-3, 34), st.integers(1, 9),
+                                    st.booleans()), max_size=12))
+    stabilized = draw(st.none() | st.tuples(st.integers(0, 30),
+                                            st.integers(1, 3)))
+    return hand_built(beta, draws, draw(st.integers(1, 40)), stabilized)
+
+
+class TestFormatAgainstTheMomentLoop:
+    """format_trace prints each stretch of undrawn moments with one join;
+    the loop that printed one line per moment is the reference."""
+
+    @given(prefix=prefixes, default=defaults, schedule=st.sampled_from(
+               ["never", "phi:0", "phi:2", "phi:30", "notphi:3"]),
+           horizon=st.integers(min_value=1, max_value=80),
+           seed=st.integers(min_value=0, max_value=40))
+    def test_simulated_runs(self, prefix, default, schedule, horizon, seed):
+        run = simulate(ChoiceSeq(prefix, default),
+                       parse_schedule_spec(schedule), horizon, seed)
+        assert format_trace(run) == reference_format_trace(run)
+
+    @pytest.mark.parametrize("beta, draws", [
+        # a beta that is not constant between draws
+        ([0, 3, 0, 3, 3, 1, 0, 2, 2, 2], []),
+        ([0, 3, 0, 3, 3, 1, 0, 2, 2, 2], [(4, 2, False)]),
+        # duplicate moments: the last draw of a moment wins
+        ([0, 0, 5, 5], [(2, 5, False), (2, 4, True), (1, 1, False)]),
+        # moments before 0 and from len(beta) on are not printed
+        ([0, 0, 2], [(-1, 7, True), (3, 2, True), (40, 1, False),
+                     (1, 2, False)]),
+        # draws out of order
+        ([0, 0, 0, 4, 4, 4], [(5, 1, False), (1, 2, False), (3, 4, True)]),
+        # a draw at every moment, and at none
+        ([1, 2, 3], [(0, 1, True), (1, 2, True), (2, 3, True)]),
+        ([7], []),
+    ])
+    def test_hand_built_runs(self, beta, draws):
+        run = hand_built(beta, draws)
+        assert format_trace(run) == reference_format_trace(run)
+
+    @given(run=hand_built_runs())
+    def test_random_hand_built_runs(self, run):
+        assert format_trace(run) == reference_format_trace(run)
+
+
+class TestTraceText:
+    """What parse_trace accepts besides a trace as printed (a manifest
+    alone: test_round_trip_ignores_appended_comments), and the exact text
+    of its errors."""
+
+    RUN = run_total(Schedule.phi_proved(2), 12, seed=9)
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: text.replace("\n", " \t\n"),
+        lambda text: text + "\n \n\t\n",
+        lambda text: text.replace("\n", "  \r\n") + "\r\n# manifest v1\r\n",
+    ], ids=["crlf", "trailing-space-and-tab", "blank-lines-at-the-end",
+            "with-a-manifest"])
+    def test_accepted_variants(self, edit):
+        assert parse_trace(edit(format_trace(self.RUN))) == self.RUN
+
+    @staticmethod
+    def error_of(text: str) -> str:
+        with pytest.raises(TraceError) as caught:
+            parse_trace(text)
+        return str(caught.value)
+
+    def test_short_trace(self):
+        run = run_total(Schedule.phi_proved(2), 3, seed=9)
+        text = format_trace(run).replace("horizon=3\n", "horizon=5\n")
+        assert len(text.splitlines()) == 19
+        assert self.error_of(text) == (
+            "trace does not match its own parameters: "
+            "19 lines recorded, 21 expected")
+
+    def test_horizon_zero(self):
+        # 16 lines fit horizon=0, so only the summary check refuses it.
+        assert self.error_of(horizon_zero_trace()) == (
+            "bad summary value: horizon must be at least 1")
+
+    def test_horizon_zero_after_another_bad_value(self):
+        text = horizon_zero_trace().replace("seed=9\n", "seed=x\n")
+        assert self.error_of(text) == (
+            "bad summary value: expected digits 0-9, got 'x'")
+
+
+def horizon_zero_trace() -> str:
+    """The trace of a horizon-1 run with its last moment line removed
+    and its horizon= line claiming 0: 16 lines."""
+    lines = format_trace(run_total(Schedule.phi_proved(2), 1, seed=9)
+                         ).splitlines()
+    del lines[3]
+    text = "\n".join(lines).replace("horizon=1\n", "horizon=0\n") + "\n"
+    assert len(lines) == 16 and "horizon=0\n" in text
+    return text

@@ -831,6 +831,63 @@ class TestWork:
         assert peak < 1 << 20
 
 
+def product_tree(shape: str, mul, from_unit_fraction, from_nat):
+    """A product tree of one of three shapes over small leaves: squares
+    nested 7 deep over 1/3, a balanced tree of depth 4 with distinct
+    nodes, or a left-deep chain of 7 products."""
+    leaves = [from_unit_fraction(3), from_nat(2), from_unit_fraction(5),
+              from_unit_fraction(7)]
+    if shape == "squares":
+        g = leaves[0]
+        for _ in range(7):
+            g = mul(g, g)
+        return g
+    if shape == "balanced":
+        level = [leaves[i % 4] for i in range(16)]
+        while len(level) > 1:
+            level = [mul(a, b) for a, b in zip(level[::2], level[1::2])]
+        return level[0]
+    g = leaves[0]
+    for i in range(7):
+        g = mul(g, leaves[(i + 1) % 4])
+    return g
+
+
+class TestProductHints:
+    """mul finds the part of its hint that does not depend on k once per
+    product, so a tree of products no longer asks about 4^d hints."""
+
+    @pytest.mark.parametrize("shape", ["squares", "balanced", "left-deep"])
+    def test_hints_match_the_frozen_rule(self, shape):
+        g = product_tree(shape, mul, from_unit_fraction, from_nat)
+        frozen = product_tree(shape, frozen_mul, frozen_from_unit_fraction,
+                              frozen_from_nat)
+        assert [g.hint(k) for k in range(65)] == [frozen.hint(k)
+                                                  for k in range(65)]
+
+    def test_building_a_product_asks_no_hint(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(RealGen, "hint", lambda g, k: calls.append(k))
+        product_tree("squares", mul, from_unit_fraction, from_nat)
+        assert calls == []
+
+    def test_a_depth_7_tree_of_squares_asks_few_hints(self, monkeypatch):
+        # The rule that asked each factor for hint(1) and hint(finer) on
+        # every call made 21,845 calls here.
+        g = product_tree("squares", mul, from_unit_fraction, from_nat)
+        calls = 0
+        hint = RealGen.hint
+
+        def counted(self, k):
+            nonlocal calls
+            calls += 1
+            return hint(self, k)
+
+        monkeypatch.setattr(RealGen, "hint", counted)
+        g.hint(24)
+        assert calls <= 2 ** (7 + 2)
+
+
 def listed(values: list, name: str) -> RealGen:
     """A generator reading its stages from a list (0 past its end)."""
     return faulty(lambda x: values[x] if x < len(values) else 0,

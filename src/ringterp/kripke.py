@@ -507,15 +507,11 @@ def check_conjuncts(run: RunResult) -> ConjunctReport:
     else:
         c4 = ConjunctStatus.UNDETERMINED
 
-    c5 = ConjunctStatus.HOLDS
-    locked: Optional[int] = None
-    for value in run.beta:
-        if locked is None:
-            if value != 0:
-                locked = value
-        elif value != locked:
-            c5 = ConjunctStatus.VIOLATED
-            break
+    beta = run.beta
+    locked = next(filter(None, beta), 0)  # the first nonzero value
+    tail = beta[beta.index(locked):] if locked else ()
+    c5 = (ConjunctStatus.HOLDS if tail.count(locked) == len(tail)
+          else ConjunctStatus.VIOLATED)
 
     return ConjunctReport(c1, c2, c3, c4, c5)
 

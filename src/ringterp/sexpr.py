@@ -120,7 +120,8 @@ class _Parser:
                 elif tok == ")":
                     depth -= 1
 
-    def error(self, message: str) -> ParseError:
+    def error(self, message: str, back: int = 0) -> ParseError:
+        self.pos -= back
         if self.pos < len(self.tokens):
             return ParseError(
                 f"{_position(self.text, self.pos)}: {message}")
@@ -138,8 +139,7 @@ class _Parser:
     def expect(self, text: str) -> None:
         tok = self.next()
         if tok != text:
-            self.pos -= 1
-            raise self.error(f"expected {text!r}, got {tok!r}")
+            raise self.error(f"expected {text!r}, got {tok!r}", back=1)
 
     def head(self) -> str:
         """Consume an opening paren and the head symbol after it."""
@@ -150,8 +150,7 @@ class _Parser:
         """Consume the head symbol after an opening paren."""
         tok = self.next()
         if tok in "()":
-            self.pos -= 1
-            raise self.error("expected a head symbol after '('")
+            raise self.error("expected a head symbol after '('", back=1)
         return tok
 
     def formula(self) -> Formula:
@@ -176,8 +175,7 @@ class _Parser:
         elif head == _NOT:
             f = Implies(self.formula(), BOT)
         else:
-            self.pos -= 1
-            raise self.error(f"unknown formula head {head!r}")
+            raise self.error(f"unknown formula head {head!r}", back=1)
         self.expect(")")
         return f
 
@@ -187,16 +185,14 @@ class _Parser:
         sort_tok = self.next()
         sort = _SORTS.get(sort_tok)
         if sort is None:
-            self.pos -= 1
             raise self.error(
-                f"expected a sort (Nat, Species or Real), got {sort_tok!r}"
-            )
+                f"expected a sort (Nat, Species or Real), got {sort_tok!r}",
+                back=1)
         if sort is Sort.SPECIES:
             try:
                 species_binder_index(name)
             except ValueError as exc:
-                self.pos -= 2  # point at the name
-                raise self.error(str(exc)) from None
+                raise self.error(str(exc), back=2) from None  # the name
         self.expect(")")
         return name, sort
 
@@ -209,21 +205,19 @@ class _Parser:
     def symbol(self, what: str) -> str:
         tok = self.next()
         if tok in "()":
-            self.pos -= 1
-            raise self.error(f"expected a {what}")
+            raise self.error(f"expected a {what}", back=1)
         return tok
 
     def term(self) -> Term:
         tok = self.next()
         if tok != "(":
             if tok == ")":
-                self.pos -= 1
-                raise self.error("expected a term")
+                raise self.error("expected a term", back=1)
             if tok.isdigit():
                 if not tok.isascii():
-                    self.pos -= 1
                     raise self.error(
-                        f"numerals are written in ASCII digits, got {tok!r}")
+                        f"numerals are written in ASCII digits, got {tok!r}",
+                        back=1)
                 return NatConst(int(tok))
             return Var(tok, self.ambient)
         head = self.opened()
@@ -238,14 +232,13 @@ class _Parser:
             sort_tok = self.next()
             sort = _SORTS.get(sort_tok)
             if sort is None or sort is Sort.SPECIES:
-                self.pos -= 1
-                raise self.error(f"expected Nat or Real, got {sort_tok!r}")
+                raise self.error(f"expected Nat or Real, got {sort_tok!r}",
+                                 back=1)
             t = Var(name, sort)
         elif cls is RealConst:
             t = RealConst(self.symbol("constant name"))
         else:
-            self.pos -= 1
-            raise self.error(f"unknown term head {head!r}")
+            raise self.error(f"unknown term head {head!r}", back=1)
         self.expect(")")
         return t
 
@@ -255,22 +248,19 @@ class _Parser:
             head = self.opened()
             cls = _CLASSES.get(head)
             if cls is not SpeciesVar and cls is not SpeciesConst:
-                self.pos -= 1
-                raise self.error(f"unknown species head {head!r}")
+                raise self.error(f"unknown species head {head!r}", back=1)
             idx_tok = self.next()
             if not (idx_tok.isascii() and idx_tok.isdigit()):
-                self.pos -= 1
-                raise self.error(f"expected an index, got {idx_tok!r}")
+                raise self.error(f"expected an index, got {idx_tok!r}",
+                                 back=1)
             ref: SpeciesRef = cls(int(idx_tok))
             self.expect(")")
             return ref
         try:
             return SpeciesVar(species_binder_index(tok))
         except ValueError:
-            self.pos -= 1
-            raise self.error(
-                f"expected a species reference, got {tok!r}"
-            ) from None
+            raise self.error(f"expected a species reference, got {tok!r}",
+                             back=1) from None
 
 
 # The reader of each kind of child.

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import re
 from operator import attrgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
 from .frozen import Frozen, compile_methods, frozen
 
@@ -185,11 +185,12 @@ def neg(f: Formula) -> Formula:
 # Structural passes are written against one child map, the children /
 # rebuild pair of Uniplate (Mitchell and Runciman, "Uniform boilerplate
 # and list processing", 2007): a pass handles the nodes it cares about
-# and hands every other node to children and rebuild.  The per-class
-# accessors are built from _NODES once, here, and not on every call: the
-# passes run on every translation.
+# and hands every other node to children and rebuild, or it reads them
+# off one scoped walk.  Passes test the exact class (type(node) is C), so
+# a subclass of a node class is no node to them.  The per-class accessors
+# are built from _NODES once, here: the passes run on every translation.
 
-_QUANTIFIERS = (Exists, Forall, DefinedQuant)
+_QUANTIFIERS = frozenset({Exists, Forall, DefinedQuant})
 
 
 def _getter(names: Sequence[str]) -> Callable[[Node], tuple]:
@@ -206,7 +207,12 @@ def _getter(names: Sequence[str]) -> Callable[[Node], tuple]:
 _CHILDREN = {cls: _getter(cls.__slots__[len(cls.data_fields):])
              for cls in _CLASSES.values()}
 _DATA = {cls: _getter(cls.data_fields) for cls in _CLASSES.values()}
+# The children last first, as a walker's stack takes them.
+_LAST_FIRST = {cls: _getter(cls.__slots__[len(cls.data_fields):][::-1])
+               for cls in _CLASSES.values()}
+_EXIT = object()  # on a walker's stack: leave a quantifier body's scope
 
+_LEAVES = frozenset(cls for cls in _CLASSES.values() if not cls.child_kinds)
 # The formula classes where passes over formula structure stop.
 ATOMS = frozenset(cls for cls in _CLASSES.values() if issubclass(cls, Formula)
                   and Formula not in cls.child_kinds)
@@ -239,6 +245,36 @@ def _bound_sort(q: Formula) -> Sort:
     return Sort.REAL if type(q) is DefinedQuant else q.sort
 
 
+def scoped(f: Node, wanted: Optional[Container[type]] = None,
+           ) -> Iterator[tuple[Node, dict[str, int], dict[int, int]]]:
+    """(node, bound, bspec) for each node of f in pre-order whose class
+    is in wanted, or for every node when wanted is None.  bound and
+    bspec map the term names and species indices bound above node to
+    the depth of their binders.  A node is yielded before the walk reads
+    its children or binder, where it raises SortError if they are bad."""
+    bound, bspec, depth, scopes, stack = {}, {}, 0, [], [f]
+    while stack:
+        node = stack.pop()
+        if node is _EXIT:
+            bound, bspec, depth = scopes.pop()
+            continue
+        cls = type(node)
+        if wanted is None or cls in wanted:
+            yield node, bound, bspec
+        if cls in _QUANTIFIERS:
+            scopes.append((bound, bspec, depth))
+            if _bound_sort(node) is Sort.SPECIES:
+                bspec = {**bspec, species_binder_index(node.var): depth}
+            else:
+                bound = {**bound, node.var: depth}
+            depth += 1
+            stack += (_EXIT, node.body)
+        elif cls in _LAST_FIRST:
+            stack += _LAST_FIRST[cls](node)
+        else:
+            raise SortError(f"not a term or formula: {node!r}")
+
+
 # ---------------------------------------------------------------------------
 # Well-sortedness
 #
@@ -266,9 +302,7 @@ _KIND_NAMES = {Term: "term", SpeciesRef: "species reference",
 # Per language, the getter and the kinds of the children of each of its
 # classes, last child first as the walker's stack takes them.
 _SHAPES = {language: {
-    cls: cls.child_kinds and (
-        _getter(cls.__slots__[len(cls.data_fields):][::-1]),
-        cls.child_kinds[::-1])
+    cls: cls.child_kinds and (_LAST_FIRST[cls], cls.child_kinds[::-1])
     for cls in _CLASSES.values()
     if _ONE_LANGUAGE.get(cls, (language,))[0] is language
 } for language in Language}
@@ -349,28 +383,13 @@ class FreeVars:
 
 
 def free_vars(f: Formula) -> FreeVars:
-    nat: set[str] = set()
-    species: set[int] = set()
-    real: set[str] = set()
-
-    def walk(node: Node, bound: frozenset[str], bspec: frozenset[int]) -> None:
-        cls = type(node)
-        if cls is Var:
+    nat, species, real = set(), set(), set()
+    for node, bound, bspec in scoped(f, {Var, SpeciesVar}):
+        if type(node) is Var:
             if node.name not in bound:
                 (nat if node.sort is Sort.NAT else real).add(node.name)
-        elif cls is SpeciesVar:
-            if node.index not in bspec:
-                species.add(node.index)
-        elif cls is Exists or cls is Forall or cls is DefinedQuant:
-            if _bound_sort(node) is Sort.SPECIES:
-                walk(node.body, bound, bspec | {species_binder_index(node.var)})
-            else:
-                walk(node.body, bound | {node.var}, bspec)
-        else:
-            for child in children(node):
-                walk(child, bound, bspec)
-
-    walk(f, frozenset(), frozenset())
+        elif node.index not in bspec:
+            species.add(node.index)
     return FreeVars(frozenset(nat), frozenset(species), frozenset(real))
 
 
@@ -383,37 +402,26 @@ def all_var_names(f: Node) -> frozenset[str]:
     """Every term-variable name occurring in f, a formula or a term, free
     or bound, plus all non-species binder names."""
     names: set[str] = set()
-    stack: list[Node] = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
+    for node, _, _ in scoped(f, {Var, *_QUANTIFIERS}):
+        if type(node) is Var:
             names.add(node.name)
-        elif (isinstance(node, _QUANTIFIERS)
-              and _bound_sort(node) is not Sort.SPECIES):
+        elif _bound_sort(node) is not Sort.SPECIES:
             names.add(node.var)
-        stack.extend(children(node))
     return frozenset(names)
 
 
 def species_indices(f: Formula) -> tuple[frozenset[int], frozenset[int]]:
     """(variable indices, constant indices) mentioned anywhere in f,
     including bound species variables."""
-    var_idx: set[int] = set()
-    const_idx: set[int] = set()
-
-    def walk(node: Node) -> None:
-        if isinstance(node, SpeciesVar):
-            var_idx.add(node.index)
-        elif isinstance(node, SpeciesConst):
+    var_idx, const_idx = set(), set()
+    for node, _, _ in scoped(f, {SpeciesVar, SpeciesConst, *_QUANTIFIERS}):
+        cls = type(node)
+        if cls is SpeciesConst:
             const_idx.add(node.index)
-        elif not isinstance(node, Term):  # terms hold no species
-            if (isinstance(node, _QUANTIFIERS)
-                    and _bound_sort(node) is Sort.SPECIES):
-                var_idx.add(species_binder_index(node.var))
-            for child in children(node):
-                walk(child)
-
-    walk(f)
+        elif cls is SpeciesVar:
+            var_idx.add(node.index)
+        elif _bound_sort(node) is Sort.SPECIES:
+            var_idx.add(species_binder_index(node.var))
     return frozenset(var_idx), frozenset(const_idx)
 
 
@@ -444,9 +452,10 @@ def substitute(f: Formula, name: str, sort: Sort, replacement: Term) -> Formula:
     repl_names = all_var_names(replacement)
 
     def walk(node: Node) -> Node:
-        if isinstance(node, Var):
+        cls = type(node)
+        if cls is Var:
             return replacement if node.name == name else node
-        if isinstance(node, _QUANTIFIERS):
+        if cls in _QUANTIFIERS:
             binder_sort = _bound_sort(node)
             if binder_sort is not Sort.SPECIES:
                 if node.var == name:
@@ -456,9 +465,9 @@ def substitute(f: Formula, name: str, sort: Sort, replacement: Term) -> Formula:
                     new = fresh_name(node.var, forbidden)
                     body = walk(substitute(node.body, node.var, binder_sort,
                                            Var(new, binder_sort)))
-                    if type(node) is DefinedQuant:
+                    if cls is DefinedQuant:
                         return DefinedQuant(node.kind, new, body)
-                    return type(node)(new, node.sort, body)
+                    return cls(new, node.sort, body)
         return rebuild(node, [walk(child) for child in children(node)])
 
     return walk(f)
@@ -470,7 +479,7 @@ def substitute(f: Formula, name: str, sort: Sort, replacement: Term) -> Formula:
 
 def normalize_apart(f: Formula) -> Formula:
     """Unfold every apartness atom into its definition (or (< a b) (< b a))."""
-    if isinstance(f, Apart):
+    if type(f) is Apart:
         return Or(Lt(f.left, f.right), Lt(f.right, f.left))
     if type(f) in ATOMS:
         return f
@@ -479,46 +488,30 @@ def normalize_apart(f: Formula) -> Formula:
 
 def alpha_equal(f: Formula, g: Formula) -> bool:
     """Structural equality up to renaming of bound variables."""
-
-    # ma and mb map the bound term-variable names (str) and species
-    # indices (int) of each side to the depth of their binder.
-    def walk(a: Node, b: Node, ma: dict, mb: dict, depth: int) -> bool:
+    # Node equality settles the common case, a print/parse round trip,
+    # faster than the walk.  A class fixes its number of children, so
+    # the two pre-orders pair up node by node.  Bound names and indices
+    # compare by their binders' depths; besides quantifiers, only leaves
+    # carry data, so a leaf compares by ==.
+    if f == g:
+        return True
+    for (a, ma, sa), (b, mb, sb) in zip(scoped(f), scoped(g)):
         cls = type(a)
         if cls is not type(b):
             return False
         if cls is Var:
-            ka, kb = ma.get(a.name), mb.get(b.name)
-            if ka is None and kb is None:
-                return a.name == b.name and a.sort is b.sort
-            return ka is not None and ka == kb and a.sort is b.sort
-        if cls is SpeciesVar:
-            ka, kb = ma.get(a.index), mb.get(b.index)
-            if ka is None and kb is None:
-                return a.index == b.index
-            return ka is not None and ka == kb
-        if cls in _QUANTIFIERS:
-            sort = _bound_sort(a)
-            if sort is not _bound_sort(b) or (
+            ka = ma.get(a.name)
+            if (a.sort is not b.sort or ka != mb.get(b.name)
+                    or ka is None and a.name != b.name):
+                return False
+        elif cls is SpeciesVar:
+            ka = sa.get(a.index)
+            if ka != sb.get(b.index) or ka is None and a.index != b.index:
+                return False
+        elif cls in _QUANTIFIERS:
+            if _bound_sort(a) is not _bound_sort(b) or (
                     cls is DefinedQuant and a.kind is not b.kind):
                 return False
-            if sort is Sort.SPECIES:
-                ma = {**ma, species_binder_index(a.var): depth}
-                mb = {**mb, species_binder_index(b.var): depth}
-            else:
-                ma = {**ma, a.var: depth}
-                mb = {**mb, b.var: depth}
-            return walk(a.body, b.body, ma, mb, depth + 1)
-        # Besides quantifiers, only leaves carry data (names, numerals,
-        # indices), so a leaf compares by ==, any other node by children.
-        kids = children(a)
-        if not kids:
-            return a == b
-        for x, y in zip(kids, children(b)):
-            if not walk(x, y, ma, mb, depth):
-                return False
-        return True
-
-    # Structurally equal formulas are alpha-equal, and node equality
-    # settles that common case (a print/parse round trip) faster than
-    # the walk.
-    return f == g or walk(f, g, {}, {}, 0)
+        elif cls in _LEAVES and a != b:
+            return False
+    return True

@@ -174,19 +174,20 @@ def _eval_closed_nat(t: Term) -> Optional[int]:
     """Value of a closed source nat term, or None if a variable occurs;
     raises TranslationError when a product or pair could exceed
     MAX_TERM_BITS bits."""
-    if isinstance(t, NatConst):
+    cls = type(t)
+    if cls is NatConst:
         return t.value
-    if isinstance(t, Var):
+    if cls is Var:
         return None
     args = [_eval_closed_nat(c) for c in children(t)]
     if None in args:
         return None
-    if isinstance(t, Succ):
+    if cls is Succ:
         return args[0] + 1
-    if isinstance(t, Add):
+    if cls is Add:
         return args[0] + args[1]
     try:
-        return bounded_op("*" if isinstance(t, Mul) else "pair", *args)
+        return bounded_op("*" if cls is Mul else "pair", *args)
     except OverflowError as exc:
         raise TranslationError(str(exc)) from None
 
@@ -213,16 +214,17 @@ class _Translator:
         self.error: Optional[TranslationError] = None
 
     def term(self, t: Term) -> Term:
-        if isinstance(t, Var):
+        cls = type(t)
+        if cls is Var:
             self.names.add(t.name)
             return Var(t.name, Sort.REAL)
-        if isinstance(t, NatConst):
+        if cls is NatConst:
             return t
-        if isinstance(t, Succ):
+        if cls is Succ:
             return Add(self.term(t.arg), ONE)
-        if isinstance(t, (Add, Mul)):
-            return type(t)(self.term(t.left), self.term(t.right))
-        if isinstance(t, Pair):
+        if cls is Add or cls is Mul:
+            return cls(self.term(t.left), self.term(t.right))
+        if cls is Pair:
             try:
                 value = _eval_closed_nat(t)
                 if value is None:
@@ -240,7 +242,7 @@ class _Translator:
 
     def coding_pair(self, ref: SpeciesRef,
                     env: Mapping[int, int]) -> tuple[Term, Term]:
-        if isinstance(ref, SpeciesVar):
+        if type(ref) is SpeciesVar:
             first, second = pair_for_var(env.get(ref.index, ref.index))
             self.coding.update((first, second))
             return Var(first, Sort.REAL), Var(second, Sort.REAL)
@@ -254,30 +256,29 @@ class _Translator:
 
     def tau(self, f: Formula, env: Mapping[int, int],
             in_scope: frozenset[int]) -> Formula:
-        if isinstance(f, Bottom):
+        cls = type(f)
+        if cls is Bottom:
             return self.sentinel
-        if isinstance(f, Eq):
-            return Or(Eq(self.term(f.left), self.term(f.right)), self.sentinel)
-        if isinstance(f, Lt):
-            return Or(Lt(self.term(f.left), self.term(f.right)), self.sentinel)
-        if isinstance(f, Apart):
+        if cls is Eq or cls is Lt:
+            return Or(cls(self.term(f.left), self.term(f.right)), self.sentinel)
+        if cls is Apart:
             a, b = self.term(f.left), self.term(f.right)
             return Or(Or(Lt(a, b), self.sentinel), Or(Lt(b, a), self.sentinel))
-        if isinstance(f, In):
+        if cls is In:
             coding = self.coding_pair(f.species, env)
             return self.membership(self.term(f.element), coding)
-        if isinstance(f, SpeciesEq):
+        if cls is SpeciesEq:
             # forallN x (x in left <-> x in right); no coding name is x.
             in_left, in_right = (
                 self.membership(Var("x", Sort.REAL), self.coding_pair(r, env))
                 for r in (f.left, f.right))
             return DefinedQuant(QuantKind.FORALL_NAT, "x", And(
                 Implies(in_left, in_right), Implies(in_right, in_left)))
-        if isinstance(f, (And, Or, Implies)):
-            return type(f)(self.tau(f.left, env, in_scope),
-                           self.tau(f.right, env, in_scope))
-        if isinstance(f, (Exists, Forall)):
-            exists = isinstance(f, Exists)
+        if cls is And or cls is Or or cls is Implies:
+            return cls(self.tau(f.left, env, in_scope),
+                       self.tau(f.right, env, in_scope))
+        if cls is Exists or cls is Forall:
+            exists = cls is Exists
             if f.sort is Sort.NAT:
                 self.names.add(f.var)
                 kind = QuantKind.EXISTS_NAT if exists else QuantKind.FORALL_NAT
@@ -308,7 +309,7 @@ def expand_defined(f: Formula) -> Formula:
     """
     if type(f) in ATOMS:
         return f
-    if not isinstance(f, DefinedQuant):
+    if type(f) is not DefinedQuant:
         return rebuild(f, [expand_defined(c) for c in children(f)])
     body = expand_defined(f.body)
     if f.kind is QuantKind.EXISTS_REAL:

@@ -490,6 +490,19 @@ class TestSimulate:
             alpha, schedule, horizon, seed)
 
 
+def reference_c5(beta) -> ConjunctStatus:
+    """C5 as the moment-by-moment loop decided it: once beta is nonzero
+    it keeps that value."""
+    locked = None
+    for value in beta:
+        if locked is None:
+            if value != 0:
+                locked = value
+        elif value != locked:
+            return ConjunctStatus.VIOLATED
+    return ConjunctStatus.HOLDS
+
+
 class TestConjuncts:
     def test_fired_run_is_clean(self):
         run = run_total(Schedule.phi_proved(3), 40, seed=2)
@@ -546,6 +559,23 @@ class TestConjuncts:
         run = run_total(Schedule.phi_proved(1), 10, seed=0)
         d = check_conjuncts(run).as_dict()
         assert sorted(d) == ["C1", "C2", "C3", "C4", "C5", "aggregate"]
+
+    @pytest.mark.parametrize("beta", [
+        (0, 0, 0, 0),  # all zero
+        (0,),
+        (),
+        (2, 2, 2),  # locked at moment 0
+        (3, 3, 1),
+        (0, 0, 3, 3, 4),  # a value change after locking
+        (0, 1, 1, 0),  # a return to 0 after locking
+        (1, 0, 1),
+        [0, 0, 5, 5],  # a list in place of a tuple
+        [0, 5, 0],
+    ])
+    def test_c5_matches_the_moment_loop(self, beta):
+        run = RunResult(ChoiceSeq.zero(), Schedule.phi_proved(1),
+                        max(len(beta) - 1, 1), 3, beta, (), None)
+        assert check_conjuncts(run).c5 is reference_c5(beta)
 
 
 class TestTraces:
@@ -710,6 +740,11 @@ def hand_built_runs(draw):
     stabilized = draw(st.none() | st.tuples(st.integers(0, 30),
                                             st.integers(1, 3)))
     return hand_built(beta, draws, draw(st.integers(1, 40)), stabilized)
+
+
+@given(hand_built_runs())
+def test_c5_matches_the_moment_loop_on_hand_built_runs(run):
+    assert check_conjuncts(run).c5 is reference_c5(run.beta)
 
 
 class TestFormatAgainstTheMomentLoop:

@@ -12,13 +12,13 @@ from ringterp.sexpr import (
 )
 from ringterp.syntax import (
     AMBIENT_SORT, BOT, Add, And, Apart, Bottom, DefinedQuant, Eq, Exists,
-    Forall, Formula, Implies, In, Language, Lt, Mul, NatConst, Node, Or,
-    Pair, QuantKind, RealConst, SENTINEL_FORMULA, Sort, SortError,
+    Forall, Formula, FreeVars, Implies, In, Language, Lt, Mul, NatConst, Node,
+    Or, Pair, QuantKind, RealConst, SENTINEL_FORMULA, Sort, SortError,
     SpeciesConst, SpeciesEq,
-    SpeciesRef, SpeciesVar, Succ, Term, Var, alpha_equal, check_formula,
-    children, free_vars, fresh_name, infer_term_sort, is_closed, neg,
-    normalize_apart, rebuild, species_binder_index, species_binder_name,
-    substitute, term_sort,
+    SpeciesRef, SpeciesVar, Succ, Term, Var, all_var_names, alpha_equal,
+    check_formula, children, free_vars, fresh_name, infer_term_sort,
+    is_closed, neg, normalize_apart, rebuild, species_binder_index,
+    species_binder_name, species_indices, substitute, term_sort,
 )
 
 x = Var("x", Sort.NAT)
@@ -243,8 +243,11 @@ EXAMPLES = [node for node, _ in NODES.values()]
 
 
 def copy_of(node):
-    """A node equal to node but built anew, down to its leaves."""
+    """A node equal to node but built anew, down to its leaves; whatever
+    is no node is kept as it is."""
     cls = type(node)
+    if cls not in NODES:
+        return node
     data = [getattr(node, name) for name in cls.data_fields]
     return cls(*data, *map(copy_of, children(node)))
 
@@ -562,3 +565,379 @@ def test_sort_rules_match_the_reference_checker(drawn_for, kind, data):
                 == _outcome(reference_term_sort, node, language))
     assert (_outcome(infer_term_sort, node)
             == _outcome(reference_infer_term_sort, node))
+
+
+# ---------------------------------------------------------------------------
+# The scoped walker against frozen copies of the four passes it replaced
+
+
+_REF_QUANTIFIERS = (Exists, Forall, DefinedQuant)
+
+
+def _ref_bound_sort(q):
+    return Sort.REAL if type(q) is DefinedQuant else q.sort
+
+
+def reference_free_vars(f):
+    nat, species, real = set(), set(), set()
+
+    def walk(node, bound, bspec):
+        cls = type(node)
+        if cls is Var:
+            if node.name not in bound:
+                (nat if node.sort is Sort.NAT else real).add(node.name)
+        elif cls is SpeciesVar:
+            if node.index not in bspec:
+                species.add(node.index)
+        elif cls is Exists or cls is Forall or cls is DefinedQuant:
+            if _ref_bound_sort(node) is Sort.SPECIES:
+                walk(node.body, bound, bspec | {species_binder_index(node.var)})
+            else:
+                walk(node.body, bound | {node.var}, bspec)
+        else:
+            for child in children(node):
+                walk(child, bound, bspec)
+
+    walk(f, frozenset(), frozenset())
+    return FreeVars(frozenset(nat), frozenset(species), frozenset(real))
+
+
+def reference_all_var_names(f):
+    names = set()
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            names.add(node.name)
+        elif (isinstance(node, _REF_QUANTIFIERS)
+              and _ref_bound_sort(node) is not Sort.SPECIES):
+            names.add(node.var)
+        stack.extend(children(node))
+    return frozenset(names)
+
+
+def reference_species_indices(f):
+    var_idx, const_idx = set(), set()
+
+    def walk(node):
+        if isinstance(node, SpeciesVar):
+            var_idx.add(node.index)
+        elif isinstance(node, SpeciesConst):
+            const_idx.add(node.index)
+        elif not isinstance(node, Term):
+            if (isinstance(node, _REF_QUANTIFIERS)
+                    and _ref_bound_sort(node) is Sort.SPECIES):
+                var_idx.add(species_binder_index(node.var))
+            for child in children(node):
+                walk(child)
+
+    walk(f)
+    return frozenset(var_idx), frozenset(const_idx)
+
+
+def reference_alpha_equal(f, g):
+    def walk(a, b, ma, mb, depth):
+        cls = type(a)
+        if cls is not type(b):
+            return False
+        if cls is Var:
+            ka, kb = ma.get(a.name), mb.get(b.name)
+            if ka is None and kb is None:
+                return a.name == b.name and a.sort is b.sort
+            return ka is not None and ka == kb and a.sort is b.sort
+        if cls is SpeciesVar:
+            ka, kb = ma.get(a.index), mb.get(b.index)
+            if ka is None and kb is None:
+                return a.index == b.index
+            return ka is not None and ka == kb
+        if cls in _REF_QUANTIFIERS:
+            sort = _ref_bound_sort(a)
+            if sort is not _ref_bound_sort(b) or (
+                    cls is DefinedQuant and a.kind is not b.kind):
+                return False
+            if sort is Sort.SPECIES:
+                ma = {**ma, species_binder_index(a.var): depth}
+                mb = {**mb, species_binder_index(b.var): depth}
+            else:
+                ma = {**ma, a.var: depth}
+                mb = {**mb, b.var: depth}
+            return walk(a.body, b.body, ma, mb, depth + 1)
+        kids = children(a)
+        if not kids:
+            return a == b
+        for x, y in zip(kids, children(b)):
+            if not walk(x, y, ma, mb, depth):
+                return False
+        return True
+
+    return f == g or walk(f, g, {}, {}, 0)
+
+
+def renamed_apart(node, names=None, indices=None, fresh=None):
+    """node with every binder renamed to a name or index no input uses
+    (r0, r1, ... and 10, 11, ...), its bound occurrences with it: an
+    alpha-variant that is not equal to node, so that alpha_equal walks.
+    Anything that is no node is kept as it is."""
+    names, indices = names or {}, indices or {}
+    fresh = fresh if fresh is not None else itertools.count()
+    cls = type(node)
+    if cls not in NODES:
+        return node
+    if cls is Var:
+        return Var(names.get(node.name, node.name), node.sort)
+    if cls is SpeciesVar:
+        return SpeciesVar(indices.get(node.index, node.index))
+    if cls in _REF_QUANTIFIERS:
+        k = next(fresh)
+        if _ref_bound_sort(node) is Sort.SPECIES:
+            try:
+                index = species_binder_index(node.var)
+            except SortError:
+                return node
+            var = species_binder_name(10 + k)
+            indices = {**indices, index: 10 + k}
+        else:
+            var = f"r{k}"
+            names = {**names, node.var: var}
+        body = renamed_apart(node.body, names, indices, fresh)
+        if cls is DefinedQuant:
+            return DefinedQuant(node.kind, var, body)
+        return cls(var, node.sort, body)
+    return rebuild(node, [renamed_apart(c, names, indices, fresh)
+                          for c in children(node)])
+
+
+def _bumped(node):
+    """node with every numeral and species constant index one higher and
+    every real constant renamed: for a node holding any of them, a tree
+    of the same shape that is not alpha-equal to it."""
+    cls = type(node)
+    if cls is NatConst:
+        return NatConst(node.value + 1)
+    if cls is SpeciesConst:
+        return SpeciesConst(node.index + 1)
+    if cls is RealConst:
+        return RealConst(node.name + "1")
+    if cls not in NODES:
+        return node
+    return rebuild(node, [_bumped(c) for c in children(node)])
+
+
+def _first_bad(node) -> Optional[str]:
+    """The SortError message of the first node, in pre-order, that is no
+    node or a species binder not named X<i>; None when there is none."""
+    if type(node) not in NODES:
+        return f"not a term or formula: {node!r}"
+    if (type(node) in _REF_QUANTIFIERS
+            and _ref_bound_sort(node) is Sort.SPECIES):
+        try:
+            species_binder_index(node.var)
+        except SortError as exc:
+            return str(exc)
+    return next(filter(None, map(_first_bad, children(node))), None)
+
+
+def _terms_hold_only_terms(node) -> bool:
+    """Whether every term in node has only terms below it: the trees on
+    which skipping terms, as the old species_indices did, loses
+    nothing."""
+    if type(node) not in NODES:
+        return True
+    if node.__class__.__base__ is Term:
+        return all(type(c) in NODES and type(c).__base__ is Term
+                   and _terms_hold_only_terms(c) for c in children(node))
+    return all(map(_terms_hold_only_terms, children(node)))
+
+
+def assert_passes_match_the_references(f, g) -> None:
+    """The four passes on f, and alpha_equal on (f, g), (f, f's renamed
+    copy) and (g, f), give their frozen references' results or errors,
+    but for the differences CHANGES.md lists and the tests below pin."""
+    assert _outcome(free_vars, f) == _outcome(reference_free_vars, f)
+    bad = _first_bad(f)
+    assert _outcome(all_var_names, f) == (
+        (SortError, bad) if bad else _outcome(reference_all_var_names, f))
+    if _terms_hold_only_terms(f):
+        assert (_outcome(species_indices, f)
+                == _outcome(reference_species_indices, f))
+    elif bad:
+        assert _outcome(species_indices, f) == (SortError, bad)
+    for a, b in ((f, g), (g, f), (f, renamed_apart(f)),
+                 (renamed_apart(f), f), (renamed_apart(f), _bumped(f))):
+        assert (_outcome(alpha_equal, a, b)
+                == _outcome(reference_alpha_equal, a, b))
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(Language), st.sampled_from([Formula, Term]), st.data())
+def test_walker_passes_match_the_references(language, kind, data):
+    """On drawn trees, mostly well sorted, some holding junk, a class of
+    the other language, a wrong sort or a badly named species binder."""
+    f = data.draw(_asts(language, kind))
+    g = data.draw(st.one_of(_asts(language, kind), st.just(copy_of(f))))
+    assert_passes_match_the_references(f, g)
+
+
+def test_walker_passes_match_the_references_on_the_corpus():
+    from ringterp.corpus import corpus_formulas
+    formulas = corpus_formulas(120)
+    for f, g in zip(formulas, formulas[1:] + formulas[:1]):
+        assert_passes_match_the_references(f, g)
+        assert alpha_equal(f, renamed_apart(f))
+
+
+X1 = "X1"
+_SCOPING_CASES = [
+    # Binders whose bodies hold no named node.
+    Exists("y", Sort.NAT, BOT),
+    Exists(X1, Sort.SPECIES, BOT),
+    DefinedQuant(QuantKind.FORALL_REAL, "u1", BOT),
+    # Shadowing: the inner binder hides the outer one.
+    Exists("x", Sort.NAT, And(Eq(x, n), Forall("x", Sort.NAT, Lt(x, n)))),
+    Forall("x", Sort.NAT, Exists("x", Sort.NAT, Eq(x, x))),
+    # A species index bound again, and used on each side of the rebinding.
+    Exists(X1, Sort.SPECIES, And(In(x, SpeciesVar(1)), Forall(
+        X1, Sort.SPECIES, SpeciesEq(SpeciesVar(1), SpeciesVar(2))))),
+    Exists("X0", Sort.SPECIES, Forall("X0", Sort.SPECIES, Exists(
+        "X0", Sort.SPECIES, In(NatConst(0), SpeciesVar(0))))),
+    # Free and bound uses of one name, and a species constant.
+    And(Eq(x, NatConst(1)), Exists("x", Sort.NAT, In(
+        x, SpeciesConst(1)))),
+]
+
+
+@pytest.mark.parametrize("f", _SCOPING_CASES)
+def test_walker_passes_match_the_references_on_scoping_cases(f):
+    for g in _SCOPING_CASES:
+        assert_passes_match_the_references(f, g)
+    assert alpha_equal(f, renamed_apart(f))
+    assert renamed_apart(f) != f
+
+
+def test_binders_over_bodies_without_names():
+    assert all_var_names(Exists("y", Sort.NAT, BOT)) == {"y"}
+    assert species_indices(Exists(X1, Sort.SPECIES, BOT)) == (
+        frozenset({1}), frozenset())
+    assert is_closed(Exists(X1, Sort.SPECIES, BOT))
+
+
+def test_alpha_equal_compares_leaves_under_renamed_binders():
+    f = Exists("x", Sort.NAT, Eq(x, NatConst(0)))
+    assert alpha_equal(f, renamed_apart(f))
+    assert not alpha_equal(renamed_apart(f), _bumped(f))
+    g = Exists(X1, Sort.SPECIES, SpeciesEq(SpeciesVar(1), SpeciesConst(2)))
+    assert not alpha_equal(renamed_apart(g), _bumped(g))
+
+
+def test_alpha_equal_compares_binders_by_depth():
+    # Shadowed x against a fresh name at the same depth, and crossed.
+    inner = Forall("x", Sort.NAT, Exists("x", Sort.NAT, Eq(x, x)))
+    fresh = Forall("x", Sort.NAT, Exists("z", Sort.NAT, Eq(
+        Var("z", Sort.NAT), Var("z", Sort.NAT))))
+    outer = Forall("x", Sort.NAT, Exists("z", Sort.NAT, Eq(x, x)))
+    assert alpha_equal(inner, fresh) and not alpha_equal(inner, outer)
+    rebound = Exists(X1, Sort.SPECIES, Exists(X1, Sort.SPECIES, In(
+        x, SpeciesVar(1))))
+    assert alpha_equal(rebound, Exists("X5", Sort.SPECIES, Exists(
+        "X7", Sort.SPECIES, In(x, SpeciesVar(7)))))
+    assert not alpha_equal(rebound, Exists("X5", Sort.SPECIES, Exists(
+        "X7", Sort.SPECIES, In(x, SpeciesVar(5)))))
+
+
+def test_alpha_equal_compares_free_species_and_defined_kinds():
+    # Each pair has renamed binders, so the walk decides, not ==.
+    r, s = Var("r", Sort.REAL), Var("s", Sort.REAL)
+    free = Exists("x", Sort.NAT, In(x, SpeciesVar(1)))
+    some = DefinedQuant(QuantKind.EXISTS_REAL, "r", Eq(r, r))
+    cases = [
+        (free, Exists("n", Sort.NAT, In(n, SpeciesVar(1))), True),
+        (free, Exists("n", Sort.NAT, In(n, SpeciesVar(2))), False),
+        (some, DefinedQuant(QuantKind.EXISTS_REAL, "s", Eq(s, s)), True),
+        (some, DefinedQuant(QuantKind.FORALL_REAL, "s", Eq(s, s)), False),
+    ]
+    for f, g, expected in cases:
+        assert alpha_equal(f, g) is reference_alpha_equal(f, g) is expected
+
+
+class TestWalkerDifferences:
+    """Malformed trees on which a pass now raises, or counts, where the
+    old one did not; each is listed in CHANGES.md."""
+
+    def test_all_var_names_checks_species_binder_names(self):
+        f = Exists("x", Sort.SPECIES, Eq(n, n))
+        assert reference_all_var_names(f) == {"n"}
+        with pytest.raises(SortError, match="species binder must look like"):
+            all_var_names(f)
+
+    def test_all_var_names_reports_the_first_bad_node_in_pre_order(self):
+        f = And(Eq(x, "a"), Eq(x, "b"))
+        with pytest.raises(SortError, match="'b'"):
+            reference_all_var_names(f)
+        with pytest.raises(SortError, match="'a'"):
+            all_var_names(f)
+
+    def test_species_indices_walks_terms(self):
+        junk = Eq(Add(NatConst(0), "junk"), x)
+        assert reference_species_indices(junk) == (frozenset(), frozenset())
+        with pytest.raises(SortError, match="not a term or formula: 'junk'"):
+            species_indices(junk)
+        misplaced = Eq(Succ(SpeciesVar(3)), x)
+        assert reference_species_indices(misplaced) == (frozenset(),
+                                                        frozenset())
+        assert species_indices(misplaced) == (frozenset({3}), frozenset())
+
+    def test_subclasses_of_node_classes_are_no_nodes(self):
+        class SubVar(Var):
+            __slots__ = ()
+
+        class SubApart(Apart):
+            __slots__ = ()
+
+        class SubSpeciesVar(SpeciesVar):
+            __slots__ = ()
+
+        message = "not a term or formula: "
+        f = Eq(SubVar("x", Sort.NAT), n)
+        with pytest.raises(SortError, match=message):
+            substitute(f, "x", Sort.NAT, NatConst(1))
+        with pytest.raises(SortError, match=message):
+            normalize_apart(SubApart(x, n))
+        with pytest.raises(SortError, match=message):
+            species_indices(In(x, SubSpeciesVar(1)))
+        with pytest.raises(SortError, match=message):
+            free_vars(f)  # as before this walker
+
+    def test_subclasses_of_binders_and_defined_quantifiers(self):
+        from ringterp.translate import expand_defined, translate
+
+        class SubExists(Exists):
+            __slots__ = ()
+
+        class SubDefined(DefinedQuant):
+            __slots__ = ()
+
+        message = "not a term or formula: "
+        with pytest.raises(SortError, match=message):
+            substitute(SubExists("n", Sort.NAT, Eq(x, n)), "x", Sort.NAT, n)
+        with pytest.raises(SortError, match=message):
+            expand_defined(SubDefined(QuantKind.EXISTS_REAL, "z", BOT))
+        # translate's source check rejects a subclass before tau sees it.
+        with pytest.raises(SortError, match="not a formula: "):
+            translate(SubExists("n", Sort.NAT, Eq(n, n)))
+
+
+def test_syntax_and_translate_dispatch_on_the_exact_class():
+    """No isinstance call: a pass tests type(node) is C, so that no pass
+    takes a subclass of a node class for a node."""
+    import ast
+    import pathlib
+
+    import ringterp
+    root = pathlib.Path(ringterp.__file__).parent
+    for module in ("syntax.py", "translate.py"):
+        tree = ast.parse((root / module).read_text(encoding="utf-8"))
+        calls = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name)
+                 and node.func.id == "isinstance"]
+        assert calls == [], f"{module} calls isinstance on lines {calls}"

@@ -31,6 +31,8 @@ silent encoding) and answer for every candidate.
 
 from __future__ import annotations
 
+from itertools import chain
+from math import inf
 from typing import Callable, Iterable, Mapping, NoReturn, Optional
 
 from .encoder import SpeciesEncoding, encode_silent, encode_stabilized, \
@@ -68,8 +70,7 @@ def _witnessed_order(a: RealGen, b: RealGen, prec: Precision) -> Optional[int]:
     if verdict is not None and exact_sign(a._exact, b._exact) != verdict:
         raise PrecisionError(
             f"comparison of {a.name or '?'} and {b.name or '?'} {AGAINST} "
-            f"at k={prec.k}, horizon={prec.horizon}"
-        )
+            f"at {prec}")
     return verdict
 
 
@@ -77,12 +78,12 @@ class FiniteStructure:
     """Finite classical model shared by the source and target languages.
 
     nat_domain (ints, not bools) is the range of the source natural
-    quantifiers and of the target defined quantifiers; real_domain (the
-    generators f_n for the domain naturals plus the coding pair of every
-    species constant) is the range of plain real quantifiers.  species
-    maps constant indices (ints) to encodings; their exact extensions
-    are derived from the encodings and verified against
-    encoder.membership_at during construction, as is the modulus
+    quantifiers and of the target defined quantifiers; real_domain
+    (nat_gens, the generators f_n for the domain naturals, plus the
+    coding pair of every species constant) is the range of real
+    quantifiers.  species maps constant indices (ints) to encodings;
+    their exact extensions are derived from the encodings and verified
+    against encoder.membership_at during construction, as is the modulus
     promise of every domain generator: by the slack floor of its exact
     record where that proves it, else by check_modulus's scan (see
     reals.check_certified).  A membership fault is the precision's
@@ -125,6 +126,7 @@ class FiniteStructure:
             self.const_gens[scaled], self.const_gens[other] = enc.v, enc.u
             reals.extend([enc.u, enc.v])
         self.real_domain = tuple(reals)
+        self.nat_gens = self.real_domain[:len(domain)]
         precision = precision if precision is not None else Precision()
         k = max([precision.k] + [gap_digits(e) for e in self.species.values()])
         self.precision = Precision(k, precision.horizon)
@@ -147,11 +149,22 @@ class FiniteStructure:
                 raise StructureError(
                     f"generator {g.name or '?'} violates its modulus promise"
                 )
+        # Outside the undecided run membership_at gives the exact verdict,
+        # true at n * v = u alone.  So the first candidate where it differs
+        # from the extension is in the run, at the declared member or, for
+        # the full species, at 0 or 1; 0 also leads where a horizon below
+        # the declared moment leaves every candidate undetermined.
+        top, prec = self.family_bound, self.precision
         for i, enc in self.species.items():
-            for n in range(self.family_bound + 1):
-                verdict = membership_at(enc, n, self.precision)
-                if verdict is (enc.stabilized is None
-                               or n == enc.stabilized[1]):
+            full = enc.stabilized is None
+            probe = 1 if full else enc.stabilized[1]
+            run = undecided_run(enc.v, enc.u, top, prec)
+            probes = [n for n in sorted({0, probe})
+                      if n <= top and n not in run]
+            below = [n for n in probes if n < run.start]
+            for n in chain(below, run, probes[len(below):]):
+                verdict = membership_at(enc, n, prec)
+                if verdict is (full or n == probe):
                     continue
                 if isinstance(verdict, bool):
                     raise StructureError(
@@ -160,9 +173,7 @@ class FiniteStructure:
                     )
                 raise PrecisionError(
                     f"membership of {n} in species {i} is {verdict} "
-                    f"at k={self.precision.k}, "
-                    f"horizon={self.precision.horizon}"
-                )
+                    f"at {prec}")
 
     # -- derived data -------------------------------------------------------
 
@@ -208,9 +219,7 @@ class FiniteStructure:
             return verdict
         raise PrecisionError(
             f"relation {n} * {scaled.name or '?'} = {other.name or '?'} "
-            f"{verdict} at k={self.precision.k}, "
-            f"horizon={self.precision.horizon}"
-        )
+            f"{verdict} at {self.precision}")
 
     @property
     def species_family(self) -> tuple[frozenset[int], ...]:
@@ -257,12 +266,9 @@ def eval_formula(f: Formula, structure: FiniteStructure,
 Thunk = Callable[[], object]
 
 
-def _failing(message: str, *first: Thunk) -> Thunk:
-    """A closure that calls first, whose errors come earlier, and then
-    raises EvalError(message)."""
+def _failing(message: str) -> Thunk:
+    """A closure that raises EvalError(message)."""
     def fail():
-        for thunk in first:
-            thunk()
         raise EvalError(message)
     return fail
 
@@ -371,27 +377,24 @@ class _Compiler:
             return bounded
         _ill_sorted_term(t, Language.SOURCE)
 
-    def restricted(self, ref: SpeciesRef,
-                   sscope: Mapping[int, int]) -> Thunk:
-        """Extension of a species reference cut down to the nat domain.
-
-        Species equality mirrors its translated form, a pointwise
-        biconditional quantified over the nat domain, so only that part
-        of the extensions may matter.
-        """
-        domain = frozenset(self.s.nat_domain)
-        if type(ref) is SpeciesConst:
+    def species(self, ref: SpeciesRef,
+                sscope: Mapping[int, int]) -> Optional[Thunk]:
+        """A thunk for the extension of a species reference: a constant's
+        exact extension (None for the full species) or a bound variable's
+        family member; None for a node of any other class."""
+        cls = type(ref)
+        if cls is SpeciesConst:
             try:
-                extension = self.s.const_extension(ref.index)
+                return _constant(self.s.const_extension(ref.index))
             except EvalError as exc:
                 return _failing(str(exc))
-            return _constant(domain if extension is None
-                             else extension & domain)
-        slot = sscope.get(ref.index)
-        if slot is None:
-            return _failing(f"unbound species variable X{ref.index}")
-        e = self.slots
-        return lambda: e[slot] & domain
+        if cls is SpeciesVar:
+            slot = sscope.get(ref.index)
+            if slot is None:
+                return _failing(f"unbound species variable X{ref.index}")
+            e = self.slots
+            return lambda: e[slot]
+        return None
 
     def source(self, f: Formula, scope: Mapping[str, int],
                sscope: Mapping[int, int]) -> Thunk:
@@ -409,42 +412,35 @@ class _Compiler:
             return lambda: left() != right()
         if cls is In:
             element = self.nat_term(f.element, scope)
-            ref = f.species
-            if type(ref) is SpeciesConst:
-                try:
-                    extension = s.const_extension(ref.index)
-                except EvalError as exc:
-                    return _failing(str(exc), element)
-                if extension is None:
-                    def full() -> bool:
-                        element()
-                        return True
-                    return full
-                return lambda: element() in extension
-            if type(ref) is not SpeciesVar:
+            extension = self.species(f.species, sscope)
+            if extension is None:
                 _ill_sorted(f, Language.SOURCE)
-            slot = sscope.get(ref.index)
-            if slot is None:
-                return _failing(f"unbound species variable X{ref.index}",
-                                element)
-            e, bound = self.slots, s.family_bound
+            # A family member is decided up to the family bound alone.
+            bound = s.family_bound if type(f.species) is SpeciesVar else inf
 
             def member() -> bool:
-                value = element()
+                # The element's errors come before the reference's.
+                value, members = element(), extension()
                 if value > bound:
                     raise PrecisionError(
                         f"membership of {value} exceeds the decided family "
                         f"range 0..{bound}"
                     )
-                return value in e[slot]
+                return members is None or value in members
             return member
         if cls is SpeciesEq:
-            if not (isinstance(f.left, SpeciesRef)
-                    and isinstance(f.right, SpeciesRef)):
+            left = self.species(f.left, sscope)
+            right = self.species(f.right, sscope)
+            if left is None or right is None:
                 _ill_sorted(f, Language.SOURCE)
-            left = self.restricted(f.left, sscope)
-            right = self.restricted(f.right, sscope)
-            return lambda: left() == right()
+            # Species equality mirrors its translated form, a pointwise
+            # biconditional quantified over the nat domain, so only that
+            # part of the extensions may matter.
+            domain = frozenset(s.nat_domain)
+
+            def cut(members: Optional[frozenset[int]]) -> frozenset[int]:
+                return domain if members is None else members & domain
+            return lambda: cut(left()) == cut(right())
         if cls is And or cls is Or or cls is Implies:
             return _connective(f, self.source(f.left, scope, sscope),
                                self.source(f.right, scope, sscope))
@@ -508,21 +504,16 @@ class _Compiler:
                 return _constant(s.sentinel_true)
             return _connective(f, self.target(f.left, scope),
                                self.target(f.right, scope))
-        if cls is Exists or cls is Forall:
-            if f.sort is Sort.REAL:
-                slot = self.bind()
-                body = self.target(f.body, {**scope, f.var: slot})
-                domain = s.real_domain
-                return self.quantifier(cls is Exists, slot, body,
-                                       lambda: domain)
-        elif cls is DefinedQuant:
+        if cls is DefinedQuant or (cls is Exists or cls is Forall) \
+                and f.sort is Sort.REAL:
             slot = self.bind()
             body = self.target(f.body, {**scope, f.var: slot})
-            if f.kind in (QuantKind.EXISTS_NAT, QuantKind.FORALL_NAT):
-                domain = tuple(s.nat_gen(n) for n in s.nat_domain)
-            else:
-                domain = s.real_domain
-            exists = f.kind in (QuantKind.EXISTS_NAT, QuantKind.EXISTS_REAL)
+            kind = f.kind if cls is DefinedQuant else None
+            domain = (s.nat_gens if kind in (QuantKind.EXISTS_NAT,
+                                             QuantKind.FORALL_NAT)
+                      else s.real_domain)
+            exists = cls is Exists or kind in (QuantKind.EXISTS_NAT,
+                                               QuantKind.EXISTS_REAL)
             return self.quantifier(exists, slot, body, lambda: domain)
         _ill_sorted(f, Language.TARGET)
 
@@ -543,8 +534,7 @@ class _Compiler:
                 return verdict == 0
             raise PrecisionError(
                 f"equality of {a.name or '?'} and {b.name or '?'} "
-                f"{UNDETERMINED} at k={prec.k}, horizon={prec.horizon}"
-            )
+                f"{UNDETERMINED} at {prec}")
         return equal
 
 

@@ -80,6 +80,9 @@ class Precision:
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
 
+    def __str__(self) -> str:
+        return f"k={self.k}, horizon={self.horizon}"
+
 
 class RealGen:
     """A nonnegative rational given by its stage rule, modulus hint and
@@ -278,21 +281,35 @@ def exact_order(a: Record, b: Record, prec: Precision) -> Optional[int]:
     Each stage passes one search: eq_at if |b(x) - a(x)| * 2^k < 2^x,
     else lt_at the way its sign says.  A bound that puts stage h in one
     puts every later stage there too, so stages h .. 2h witness it and
-    stage h refutes the others.  Equality needs delta = 0 and order its
-    sign, so no verdict contradicts the exact values.
+    stage h refutes the others: equality needs delta = 0 and
+    err * 2^k < den * 2^h, order (|delta| * 2^h - err) * 2^k >= den * 2^h,
+    tested as (|delta| * 2^k - den) * 2^h >= err * 2^k, so no number
+    grows with h.  No verdict contradicts the exact values.
     """
-    h = prec.horizon
+    h, k = prec.horizon, prec.k
     if h < a[3] or h < b[3]:
         return None
     na, da, ea, _ = a
     nb, db, eb, _ = b
     delta, den = nb * da - na * db, da * db
     if delta == 0:
-        return 0 if max(ea * db, eb * da) << prec.k < den << h else None
+        return 0 if _below(max(ea * db, eb * da), k, den, h) else None
     err = eb * da if delta > 0 else ea * db
-    if ((abs(delta) << h) - err) << prec.k >= den << h:
+    margin = (abs(delta) << k) - den
+    if margin >= 0 and not _below(margin, h, err, k):
         return -1 if delta > 0 else 1
     return None
+
+
+def _below(x: int, i: int, y: int, j: int) -> bool:
+    """x * 2^i < y * 2^j for naturals x and y, shifting by |i - j| only
+    where the bit lengths tie."""
+    if not x or not y:
+        return x < y
+    bits_x, bits_y = x.bit_length() + i, y.bit_length() + j
+    if bits_x != bits_y:
+        return bits_x < bits_y
+    return x << (i - j) < y if i >= j else x < y << (j - i)
 
 
 def exact_relation(n: int, scaled: RealGen, other: RealGen,

@@ -141,20 +141,9 @@ class _Parser:
         if tok != text:
             raise self.error(f"expected {text!r}, got {tok!r}", back=1)
 
-    def head(self) -> str:
-        """Consume an opening paren and the head symbol after it."""
-        self.expect("(")
-        return self.opened()
-
-    def opened(self) -> str:
-        """Consume the head symbol after an opening paren."""
-        tok = self.next()
-        if tok in "()":
-            raise self.error("expected a head symbol after '('", back=1)
-        return tok
-
     def formula(self) -> Formula:
-        head = self.head()
+        self.expect("(")
+        head = self.symbol()
         cls = _CLASSES.get(head)
         if cls in _FIXED[Formula]:
             if cls is Or and self.target:
@@ -170,7 +159,9 @@ class _Parser:
             var, sort = self.binder_with_sort()
             f = cls(var, sort, self.formula())
         elif head in _QUANT_KINDS:
-            var = self.binder_plain()
+            self.expect("(")
+            var = self.symbol("binder name")
+            self.expect(")")
             f = DefinedQuant(_QUANT_KINDS[head], var, self.formula())
         elif head == _NOT:
             f = Implies(self.formula(), BOT)
@@ -196,13 +187,7 @@ class _Parser:
         self.expect(")")
         return name, sort
 
-    def binder_plain(self) -> str:
-        self.expect("(")
-        name = self.symbol("binder name")
-        self.expect(")")
-        return name
-
-    def symbol(self, what: str) -> str:
+    def symbol(self, what: str = "head symbol after '('") -> str:
         tok = self.next()
         if tok in "()":
             raise self.error(f"expected a {what}", back=1)
@@ -220,7 +205,7 @@ class _Parser:
                         back=1)
                 return NatConst(int(tok))
             return Var(tok, self.ambient)
-        head = self.opened()
+        head = self.symbol()
         cls = _CLASSES.get(head)
         if cls in _FIXED[Term]:
             kids = []
@@ -245,7 +230,7 @@ class _Parser:
     def species(self) -> SpeciesRef:
         tok = self.next()
         if tok == "(":
-            head = self.opened()
+            head = self.symbol()
             cls = _CLASSES.get(head)
             if cls is not SpeciesVar and cls is not SpeciesConst:
                 raise self.error(f"unknown species head {head!r}", back=1)

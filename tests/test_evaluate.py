@@ -15,7 +15,7 @@ from ringterp.corpus import (
 )
 from ringterp.encoder import (
     MembershipStatus, SpeciesEncoding, encode_silent, encode_stabilized,
-    quotient_status,
+    membership_at, quotient_status,
 )
 from ringterp.evaluate import (
     EvalError, FiniteStructure, PrecisionError, StructureError, eval_formula,
@@ -23,14 +23,15 @@ from ringterp.evaluate import (
 )
 from ringterp import pairing, reals
 from ringterp.pairing import MAX_TERM_BITS, pair
-from ringterp.reals import Precision, RealGen, add, from_unit_fraction, mul, \
-    nat_scalar
+from ringterp.reals import Precision, RealGen, add, from_nat, \
+    from_unit_fraction, mul, nat_scalar
 from ringterp.sexpr import parse_formula
 from ringterp.syntax import (
     BOT, Add, And, Apart, Bottom, DefinedQuant, Eq, Exists, Forall, Formula,
     Implies, In, Language, Lt, Mul, NatConst, Or, Pair, QuantKind, RealConst,
     SENTINEL_FORMULA, SortError, SpeciesConst, SpeciesEq, SpeciesVar, Succ,
-    Term, Var, Sort, all_var_names, children, rebuild, species_binder_index,
+    Term, Var, Sort, all_var_names, check_formula, children, rebuild,
+    species_binder_index,
 )
 from ringterp.translate import (
     SENTINEL, Expansion, Orientation, TranslationConfig, TranslationError,
@@ -581,6 +582,116 @@ class TestAgainstTheFrozenStructure:
         assert outcome(build) == (
             PrecisionError, "membership of 9 in species 0 is witnessed "
             "against its exact value at k=6, horizon=8")
+
+
+def frozen_ascending_verify(self: FiniteStructure) -> None:
+    """Reference implementation: FiniteStructure._verify as it was
+    before it asked only about the undecided run and the probes, asking
+    membership_at about every candidate 0..family_bound in turn."""
+    for g in dict.fromkeys(self.real_domain):
+        try:
+            ok = reals.check_certified(g, self.precision)
+        except reals.InsufficientHorizon as exc:
+            raise PrecisionError(
+                f"structure precision cannot host a generator: {exc}"
+            ) from exc
+        if not ok:
+            raise StructureError(
+                f"generator {g.name or '?'} violates its modulus promise"
+            )
+    for i, enc in self.species.items():
+        for n in range(self.family_bound + 1):
+            verdict = membership_at(enc, n, self.precision)
+            if verdict is (enc.stabilized is None
+                           or n == enc.stabilized[1]):
+                continue
+            if isinstance(verdict, bool):
+                raise StructureError(
+                    f"species {i} encoding disagrees with its extension "
+                    f"at candidate {n}"
+                )
+            raise PrecisionError(
+                f"membership of {n} in species {i} is {verdict} "
+                f"at k={self.precision.k}, "
+                f"horizon={self.precision.horizon}"
+            )
+
+
+def verify_outcomes(make) -> tuple[object, object]:
+    """outcome of make(), then with the frozen ascending _verify."""
+    got = outcome(make)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(FiniteStructure, "_verify", frozen_ascending_verify)
+        return got, outcome(make)
+
+
+_third, _ninth, _tenth, _eleventh = (from_unit_fraction(q)
+                                     for q in (3, 9, 10, 11))
+_three, _nine = encode_stabilized(2, 3), encode_stabilized(2, 9)
+_silent = encode_silent()
+
+# Encodings whose declared extension may not be what their pair codes,
+# and whose generators may start before the declared moment.
+HAND_BUILT = [
+    _three,
+    SpeciesEncoding(_silent.u, _silent.v, (1, 3)),  # singleton, silent pair
+    SpeciesEncoding(_three.u, _three.v, None),  # full, singleton pair
+    SpeciesEncoding(_three.u, _three.v, (2, 5)),  # a wrong value above
+    SpeciesEncoding(_three.u, _three.v, (2, 1)),  # a wrong value below
+    SpeciesEncoding(_nine.u, _nine.v, (2, 4)),  # a member before the run
+    SpeciesEncoding(from_nat(0), _third, (1, 2)),  # 0 is the exact member
+    SpeciesEncoding(from_nat(0), _third, (1, 0)),
+    SpeciesEncoding(from_nat(0), _third, None),
+    SpeciesEncoding(_tenth, _eleventh, (1, 1)),  # 1/10 against 1/11
+    SpeciesEncoding(_tenth, _eleventh, None),
+    SpeciesEncoding(_third, _ninth, (30, 3)),  # generators start at 0
+    SpeciesEncoding(_third, _ninth, (30, 4)),
+]
+
+
+class TestVerifyAsksOnlyOpenCandidates:
+    """Construction gives the first error, its type and its message, of
+    the frozen _verify that asked about every candidate in turn."""
+
+    @settings(max_examples=200)
+    @given(domain=hs.sets(hs.integers(0, 40), min_size=1, max_size=4),
+           species=species_lines, k=hs.integers(1, 12),
+           horizon=hs.integers(1, 20))
+    def test_library_structures(self, domain, species, k, horizon):
+        text = "".join([
+            "nats: " + " ".join(map(str, sorted(domain))) + "\n",
+            *(f"species: {i} {line}\n" for i, line in enumerate(species)),
+            f"precision: k={k} horizon={horizon}\n"])
+
+        def build():
+            return format_structure(parse_structure(text))
+        got, want = verify_outcomes(build)
+        assert got == want, text
+
+    def test_hand_built_encodings(self):
+        seen = set()
+        for enc, domain, k, horizon in itertools.product(
+                HAND_BUILT, [(0,), (0, 1), (0, 3, 12), range(8), (2, 5, 40)],
+                (1, 6, 8), (4, 8, 18, 30, 64)):
+            def build():
+                s = FiniteStructure(domain, {0: enc, 1: _three},
+                                    precision=Precision(k, horizon))
+                return format_structure(s)
+            got, want = verify_outcomes(build)
+            assert got == want, (enc, domain, k, horizon)
+            seen.add("accepted" if type(got) is str
+                     else re.sub(r"\d+", "#", got[1].split(" at ")[0]))
+        assert seen >= {
+            "accepted",
+            "species # encoding disagrees with its extension",
+            "membership of # in species # is undetermined",
+            "membership of # in species # is witnessed against its exact "
+            "value"}, seen
+        # below the moment 30 the generators of 1/3 and 1/9 are certified
+        got, want = verify_outcomes(lambda: FiniteStructure(
+            range(9), {0: HAND_BUILT[-2]}, precision=Precision(8, 18)))
+        assert got == want == (PrecisionError, "membership of 0 in species "
+                               "0 is undetermined at k=9, horizon=18")
 
 
 class TestTargetEvaluation:
@@ -1330,6 +1441,23 @@ class TestAgainstReferenceEvaluator:
         source = parse_formula("(and (exists (X0 Species) (in 5 X0)) "
                                "(= (var r Real) 0))", Language.SOURCE)
         assert assert_alike(source, st, Language.SOURCE)[0] is SortError
+
+
+    @pytest.mark.parametrize("left", [True, False])
+    @pytest.mark.parametrize("base", [SpeciesConst, SpeciesVar])
+    def test_a_subclass_of_a_species_reference_is_ill_sorted(self, base,
+                                                             left):
+        # A subclass of SpeciesConst in an equality was once read as a
+        # variable: EvalError "unbound species variable X1".
+        sub = type("Sub", (base,), {"__slots__": ()})(1)
+        f = SpeciesEq(sub, SpeciesConst(1)) if left \
+            else SpeciesEq(SpeciesConst(1), sub)
+        with pytest.raises(SortError) as want:
+            check_formula(f, Language.SOURCE)
+        assert "not a species reference" in str(want.value)
+        with pytest.raises(SortError) as got:
+            eval_formula(f, collapse_structure(), Language.SOURCE)
+        assert str(got.value) == str(want.value)
 
 
 class TestSharedSentinelScope:

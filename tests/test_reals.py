@@ -1179,3 +1179,77 @@ class TestRelation:
         assert order_at(nat_scalar(4, third), from_nat(1), prec) == -1
         assert exact_sign(nat_scalar(4, third)._exact, (1, 1, 0, 0)) == 1
         assert relation_at(4, third, from_nat(1), prec) is False
+
+
+def frozen_exact_order(a, b, prec):
+    """Reference implementation: exact_order as it was when it shifted
+    den, |delta| and the errors by the horizon."""
+    h = prec.horizon
+    if h < a[3] or h < b[3]:
+        return None
+    na, da, ea, _ = a
+    nb, db, eb, _ = b
+    delta, den = nb * da - na * db, da * db
+    if delta == 0:
+        return 0 if max(ea * db, eb * da) << prec.k < den << h else None
+    err = eb * da if delta > 0 else ea * db
+    if ((abs(delta) << h) - err) << prec.k >= den << h:
+        return -1 if delta > 0 else 1
+    return None
+
+
+records = st.tuples(
+    st.one_of(st.just(0), st.integers(0, 40), st.integers(0, 1 << 70)),
+    st.one_of(st.just(1), st.integers(1, 40), st.integers(1, 1 << 60)),
+    st.one_of(st.just(0), st.integers(0, 40), st.integers(0, 1 << 90)),
+    st.one_of(st.just(0), st.integers(0, 130)))
+
+
+class TestExactOrderWithoutHorizonShifts:
+    """exact_order decides its two bounds without numbers that grow with
+    the horizon, and gives the frozen verdicts."""
+
+    @settings(max_examples=1000)
+    @given(a=records, b=records, k=st.integers(1, 80),
+           horizon=st.integers(1, 120), scale=st.integers(1, 5))
+    def test_against_the_frozen_order(self, a, b, k, horizon, scale):
+        prec = Precision(k, horizon)
+        assert exact_order(a, b, prec) == frozen_exact_order(a, b, prec)
+        # an equal value under another denominator and error
+        same = (a[0] * scale, a[1] * scale, b[2], b[3])
+        assert exact_order(a, same, prec) == frozen_exact_order(a, same, prec)
+
+    @pytest.mark.parametrize("a, b, k, horizon", [
+        # no error: the equality bound's left side is 0
+        ((0, 1, 0, 0), (0, 7, 0, 0), 1, 1),
+        ((3, 4, 0, 2), (6, 8, 0, 0), 80, 2),
+        ((0, 1, 0, 0), (0, 1, 0, 5), 3, 4),
+        # |delta| * 2^k = den: the order bound's margin is 0
+        ((0, 1, 0, 0), (1, 4, 0, 0), 2, 9),
+        ((0, 1, 0, 0), (1, 4, 1, 0), 2, 9),
+        ((1, 4, 0, 0), (0, 1, 0, 0), 2, 9),
+        ((1, 4, 3, 0), (0, 1, 0, 0), 2, 9),
+        ((0, 3, 0, 0), (1, 12, 0, 0), 2, 1),
+    ])
+    def test_zero_operands(self, a, b, k, horizon):
+        prec = Precision(k, horizon)
+        assert exact_order(a, b, prec) == frozen_exact_order(a, b, prec)
+
+    def test_horizons_up_to_a_billion(self):
+        third, half, close, zero = (g._exact for g in (
+            from_unit_fraction(3), from_unit_fraction(2),
+            from_unit_fraction(1 << 40), from_nat(0)))
+        for horizon in (10 ** 5, 10 ** 6):
+            prec = Precision(24, horizon)
+            for a, b in itertools.permutations([third, half, close, zero], 2):
+                assert exact_order(a, b, prec) \
+                    == frozen_exact_order(a, b, prec)
+        prec = Precision(24, 10 ** 9)
+        assert exact_order(third, half, prec) == -1
+        assert exact_order(half, third, prec) == 1
+        assert exact_order(third, nat_scalar(2, from_unit_fraction(6))._exact,
+                           prec) == 0
+        # 0 and 2^-40 differ, by less than 2^-24: no verdict at k = 24
+        assert exact_order(zero, close, prec) is None
+        assert exact_order(zero, close, Precision(41, 10 ** 9)) == -1
+        assert exact_order(zero, zero, prec) == 0

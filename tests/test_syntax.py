@@ -927,17 +927,29 @@ class TestWalkerDifferences:
 
 
 def test_syntax_and_translate_dispatch_on_the_exact_class():
-    """No isinstance call: a pass tests type(node) is C, so that no pass
-    takes a subclass of a node class for a node."""
+    """No isinstance call in syntax and translate, and none against a
+    node class or node kind in evaluate and sexpr: a pass tests
+    type(node) is C, so that no pass takes a subclass of a node class
+    for a node.  evaluate's other isinstance calls are not node
+    dispatch."""
     import ast
     import pathlib
 
     import ringterp
+    from ringterp import syntax
+    nodes = {name for name, value in vars(syntax).items()
+             if isinstance(value, type) and issubclass(value, syntax.Node)}
     root = pathlib.Path(ringterp.__file__).parent
-    for module in ("syntax.py", "translate.py"):
+    for module, banned in (("syntax.py", None), ("translate.py", None),
+                           ("evaluate.py", nodes), ("sexpr.py", nodes)):
         tree = ast.parse((root / module).read_text(encoding="utf-8"))
-        calls = [node.lineno for node in ast.walk(tree)
+        calls = [node for node in ast.walk(tree)
                  if isinstance(node, ast.Call)
                  and isinstance(node.func, ast.Name)
                  and node.func.id == "isinstance"]
-        assert calls == [], f"{module} calls isinstance on lines {calls}"
+        if banned is not None:
+            calls = [call for call in calls if banned & {
+                getattr(name, "id", getattr(name, "attr", None))
+                for arg in call.args[1:] for name in ast.walk(arg)}]
+        lines = [call.lineno for call in calls]
+        assert lines == [], f"{module} calls isinstance on lines {lines}"

@@ -153,16 +153,20 @@ class FiniteStructure:
         # true at n * v = u alone.  So the first candidate where it differs
         # from the extension is in the run, at the declared member or, for
         # the full species, at 0 or 1; 0 also leads where a horizon below
-        # the declared moment leaves every candidate undetermined.
+        # the declared moment leaves every candidate undetermined.  Below 8
+        # candidates, asking about each costs less than finding the run.
         top, prec = self.family_bound, self.precision
         for i, enc in self.species.items():
             full = enc.stabilized is None
             probe = 1 if full else enc.stabilized[1]
-            run = undecided_run(enc.v, enc.u, top, prec)
-            probes = [n for n in sorted({0, probe})
-                      if n <= top and n not in run]
-            below = [n for n in probes if n < run.start]
-            for n in chain(below, run, probes[len(below):]):
+            candidates = range(top + 1)
+            if top >= 7:
+                run = undecided_run(enc.v, enc.u, top, prec)
+                probes = [n for n in sorted({0, probe})
+                          if n <= top and n not in run]
+                below = [n for n in probes if n < run.start]
+                candidates = chain(below, run, probes[len(below):])
+            for n in candidates:
                 verdict = membership_at(enc, n, prec)
                 if verdict is (full or n == probe):
                     continue
@@ -281,7 +285,11 @@ def _false() -> bool:
     return False
 
 
-def _connective(f: Formula, left: Thunk, right: Thunk) -> Thunk:
+def _connective(f: Formula, child: Callable[[Formula], Thunk]) -> Thunk:
+    left = child(f.left)
+    if type(f) is Implies and type(f.right) is Bottom:
+        return lambda: not left()
+    right = child(f.right)
     if type(f) is And:
         return lambda: left() and right()
     if type(f) is Or:
@@ -310,9 +318,13 @@ class _Compiler:
     evaluated.  Every variable in scope is known here, so each gets a
     slot of the list `slots`, the pre-bound env first and then one per
     binder: a quantifier instance stores into its slot and a variable
-    loads from it.  What needs no instance is decided here once: the
-    sentinel forcing of target atoms (of SENTINEL_FORMULA, the shared
-    sentinel node, at once), constants and their generators.
+    loads from it, which `read` records.  What needs no instance is
+    decided here once, keeping every verdict, error and order of errors:
+    constants and their generators; the sentinel forcing of target atoms
+    and, while y is unbound, of the shared node SENTINEL_FORMULA, so
+    that (or A φ) and (imp (not A) φ) run A alone and (imp X φ) runs
+    (not X); a negation (imp X (bot)), which runs not X; and a binder
+    whose body never reads its slot, which runs the body once.
     Unbound names and unassigned constants become closures that raise
     when, and only when, they are reached.
     """
@@ -323,15 +335,26 @@ class _Compiler:
         # Set while compiling a target atom that mentions the unbound
         # sentinel.
         self.forced = False
+        self.read: set[int] = set()
 
     def bind(self) -> int:
         self.slots.append(None)
         return len(self.slots) - 1
 
+    def load(self, slot: int) -> Thunk:
+        self.read.add(slot)
+        e = self.slots
+        return lambda: e[slot]
+
     def quantifier(self, exists: bool, slot: int, body: Thunk,
                    values: Callable[[], Iterable]) -> Thunk:
         e = self.slots
-        if exists:
+        if slot not in self.read:
+            def run() -> bool:
+                for _ in values():
+                    return body()
+                return not exists
+        elif exists:
             def run() -> bool:
                 for value in values():
                     e[slot] = value
@@ -355,8 +378,7 @@ class _Compiler:
             slot = scope.get(t.name)
             if slot is None:
                 return _failing(f"unbound variable {t.name!r}")
-            e = self.slots
-            return lambda: e[slot]
+            return self.load(slot)
         if cls is NatConst:
             return _constant(t.value)
         if cls is Succ:
@@ -392,8 +414,7 @@ class _Compiler:
             slot = sscope.get(ref.index)
             if slot is None:
                 return _failing(f"unbound species variable X{ref.index}")
-            e = self.slots
-            return lambda: e[slot]
+            return self.load(slot)
         return None
 
     def source(self, f: Formula, scope: Mapping[str, int],
@@ -442,8 +463,7 @@ class _Compiler:
                 return domain if members is None else members & domain
             return lambda: cut(left()) == cut(right())
         if cls is And or cls is Or or cls is Implies:
-            return _connective(f, self.source(f.left, scope, sscope),
-                               self.source(f.right, scope, sscope))
+            return _connective(f, lambda g: self.source(g, scope, sscope))
         if cls is Exists or cls is Forall:
             slot = self.bind()
             if f.sort is Sort.NAT:
@@ -470,8 +490,7 @@ class _Compiler:
                 if t.name == SENTINEL:
                     self.forced = True
                 return _failing(f"unbound variable {t.name!r}")
-            e = self.slots
-            return lambda: e[slot]
+            return self.load(slot)
         if cls is NatConst:
             return _constant(s.nat_gen(t.value))
         if cls is RealConst:
@@ -500,10 +519,21 @@ class _Compiler:
                 return _constant(s.sentinel_true)
             return self.comparison(cls, left, right)
         if cls is And or cls is Or or cls is Implies:
-            if f is SENTINEL_FORMULA and SENTINEL not in scope:
+            if SENTINEL in scope or cls is And:
+                return _connective(f, lambda g: self.target(g, scope))
+            if f is SENTINEL_FORMULA:
                 return _constant(s.sentinel_true)
-            return _connective(f, self.target(f.left, scope),
-                               self.target(f.right, scope))
+            if f.right is SENTINEL_FORMULA:
+                # A or φ and (not A) -> φ read A; X -> φ reads not X.
+                left, negated = f.left, cls is Implies
+                if negated and type(left) is Implies \
+                        and type(left.right) is Bottom:
+                    left, negated = left.left, False
+                a = self.target(left, scope)
+                if s.sentinel_true:
+                    return lambda: a() or True
+                return (lambda: not a()) if negated else a
+            return _connective(f, lambda g: self.target(g, scope))
         if cls is DefinedQuant or (cls is Exists or cls is Forall) \
                 and f.sort is Sort.REAL:
             slot = self.bind()

@@ -21,7 +21,7 @@ from ringterp.evaluate import (
     EvalError, FiniteStructure, PrecisionError, StructureError, eval_formula,
     format_structure, parse_structure,
 )
-from ringterp import pairing, reals
+from ringterp import evaluate, pairing, reals
 from ringterp.pairing import MAX_TERM_BITS, pair
 from ringterp.reals import Precision, RealGen, add, from_nat, \
     from_unit_fraction, mul, nat_scalar
@@ -260,9 +260,22 @@ def count_searches(monkeypatch) -> list:
     return calls
 
 
+def count_comparisons(monkeypatch) -> list:
+    """Record the atom class of every run of a compiled comparison."""
+    runs: list = []
+    comparison = evaluate._Compiler.comparison
+
+    def counted(self, cls, left, right):
+        thunk = comparison(self, cls, left, right)
+        return lambda: runs.append(cls) or thunk()
+    monkeypatch.setattr(evaluate._Compiler, "comparison", counted)
+    return runs
+
+
 class TestWork:
-    """Time-free guard: over a structure shaped like those of ringterp
-    eval, the records decide every comparison without a search."""
+    """Time-free guards: over a structure shaped like those of ringterp
+    eval, the records decide every comparison without a search; and the
+    compiler runs no instance and builds no closure it can do without."""
 
     TEXT = ("nats: 0 2 3 4\nspecies: 1 singleton 3 moment 2\n"
             "species: 2 singleton 4 moment 1\norientation: {}\n"
@@ -300,6 +313,48 @@ class TestWork:
             with pytest.raises(PrecisionError, match="undetermined"):
                 eval_formula(f, s, Language.TARGET, env)
         assert len(calls) == 3
+
+    def test_a_vacuous_binder_runs_its_body_once(self, monkeypatch):
+        runs = count_comparisons(monkeypatch)
+        st = collapse_structure()
+        assert len(st.real_domain) == 8
+        for text, count in [("(forallR (u) (forallR (v) (= 1 1)))", 1),
+                            ("(forallR (u) (forallR (v) (= u u)))", 8),
+                            ("(existsR (u) (forallR (v) (< v 9)))", 8),
+                            ("(forallR (u) (forallR (u) (= u u)))", 8)]:
+            runs.clear()
+            eval_formula(parse_formula(text, Language.TARGET), st,
+                         Language.TARGET)
+            assert len(runs) == count, text
+
+    def test_a_translated_membership_compiles_only_its_atom(
+            self, monkeypatch):
+        compiled: list = []
+        target = evaluate._Compiler.target
+        monkeypatch.setattr(evaluate._Compiler, "target", lambda self, f,
+                            scope: compiled.append(f) or target(self, f, scope))
+        f = translate(parse_formula("(in 0 (sconst 1))", Language.SOURCE))
+        assert f.right is SENTINEL_FORMULA and f.left.right == BOT
+        for sentinel_true in (False, True):
+            st = collapse_structure(sentinel_true=sentinel_true)
+            assert eval_formula(f, st, Language.TARGET) is sentinel_true
+        # no closure for φ, ⊥ or either negation
+        assert compiled == [f, f.left.left] * 2
+
+    def test_construction_asks_small_domains_in_turn_and_large_ones_open(
+            self, monkeypatch):
+        asked: list = []
+        monkeypatch.setattr(evaluate, "membership_at", lambda enc, n, prec:
+                            asked.append(n) or membership_at(enc, n, prec))
+        enc = encode_stabilized(2, 3)
+        # below 8 candidates every one; from 8 on only the undecided run
+        # of {3}, which is 3 alone, and the probe 0
+        for top, want in [(6, list(range(7))), (7, [0, 3]), (60, [0, 3])]:
+            asked.clear()
+            s = FiniteStructure(range(top + 1), {1: enc})
+            assert reals.undecided_run(enc.v, enc.u, top,
+                                       s.precision) == range(3, 4)
+            assert asked == want, top
 
     def test_memo_runs_an_op_once_per_key(self):
         # A None verdict (no witness) is cached like any other.
@@ -1442,6 +1497,149 @@ class TestAgainstReferenceEvaluator:
                                "(= (var r Real) 0))", Language.SOURCE)
         assert assert_alike(source, st, Language.SOURCE)[0] is SortError
 
+    # The shapes the compiler decides once: binders whose body never
+    # reads their variable, the sentinel disjunct of a translated atom
+    # and negation.  φ is the shared sentinel node.
+    @pytest.mark.parametrize("text, language", [
+        # vacuous nat, species, real and defined binders
+        ("(forall (n Nat) (exists (m Nat) (= 0 0)))", Language.SOURCE),
+        ("(exists (n Nat) (forall (n Nat) (< n 3)))", Language.SOURCE),
+        ("(forall (n Nat) (and (exists (n Nat) (= n 0)) (= n n)))",
+         Language.SOURCE),
+        ("(exists (n Nat) (in 9 (sconst 9)))", Language.SOURCE),
+        ("(forall (n Nat) (in (+ 2 2) (sconst 3)))", Language.SOURCE),
+        ("(exists (X0 Species) (= 1 1))", Language.SOURCE),
+        ("(forall (X0 Species) (exists (X1 Species) (in 1 X0)))",
+         Language.SOURCE),
+        ("(exists (X0 Species) (forall (X0 Species) (in 1 X0)))",
+         Language.SOURCE),
+        ("(forall (X0 Species) (exists (X0 Species) (bot)))",
+         Language.SOURCE),
+        ("(exists (X0 Species) (exists (X1 Species) (in 9 X2)))",
+         Language.SOURCE),
+        ("(forallR (u) (forallR (v) (= 1 1)))", Language.TARGET),
+        ("(existsR (u) (existsR (v) (< 1 0)))", Language.TARGET),
+        ("(exists (r Real) (= (rconst a9) 0))", Language.TARGET),
+        ("(forall (r Real) (= p q))", Language.TARGET),
+        ("(existsR (w) (existsR (w) (= w 0)))", Language.TARGET),
+        ("(forallR (u) (existsR (v) (= v u)))", Language.TARGET),
+        ("(forallN (n) (existsR (m) (< 0 1)))", Language.TARGET),
+        ("(existsN (n) (forallN (n) (= n 0)))", Language.TARGET),
+        ("(forallN (n) (and (existsN (n) (= n 0)) (= n n)))",
+         Language.TARGET),
+        ("(existsN (n) (< p q))", Language.TARGET),
+        # (or A φ) and (imp (not A) φ), A true, false or raising
+        ("(or (< 0 1) φ)", Language.TARGET),
+        ("(or (< 1 0) φ)", Language.TARGET),
+        ("(or (= p q) φ)", Language.TARGET),
+        ("(or (= z 0) φ)", Language.TARGET),
+        ("(or (= (rconst a9) 0) φ)", Language.TARGET),
+        ("(imp (not (< 0 1)) φ)", Language.TARGET),
+        ("(imp (not (< 1 0)) φ)", Language.TARGET),
+        ("(imp (not (= p q)) φ)", Language.TARGET),
+        ("(imp (not (= (rconst a9) 0)) φ)", Language.TARGET),
+        ("(existsR (w) (imp (not (= (* w (rconst b1)) (rconst a1))) φ))",
+         Language.TARGET),
+        ("(and (or (< 1 0) φ) (imp (not (< 1 0)) φ))", Language.TARGET),
+        # (imp X φ) where X is not a negation
+        ("(imp (< 0 1) φ)", Language.TARGET),
+        ("(imp (< 1 0) φ)", Language.TARGET),
+        ("(imp (= p q) φ)", Language.TARGET),
+        ("(imp (and (< 0 1) (= 1 1)) φ)", Language.TARGET),
+        ("(imp (imp (< 0 1) (< 1 0)) φ)", Language.TARGET),
+        ("(imp (imp (bot) (< 1 0)) φ)", Language.TARGET),
+        ("(imp φ φ)", Language.TARGET),
+        ("(or φ φ)", Language.TARGET),
+        ("(and (< 0 1) φ)", Language.TARGET),
+        # φ with y bound: the sentinel is an ordinary variable there
+        ("(forallR (y) (or (< 1 0) φ))", Language.TARGET),
+        ("(existsR (y) (imp (not (< 1 0)) φ))", Language.TARGET),
+        ("(forall (y Real) (imp (< 0 y) φ))", Language.TARGET),
+        ("(forallN (y) (imp (< 0 1) φ))", Language.TARGET),
+        # negation, and double negation
+        ("(not (not (= 0 1)))", Language.SOURCE),
+        ("(not (not (in 9 (sconst 9))))", Language.SOURCE),
+        ("(not (exists (X0 Species) (in 1 X0)))", Language.SOURCE),
+        ("(not (not (< 0 1)))", Language.TARGET),
+        ("(not (not (= p q)))", Language.TARGET),
+        ("(not (not (not (= z 0))))", Language.TARGET),
+        ("(not (or (< 1 0) φ))", Language.TARGET),
+    ])
+    @pytest.mark.parametrize("sentinel_true", [False, True])
+    def test_shapes_decided_at_compile_time_evaluate_alike(
+            self, text, language, sentinel_true):
+        f = parse_formula(text.replace("φ", "(or (= y 0) (apart y 0))"),
+                          language)
+        species = {i: encode_stabilized(m, k)
+                   for i, (m, k) in SPECIES_SINGLETONS.items()}
+        st = FiniteStructure((0, 1, 2, 3), {**species, 3: encode_silent()},
+                             sentinel_true=sentinel_true)
+        assert_alike(f, st, language)
+        if language is Language.TARGET:
+            # (= p q) is undetermined here: PrecisionError
+            coarse = FiniteStructure((0, 1), precision=Precision(30, 6),
+                                     sentinel_true=sentinel_true)
+            env = {"p": from_unit_fraction(3),
+                   "q": add(from_unit_fraction(6), from_unit_fraction(6))}
+            assert_alike(f, coarse, language, env=env)
+
+    @pytest.mark.parametrize("sentinel_true", [False, True])
+    def test_the_sentinel_disjunct_keeps_its_left_sides_errors(
+            self, sentinel_true):
+        st = FiniteStructure((0, 1), precision=Precision(30, 6),
+                             sentinel_true=sentinel_true)
+        env = {"p": from_unit_fraction(3),
+               "q": add(from_unit_fraction(6), from_unit_fraction(6))}
+        for text, error in [("(or (= p q) φ)", PrecisionError),
+                            ("(imp (not (= p q)) φ)", PrecisionError),
+                            ("(imp (= p q) φ)", PrecisionError),
+                            ("(or (= z 0) φ)", EvalError),
+                            ("(imp (not (= (rconst a9) 0)) φ)", EvalError)]:
+            f = parse_formula(text.replace("φ", "(or (= y 0) (apart y 0))"),
+                              Language.TARGET)
+            assert f.right is SENTINEL_FORMULA
+            assert assert_alike(f, st, Language.TARGET, env=env)[0] is error
+
+    @pytest.mark.parametrize("sentinel_true", [False, True])
+    def test_a_vacuous_species_binder_still_decides_the_family(
+            self, sentinel_true):
+        # This family raises PrecisionError on first use; a body that
+        # never reads its variable must not hide it.
+        st = FiniteStructure((2, 5, 12), {0: encode_stabilized(2, 6),
+                                          1: encode_stabilized(2, 11)},
+                             Orientation.AS_WRITTEN, Precision(5, 11),
+                             sentinel_true=sentinel_true)
+        seen = []
+        for text in ["(exists (X0 Species) (= 0 0))",
+                     "(forall (X1 Species) (bot))",
+                     "(or (= 0 0) (exists (X0 Species) (= 0 0)))",
+                     "(exists (X0 Species) (forall (X0 Species) (= 1 1)))"]:
+            f = parse_formula(text, Language.SOURCE)
+            want = assert_alike(f, st, Language.SOURCE)
+            seen.append(want if want is True else want[0])
+            target = translate(f, config=TranslationConfig(
+                orientation=Orientation.AS_WRITTEN))
+            assert_alike(target, st, Language.TARGET)
+        assert seen == [PrecisionError] * 2 + [True, PrecisionError]
+
+    @pytest.mark.parametrize("sentinel_true", [False, True])
+    def test_the_sentinel_bound_by_env_disables_the_disjunct_path(
+            self, sentinel_true):
+        # At 2^-20 the sentinel's own comparison raises, which the
+        # compile-time disjunct would have skipped.
+        st = FiniteStructure((0, 1), precision=Precision(30, 6),
+                             sentinel_true=sentinel_true)
+        tiny, seen = from_unit_fraction(2 ** 20), []
+        for text in ["(or (< 1 0) φ)", "(imp (not (< 1 0)) φ)",
+                     "(imp (< 0 1) φ)", "(or (< 0 1) φ)"]:
+            f = parse_formula(text.replace("φ", "(or (= y 0) (apart y 0))"),
+                              Language.TARGET)
+            half = assert_alike(f, st, Language.TARGET,
+                                env={SENTINEL: from_unit_fraction(2)})
+            assert half is True
+            got = assert_alike(f, st, Language.TARGET, env={SENTINEL: tiny})
+            seen.append(got if got is True else got[0])
+        assert seen == [PrecisionError] * 3 + [True]
 
     @pytest.mark.parametrize("left", [True, False])
     @pytest.mark.parametrize("base", [SpeciesConst, SpeciesVar])

@@ -32,6 +32,14 @@ T = TypeVar("T")
 TOOL_NAME = "ringterp"
 TOOL = f"{TOOL_NAME} {__version__}"
 
+# What one simulate call may hold before it writes: each seed's trace
+# counts its horizon + 16 lines and the bits its alpha= line spells out.
+# One run at kripke.MAX_HORIZON over a stream at kripke.MAX_STREAM_BITS
+# fits, and so do 44 seeds at MAX_HORIZON, which take about 9 s, 73 MB
+# of output and 230 MiB.  A larger total is a usage error before
+# anything runs.
+MAX_SIMULATE_SIZE = 4_500_000
+
 
 def _domain_errors() -> tuple[type[Exception], ...]:
     """The errors main reports in one line, imported only once an
@@ -95,12 +103,19 @@ def _cmd_translate(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from .kripke import format_trace, simulate
+    alpha = args.alpha
+    each = args.horizon + 16 + len(alpha.prefix) + len(alpha.default)
+    if args.seeds * each > MAX_SIMULATE_SIZE:
+        args.usage_error(
+            f"{args.seeds} traces of {each} lines and stream bits each "
+            f"hold {args.seeds * each}, more than the limit of "
+            f"{MAX_SIMULATE_SIZE}")
     body = "".join(
-        format_trace(simulate(args.alpha, args.schedule, args.horizon, seed))
+        format_trace(simulate(alpha, args.schedule, args.horizon, seed))
         for seed in range(args.seed, args.seed + args.seeds)
     )
     flags = {
-        "--alpha": args.alpha.canonical_spec(),
+        "--alpha": alpha.canonical_spec(),
         "--schedule": args.schedule.canonical_spec(),
         "--horizon": str(args.horizon),
         "--seed": str(args.seed),
@@ -195,6 +210,11 @@ def _positive(text: str) -> int:
     return int(text)
 
 
+def _horizon(text: str) -> int:
+    from .kripke import check_horizon
+    return check_horizon(_positive(text))
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors take one stderr line; -h still prints the usage."""
 
@@ -238,12 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
                    type=_spec_type(_lazy("kripke", "parse_alpha_spec")),
                    default="total",
                    help="evidence stream spec (default: total)")
-    p.add_argument("--horizon", type=_spec_type(_positive), default=64)
+    p.add_argument("--horizon", type=_spec_type(_horizon), default=64)
     p.add_argument("--seed", type=_spec_type(parse_natural), default=0)
     p.add_argument("--seeds", type=_spec_type(_positive), default=1,
                    help="number of consecutive seeds to run")
     p.add_argument("--out", default="-")
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, usage_error=p.error)
 
     p = sub.add_parser("encode", help="encode a finished run as a quotient")
     p.add_argument("--from-run", required=True, dest="from_run",

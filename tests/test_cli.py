@@ -9,16 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from ringterp import cli
-from ringterp.cli import main
+from ringterp import cli, kripke
+from ringterp.cli import build_parser, main
 from ringterp.evaluate import PrecisionError
 from ringterp.goldens import (
     MEMBERSHIP_AS_WRITTEN, MEMBERSHIP_NORMALIZED, NAT_CORE, NAT_PREDICATE,
     SENTINEL,
 )
 from ringterp.kripke import (
-    ChoiceSeq, TraceError, format_trace, parse_schedule_spec, parse_trace,
-    simulate,
+    MAX_HORIZON, TRACE_HEADER, ChoiceSeq, TraceError, format_trace,
+    parse_schedule_spec, parse_trace, simulate,
 )
 from ringterp.pairing import MAX_TERM_BITS
 from ringterp.reals import InsufficientHorizon
@@ -193,6 +193,42 @@ class TestSimulate:
         assert (exc.value.code, out) == (2, "")
         assert err == (f"ringterp simulate: error: argument {flag}: "
                        f"expected a number of at least 1, got {value!r}\n")
+
+    def test_a_horizon_past_the_limit_is_a_usage_error(self, capsys):
+        assert build_parser().parse_args(
+            ["simulate", "--schedule", "never", "--horizon",
+             str(MAX_HORIZON)]).horizon == MAX_HORIZON
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--schedule", "never", "--horizon",
+                  str(MAX_HORIZON + 1)])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err == (f"ringterp simulate: error: argument --horizon: "
+                       f"horizon {MAX_HORIZON + 1} is more than the limit "
+                       f"of {MAX_HORIZON}\n")
+
+    def test_an_output_past_the_size_limit_is_refused_before_any_run(
+            self, monkeypatch, capsys):
+        # Each trace counts horizon + 16 lines and 1 bit of the total
+        # stream: 3 * 29 = 87.
+        argv = ["simulate", "--schedule", "phi:2", "--horizon", "12",
+                "--seeds", "3"]
+        monkeypatch.setattr(cli, "MAX_SIMULATE_SIZE", 87)
+        assert main(argv) == 0
+        assert capsys.readouterr().out.count(TRACE_HEADER) == 3
+
+        def refuse(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "MAX_SIMULATE_SIZE", 86)
+        monkeypatch.setattr(kripke, "simulate", refuse)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err == ("ringterp simulate: error: 3 traces of 29 lines and "
+                       "stream bits each hold 87, more than the limit of "
+                       "86\n")
 
     def test_ascii_numbers_are_recorded_as_given(self):
         proc = run_cli("simulate", "--schedule", "phi:2", "--seed", "7",

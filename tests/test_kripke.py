@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 from ringterp import kripke
 from ringterp.kripke import (
-    MAX_STREAM_BITS, ChoiceSeq, ConjunctStatus, Draw, RunResult, Schedule,
+    MAX_HORIZON, MAX_STREAM_BITS, ChoiceSeq, ConjunctStatus, Draw, RunResult, Schedule,
     ScheduleKind, TraceError, check_conjuncts, format_trace, parse_alpha_spec,
     parse_schedule_spec, parse_trace, run_total, simulate,
 )
-from ringterp.pairing import pair, unpair
+from ringterp.pairing import pair, parse_natural, unpair
 
 member_lists = st.lists(
     st.tuples(st.integers(min_value=1, max_value=12),
@@ -351,6 +351,20 @@ class TestSpecs:
         with pytest.raises(ValueError):
             parse_alpha_spec(spec)
 
+    @pytest.mark.parametrize("part, bits", [
+        ("prefix", "012"), ("prefix", "0\u0661"), ("prefix", "\x01"),
+        ("prefix", "0?1"), ("prefix", "1 "), ("default", "10\xff"),
+        ("default", ""),
+    ])
+    def test_bit_strings_hold_only_0_and_1(self, part, bits):
+        spec = {"prefix": f"prefix:{bits};default:1",
+                "default": f"prefix:01;default:{bits}"}[part]
+        with pytest.raises(ValueError) as err:
+            parse_alpha_spec(spec)
+        assert str(err.value) == (
+            f"{part} must be a string of 0s and 1s, got {bits!r}"
+            if bits else "default pattern must be nonempty")
+
     @pytest.mark.parametrize("member", [
         "\u0663", "+3", "1_0", "-1", "3 @2", "3@\u0662", "3@+2", "3@-2",
     ])
@@ -477,6 +491,25 @@ class TestSimulate:
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
             simulate(ChoiceSeq.one(), Schedule.never(), 0, seed=1)
+
+    def test_a_run_lasts_up_to_the_horizon_limit(self):
+        run = simulate(ChoiceSeq.zero(), Schedule.never(), MAX_HORIZON, 1)
+        assert len(run.beta) == MAX_HORIZON + 1
+
+    def test_a_horizon_past_the_limit_is_refused_before_allocating(
+            self, monkeypatch):
+        # The check comes before the random generator, and so before
+        # beta, is made.
+        def refuse(seed):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(kripke, "random", type("Stub", (), {
+            "Random": staticmethod(refuse)}))
+        with pytest.raises(ValueError) as caught:
+            simulate(ChoiceSeq.zero(), Schedule.never(), MAX_HORIZON + 1, 1)
+        assert str(caught.value) == (
+            f"horizon {MAX_HORIZON + 1} is more than the limit of "
+            f"{MAX_HORIZON}")
 
     @given(prefix=prefixes, default=defaults, schedule=st.sampled_from(
                ["never", "phi:0", "phi:3", "phi:40", "notphi:2"]),
@@ -665,10 +698,13 @@ class TestTraceBytes:
         assert calls < 50_000
 
     def test_a_round_trip_does_each_piece_of_work_once(self, monkeypatch):
-        # Counts calls instead of timing: one parse normalizes the text,
-        # re-runs the simulation and formats the re-run once each, and
-        # the silent members:999@5 run decides C2 and C4 from the witness
-        # index without a membership query.
+        # Counts calls instead of timing: one parse re-runs the simulation
+        # and formats the re-run once each.  An exact trace, alone or
+        # followed by a manifest, is accepted by one comparison of texts
+        # without normalizing its lines; a CRLF or tampered text is
+        # normalized and compared against the same re-run.  The silent
+        # members:999@5 run decides C2 and C4 from the witness index
+        # without a membership query.
         run = simulate(parse_alpha_spec("members:999@5"),
                        parse_schedule_spec("phi:1"), 1000, 0)
         assert not run.fired
@@ -684,8 +720,25 @@ class TestTraceBytes:
         for name in ("_normalize", "simulate", "format_trace"):
             monkeypatch.setattr(kripke, name,
                                 counted(name, getattr(kripke, name)))
-        assert parse_trace(text) == run
-        assert calls == {"_normalize": 1, "simulate": 1, "format_trace": 1}
+        once = {"simulate": 1, "format_trace": 1}
+        for variant, work in [
+            (text, once),
+            (text + "# manifest v1\n# tool: something\n", once),
+            (text.replace("\n", "\r\n"), {"_normalize": 1, **once}),
+        ]:
+            calls.clear()
+            assert parse_trace(variant) == run
+            assert calls == work
+        calls.clear()
+        with pytest.raises(TraceError, match="got '3 0 2 no'"):
+            parse_trace(text.replace("\n3 0 1 no\n", "\n3 0 2 no\n"))
+        assert calls == {"_normalize": 1, **once}
+        short = format_trace(run_total(Schedule.phi_proved(2), 3, seed=9))
+        calls.clear()
+        with pytest.raises(TraceError, match="19 lines recorded"):
+            parse_trace(short.replace("horizon=3\n",
+                                      f"horizon={MAX_HORIZON}\n"))
+        assert calls == {"_normalize": 1}
 
         calls.clear()
         monkeypatch.setattr(ChoiceSeq, "is_member",
@@ -826,6 +879,18 @@ class TestTraceText:
             "bad summary value: expected digits 0-9, got 'x'")
 
 
+def test_a_trace_past_the_horizon_limit_is_refused(monkeypatch):
+    # Its line count fits, so the re-run refuses it.
+    text = format_trace(run_total(Schedule.phi_proved(2), 13, seed=9))
+    monkeypatch.setattr(kripke, "MAX_HORIZON", 12)
+    with pytest.raises(ValueError) as caught:
+        parse_trace(text)
+    assert str(caught.value) == "horizon 13 is more than the limit of 12"
+    # The checks before the re-run keep their order.
+    with pytest.raises(TraceError, match="missing trace header"):
+        parse_trace(text.replace("run-trace v1", "run-trace v2"))
+
+
 def horizon_zero_trace() -> str:
     """The trace of a horizon-1 run with its last moment line removed
     and its horizon= line claiming 0: 16 lines."""
@@ -835,3 +900,219 @@ def horizon_zero_trace() -> str:
     text = "\n".join(lines).replace("horizon=1\n", "horizon=0\n") + "\n"
     assert len(lines) == 16 and "horizon=0\n" in text
     return text
+
+
+def reference_parse_trace(text: str) -> RunResult:
+    """parse_trace as it was when it stripped every line of its input and
+    compared the lines with the re-run's: the reference for what it
+    accepts and for the text of its errors."""
+    lines = list(map(str.rstrip, text.splitlines()))
+    if "# manifest" in text:
+        for i, line in enumerate(lines):
+            if line.startswith("# manifest"):
+                lines = lines[:i]
+                break
+    while lines and not lines[-1]:
+        lines.pop()
+    if not lines or lines[0] != kripke.TRACE_HEADER:
+        raise TraceError(f"missing trace header {kripke.TRACE_HEADER!r}")
+    summary: dict[str, str] = {}
+    try:
+        at = lines.index("# summary")
+    except ValueError:
+        raise TraceError("missing # summary section") from None
+    for line in lines[at + 1:]:
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise TraceError(f"bad summary line {line!r}")
+        summary[key] = value
+    for key in ("horizon", "seed", "alpha", "schedule", "stabilized"):
+        if key not in summary:
+            raise TraceError(f"summary is missing {key!r}")
+    try:
+        horizon = parse_natural(summary["horizon"])
+        seed = parse_natural(summary["seed"])
+        alpha = parse_alpha_spec(summary["alpha"])
+        schedule = parse_schedule_spec(summary["schedule"])
+        if horizon < 1:
+            raise ValueError("horizon must be at least 1")
+    except ValueError as exc:
+        raise TraceError(f"bad summary value: {exc}") from None
+    if len(lines) != horizon + 16:
+        raise TraceError(
+            f"trace does not match its own parameters: "
+            f"{len(lines)} lines recorded, {horizon + 16} expected"
+        )
+    run = simulate(alpha, schedule, horizon, seed)
+    expected = format_trace(run).splitlines()
+    if lines != expected:
+        got, want = next(p for p in zip(lines, expected) if p[0] != p[1])
+        raise TraceError(
+            f"trace does not match its own parameters: "
+            f"got {got!r}, expected {want!r}"
+        )
+    return run
+
+
+MANIFEST = "# manifest v1\n# tool: ringterp 0.1.0\n# subcommand: simulate\n"
+SUMMARY_KEYS = ("horizon=", "seed=", "alpha=", "schedule=", "stabilized=")
+
+
+def line_edit(edit):
+    """A mutation that edits the list of the text's lines in place; the
+    last entry is what follows the final newline."""
+    def mutate(text: str, rng: random.Random) -> str:
+        lines = text.split("\n")
+        edit(lines, rng)
+        return "\n".join(lines)
+    return mutate
+
+
+def at_random_line(lines: list, rng: random.Random, where=None) -> int:
+    """Index of a random line, of those that start with one of where."""
+    return rng.choice([i for i, line in enumerate(lines[:-1])
+                       if where is None or line.startswith(where)])
+
+
+def trailing(space: str):
+    def edit(lines, rng):
+        lines[at_random_line(lines, rng)] += space
+    return line_edit(edit)
+
+
+def line_break(char: str):
+    """A line break that str.splitlines honours, inserted mid-line."""
+    def edit(lines, rng):
+        i = at_random_line(lines, rng)
+        cut = rng.randrange(1, max(len(lines[i]), 2))
+        lines[i] = lines[i][:cut] + char + lines[i][cut:]
+    return line_edit(edit)
+
+
+def summary_edit(edit):
+    def on_lines(lines, rng):
+        at = lines.index("# summary")
+        edit(lines, at + 1 + rng.randrange(5), rng)
+    return line_edit(on_lines)
+
+
+def swap_with_a_neighbour(lines, i: int, rng: random.Random) -> None:
+    """Swap summary line i with the key line before it, or after it if
+    it is the first."""
+    j = i + 1 if lines[i - 1] == "# summary" else i - 1
+    lines[i], lines[j] = lines[j], lines[i]
+
+
+def tamper(lines, i: int, rng: random.Random) -> None:
+    """Change one field of line i to another value of its kind."""
+    line = lines[i]
+    if line.startswith("C") or line.startswith("aggregate="):
+        key, _, status = line.partition("=")
+        others = [s.value for s in ConjunctStatus if s.value != status]
+        lines[i] = f"{key}={rng.choice(others)}"
+    else:
+        fields = line.split(" ")
+        j = rng.randrange(len(fields))
+        swap = {"-": "1", "yes": "no", "no": "yes"}
+        fields[j] = (swap[fields[j]] if fields[j] in swap
+                     else str(int(fields[j]) + rng.randint(1, 3)))
+        lines[i] = " ".join(fields)
+
+
+MOMENT = tuple("0123456789")
+MUTATIONS = {
+    "crlf": lambda text, rng: text.replace("\n", "\r\n"),
+    "trailing-space": trailing(" "),
+    "trailing-tab": trailing("\t"),
+    "trailing-nbsp": trailing("\xa0"),
+    "trailing-whitespace-everywhere":
+        lambda text, rng: text.replace("\n", " \t\xa0\n"),
+    **{f"break-{char!r}": line_break(char)
+       for char in ("\x0b", "\x0c", "\x1c", "\x85", "\u2028")},
+    "no-final-newline": lambda text, rng: text[:-1],
+    "blank-lines-at-the-end": lambda text, rng: text + "\n \n\t\n",
+    "manifest": lambda text, rng: text + MANIFEST,
+    "manifest-crlf": lambda text, rng: (text + MANIFEST).replace("\n", "\r\n"),
+    "manifest-after-a-blank-line": lambda text, rng: text + "\n" + MANIFEST,
+    "manifest-mid-trace": line_edit(lambda lines, rng: lines.insert(
+        at_random_line(lines, rng), MANIFEST.rstrip("\n"))),
+    "manifest-without-a-newline-before": lambda text, rng: (
+        text[:-1] + MANIFEST),
+    "duplicated-summary-key": summary_edit(
+        lambda lines, i, rng: lines.insert(i, lines[i])),
+    "duplicated-summary-key-at-the-end": summary_edit(
+        lambda lines, i, rng: lines.insert(-1, lines[i])),
+    "missing-summary-key": summary_edit(lambda lines, i, rng: lines.pop(i)),
+    "reordered-summary": summary_edit(swap_with_a_neighbour),
+    "second-summary-line": line_edit(lambda lines, rng: lines.insert(
+        at_random_line(lines, rng, ("# summary", "horizon=", "seed=")),
+        "# summary")),
+    "summary-line-moved-up": line_edit(lambda lines, rng: lines.insert(
+        at_random_line(lines, rng, MOMENT),
+        lines.pop(at_random_line(lines, rng, SUMMARY_KEYS)))),
+    "tampered-moment": line_edit(lambda lines, rng: tamper(
+        lines, at_random_line(lines, rng, MOMENT), rng)),
+    "tampered-conjunct": line_edit(lambda lines, rng: tamper(
+        lines, at_random_line(lines, rng, ("C", "aggregate=")), rng)),
+    "tampered-seed": lambda text, rng: text.replace(
+        "\nseed=", f"\nseed={rng.randint(1, 9)}"),
+    "tampered-horizon": lambda text, rng: text.replace(
+        "\nhorizon=", f"\nhorizon={rng.randint(1, 9)}"),
+    "dropped-line": line_edit(
+        lambda lines, rng: lines.pop(at_random_line(lines, rng))),
+    "truncated": lambda text, rng: text[:rng.randrange(len(text))],
+    "truncated-at-a-line": lambda text, rng: text[
+        :text.rfind("\n", 0, rng.randrange(len(text))) + 1],
+}
+
+
+class TestParseAgainstTheLineParser:
+    """parse_trace against reference_parse_trace: the same run, or the
+    same error type and message, on every pinned trace and on seeded
+    mutations; and at most one re-run and one formatted trace per text."""
+
+    @staticmethod
+    def outcome(parse, text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    def check(self, monkeypatch, text: str) -> None:
+        expect = self.outcome(reference_parse_trace, text)
+        calls = Counter()
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            for name in ("simulate", "format_trace"):
+                patch.setattr(kripke, name,
+                              counted(name, getattr(kripke, name)))
+            assert self.outcome(parse_trace, text) == expect, repr(text[:200])
+        assert calls["simulate"] <= 1 and calls["format_trace"] <= 1
+
+    @staticmethod
+    def pinned_text(index: int) -> str:
+        alpha, schedule, horizon, seed = PINNED_RUNS[index]
+        return format_trace(simulate(parse_alpha_spec(alpha),
+                                     parse_schedule_spec(schedule),
+                                     horizon, seed))
+
+    def test_every_pinned_trace(self, monkeypatch):
+        for index in range(len(PINNED_RUNS)):
+            self.check(monkeypatch, self.pinned_text(index))
+
+    # The sparse run, a block run, and a seeded choice of the 256-moment
+    # runs that covers each stream of the grid.
+    @pytest.mark.parametrize("index", [0, 2, 5, 11, 24, 30, 41, 52])
+    def test_mutations(self, monkeypatch, index):
+        text = self.pinned_text(index)
+        rng = random.Random(f"parse_trace:{index}")
+        for name, mutate in MUTATIONS.items():
+            mutant = mutate(text, rng)
+            assert mutant != text, name
+            self.check(monkeypatch, mutant)
